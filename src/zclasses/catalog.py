@@ -236,8 +236,8 @@ class CatalogResult:
         return 1 if (self.refuted or self.golden_mismatches) else 0
 
 
-def run_catalog(entries, *, cap: int = DEFAULT_ORDER_CAP, iso_cap: int = DEFAULT_ISO_CAP,
-                exhaustive: bool | None = None, seed: int = 0) -> CatalogResult:
+def run_catalog(entries, *, cap: int = DEFAULT_ORDER_CAP,
+                iso_cap: int = DEFAULT_ISO_CAP) -> CatalogResult:
     """Analyze every entry and run every check, in catalog order then
     check order.  Per-entry failures become in-band error records; only the
     caller's I/O can abort the run."""
@@ -247,8 +247,7 @@ def run_catalog(entries, *, cap: int = DEFAULT_ORDER_CAP, iso_cap: int = DEFAULT
     mismatches = 0
     for entry in entries:
         try:
-            G = build_group(entry.spec_text, cap=cap, exhaustive=exhaustive,
-                            seed=seed, base_dir=entry.base_dir)
+            G = build_group(entry.spec_text, cap=cap, base_dir=entry.base_dir)
         except GroupError as exc:
             errors += 1
             records.append(_error_record(entry.label, "construction", str(exc)))

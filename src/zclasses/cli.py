@@ -38,17 +38,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="maximum group order for constructions")
     sub.add_argument("--iso-cap", type=int, default=CLI_ISO_CAP,
                      help="maximum |G/Z| for the isoclinism search")
-    sub.add_argument("--exhaustive-validate", action="store_true",
-                     help="force O(n^3) associativity checks at any order")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for sampled validation above the exhaustive limit")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="report format")
-
-
-def _build(args):
-    exhaustive = True if args.exhaustive_validate else None
-    return build_group(args.spec, cap=args.cap, exhaustive=exhaustive, seed=args.seed)
 
 
 def _emit_records(records, columns, fmt: str, output: str | None) -> None:
@@ -87,12 +78,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
-            G = _build(args)
+            G = build_group(args.spec, cap=args.cap)
             record = analyze_group(G, label=args.spec)
             _emit_records([record], ANALYZE_COLUMNS, args.format, None)
             return 0
         if args.command == "verify":
-            G = _build(args)
+            G = build_group(args.spec, cap=args.cap)
             report = run_theorem(G, args.theorem, iso_cap=args.iso_cap, order_cap=args.cap)
             record = theorem_record(args.spec, analyze_group(G, label=args.spec), report)
             _emit_records([record], None, args.format, None)
@@ -102,9 +93,7 @@ def main(argv=None) -> int:
                 entries = builtin_catalog()
             else:
                 entries = parse_catalog_file(args.path)
-            exhaustive = True if args.exhaustive_validate else None
-            result = run_catalog(entries, cap=args.cap, iso_cap=args.iso_cap,
-                                 exhaustive=exhaustive, seed=args.seed)
+            result = run_catalog(entries, cap=args.cap, iso_cap=args.iso_cap)
             _emit_records(result.records, None, args.format, args.output)
             print("summary: " + json.dumps(result.summary, separators=(",", ":")),
                   file=sys.stderr)

@@ -29,7 +29,7 @@ from .core import (
     smallest_prime_factor,
     subgroup_generated,
 )
-from .errors import PreconditionViolated, QuotientExceedsCap
+from .errors import NotAGroup, PreconditionViolated, QuotientExceedsCap
 from .zclass import TheoremReport, z_class_count
 
 DEFAULT_ISO_CAP = 64
@@ -47,7 +47,8 @@ class CommutatorPairing:
 
 def commutator_pairing(G: GroupTable) -> CommutatorPairing:
     """Build the pairing and verify it is representative-independent,
-    antisymmetric (w(a,b) = w(b,a)^-1) and trivial on the diagonal."""
+    antisymmetric (w(a,b) = w(b,a)^-1), trivial on the diagonal and valued
+    in G'; raises :class:`NotAGroup` if not, which no group table can."""
     def compute():
         quo = central_quotient(G)
         reps = quo.coset_reps
@@ -57,12 +58,15 @@ def commutator_pairing(G: GroupTable) -> CommutatorPairing:
         if quo.kernel.size > 1:
             alt = np.array([np.flatnonzero(quo.projection == q)[1]
                             for q in range(quo.table.order)])
-            assert np.array_equal(table, cv[np.ix_(alt, alt)]), \
-                "pairing depends on coset representatives"
-        assert np.array_equal(table.T, G.inv[table]), "pairing is not antisymmetric"
-        assert not table.diagonal().any(), "pairing is nonzero on the diagonal"
+            if not np.array_equal(table, cv[np.ix_(alt, alt)]):
+                raise NotAGroup("pairing depends on coset representatives")
+        if not np.array_equal(table.T, G.inv[table]):
+            raise NotAGroup("pairing is not antisymmetric")
+        if table.diagonal().any():
+            raise NotAGroup("pairing is nonzero on the diagonal")
         target = commutator_subgroup(G)
-        assert target.mask[table].all(), "pairing value outside the commutator subgroup"
+        if not target.mask[table].all():
+            raise NotAGroup("pairing value outside the commutator subgroup")
         return CommutatorPairing(quotient=quo, target=target, table=table)
 
     return G._memo("commutator_pairing", compute)

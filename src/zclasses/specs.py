@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import construct
 from .core import DEFAULT_ORDER_CAP, GroupTable, center, central_product, direct_product, \
-    is_prime, read_cayley_table, validate_group_table
+    is_prime, read_cayley_table
 from .errors import BadParameter, SpecSyntaxError, UnknownConstructor
 
 _SIMPLE_KINDS = {
@@ -185,37 +185,28 @@ def _check_params(spec: GroupSpec, names: list[str]):
 
 
 def build_group(spec: GroupSpec | str, *, cap: int = DEFAULT_ORDER_CAP,
-                exhaustive: bool | None = None, seed: int = 0,
                 base_dir=None) -> GroupTable:
     """Construct the group a spec describes; the label is the canonical text.
 
     ``base_dir`` resolves relative ``file:`` paths (defaults to the working
-    directory).  ``exhaustive=True`` forces a full O(n^3) axiom check on the
-    result regardless of how it was built.
+    directory).  ``cap`` bounds every construction, ``file:`` tables included.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    G = _build_from_spec(spec, cap=cap, exhaustive=exhaustive, seed=seed,
-                         base_dir=base_dir)
-    if exhaustive:
-        validate_group_table(G, exhaustive=True, seed=seed)
-    return G
+    return _build_from_spec(spec, cap=cap, base_dir=base_dir)
 
 
-def _build_from_spec(spec: GroupSpec, *, cap: int, exhaustive: bool | None,
-                     seed: int, base_dir) -> GroupTable:
+def _build_from_spec(spec: GroupSpec, *, cap: int, base_dir) -> GroupTable:
     kind = spec.kind
     if kind == "cayley_file":
         from pathlib import Path
         path = Path(spec.path)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
-        return read_cayley_table(path, label=spec.text(), exhaustive=exhaustive, seed=seed)
+        return read_cayley_table(path, label=spec.text(), cap=cap)
     if kind in ("direct_product", "central_product"):
-        left = _build_from_spec(spec.children[0], cap=cap, exhaustive=exhaustive,
-                                seed=seed, base_dir=base_dir)
-        right = _build_from_spec(spec.children[1], cap=cap, exhaustive=exhaustive,
-                                 seed=seed, base_dir=base_dir)
+        left = _build_from_spec(spec.children[0], cap=cap, base_dir=base_dir)
+        right = _build_from_spec(spec.children[1], cap=cap, base_dir=base_dir)
         if kind == "direct_product":
             out = direct_product(left, right, cap=cap)
         else:

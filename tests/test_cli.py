@@ -167,6 +167,15 @@ def test_catalog_relative_file_spec(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_analyze_malformed_cayley_file(tmp_path):
+    bad = tmp_path / "bad.cayley"
+    bad.write_text("2\n0 1\n1 x\n")
+    res = run_cli("analyze", f"file:{bad}")
+    assert res.returncode == 3
+    assert f"zclasses: error: {bad}: malformed token 'x'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_catalog_csv(tmp_path):
     res = run_cli("catalog", "--format", "csv")
     lines = res.stdout.splitlines()

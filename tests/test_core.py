@@ -47,7 +47,7 @@ def test_c2_table():
 
 
 def test_s3_table_by_hand():
-    G = zc.from_multiplication_table(S3_TABLE, label="S3", exhaustive=True)
+    G = zc.from_multiplication_table(S3_TABLE, label="S3")
     assert G.order == 6
     assert not zc.is_abelian(G)
     assert zc.center(G).size == 1
@@ -429,10 +429,10 @@ def test_central_product_errors():
 
 def test_products_pass_validator():
     P = zc.direct_product(zc.heisenberg(3), zc.abelian([3]))
-    zc.validate_group_table(P, exhaustive=True)
+    zc.validate_group_table(P)
     D8 = zc.dihedral(8)
     z = int(zc.center(D8).members()[1])
-    zc.validate_group_table(zc.central_product(D8, D8, z, z), exhaustive=True)
+    zc.validate_group_table(zc.central_product(D8, D8, z, z))
 
 
 # ------------------------------------------------- subgroup conjugacy
@@ -483,14 +483,35 @@ def test_centralizer_conjugation_equivariance_sampled(catalog):
 
 def test_catalog_passes_validator(catalog):
     for G in catalog.values():
-        zc.validate_group_table(G, exhaustive=G.order <= 256)
+        zc.validate_group_table(G)
 
 
-def test_sampled_validation_above_limit():
-    big = zc.direct_product(zc.heisenberg(3), zc.abelian([9]), cap=4096)
-    bigger = zc.direct_product(big, zc.abelian([3]), cap=4096)
-    assert bigger.order == 729
-    zc.validate_group_table(bigger, seed=3)   # sampled path
+def test_turned_intercalate_above_256_refused():
+    # D512 relabelled by x -> 5x + 7, then the two symbols of the 2x2 Latin
+    # subsquare on rows a, a*u and columns d, u*d (u an involution) swapped.
+    G = zc.dihedral(512)
+    n, g = G.order, G.mult
+    perm = (5 * np.arange(n) + 7) % n
+    t = np.empty_like(g)
+    t[perm[:, None], perm[None, :]] = perm[g]
+    u = int(np.flatnonzero(zc.element_orders(G) == 2)[0])
+    a, d = next((a, d) for a in range(1, n) for d in range(1, n)
+                if 0 not in (g[a, u], g[u, d], g[a, g[u, d]], g[a, d]))
+    b, c = g[a, u], g[u, d]
+    x, y = g[a, c], g[a, d]
+    t[perm[a], perm[c]] = t[perm[b], perm[d]] = perm[y]
+    t[perm[a], perm[d]] = t[perm[b], perm[c]] = perm[x]
+    e, ar = perm[0], np.arange(n)
+    assert np.array_equal(t[e], ar) and np.array_equal(t[:, e], ar)
+    assert (np.sort(t, axis=0) == ar[:, None]).all() and (np.sort(t, axis=1) == ar).all()
+    assert np.array_equal(t[perm, perm[G.inv]], np.full(n, e))   # inverses intact
+    with pytest.raises(NotAGroup, match="associativity fails") as info:
+        zc.from_multiplication_table(t)
+    # the loader swaps the identity label e with 0; map the witness back
+    swap = ar.copy()
+    swap[[0, e]] = [e, 0]
+    p, q, r = swap[list(info.value.witness)]
+    assert t[t[p, q], r] != t[p, t[q, r]]
 
 
 def test_subgroup_set_validate_and_lagrange(catalog):
@@ -533,3 +554,40 @@ def test_cayley_bad_file(tmp_path):
     path.write_text("3\n0 1 2\n")
     with pytest.raises(NotAGroup):
         zc.read_cayley_table(path)
+
+
+@pytest.mark.parametrize("text", [
+    "2\n0 1\n1 x\n",       # a word in place of an id
+    "2\n0 1\n1 0 x\n",     # junk after exactly 1 + n*n entries
+    "2\n0 1\n1 +\n",       # a lone sign, which numpy would read as 0
+    "2\n0 1\n1 -0\n",      # signed ids are not part of the format
+], ids=["word", "trailing-junk", "lone-sign", "signed"])
+def test_cayley_malformed_token(tmp_path, text):
+    path = tmp_path / "bad.cayley"
+    path.write_text(text)
+    with pytest.raises(NotAGroup, match="malformed token") as info:
+        zc.read_cayley_table(path)
+    assert str(path) in str(info.value)
+
+
+def test_cayley_no_data(tmp_path):
+    path = tmp_path / "empty.cayley"
+    path.write_text("# only a comment\n \n")
+    with pytest.raises(NotAGroup, match="no data"):
+        zc.read_cayley_table(path)
+
+
+def test_cayley_declared_order_over_cap(tmp_path):
+    path = tmp_path / "short.cayley"
+    path.write_text("8\n0 1\n")    # refused on the declared order alone
+    with pytest.raises(OrderExceedsCap):
+        zc.read_cayley_table(path, cap=4)
+
+
+def test_cayley_write_bytes_above_256(tmp_path):
+    G = zc.dihedral(512)
+    path = tmp_path / "d512.cayley"
+    zc.write_cayley_table(G, path)
+    rows = [" ".join(str(int(v)) for v in row) for row in G.mult]   # reference writer
+    assert path.read_bytes() == ("\n".join([str(G.order)] + rows) + "\n").encode()
+    assert np.array_equal(zc.read_cayley_table(path).mult, G.mult)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import zclasses as zc
-from zclasses.errors import PreconditionViolated, QuotientExceedsCap
+from zclasses.core import commutator_values
+from zclasses.errors import NotAGroup, PreconditionViolated, QuotientExceedsCap
 
 
 def cocycle_group(B1, B2, label):
@@ -85,6 +86,37 @@ def test_pairing_representative_independent(catalog):
         for _ in range(50):
             x, y = (int(v) for v in rng.integers(0, G.order, size=2))
             assert G.commutator(x, y) == int(P.table[proj[x], proj[y]])
+
+
+@pytest.mark.parametrize("message", [
+    "pairing depends on coset representatives",
+    "pairing is not antisymmetric",
+    "pairing is nonzero on the diagonal",
+    "pairing value outside the commutator subgroup",
+])
+def test_forged_pairing_raises(message):
+    # forge D8's memoised commutator values so that one check fails
+    G = zc.dihedral(8)
+    quo, derived = zc.central_quotient(G), zc.commutator_subgroup(G)
+    cv = commutator_values(G).copy()
+    cosets = [np.flatnonzero(quo.projection == q) for q in range(quo.table.order)]
+    a, b = 1, 2
+    z = int(cv[cosets[a][0], cosets[b][0]])
+    assert z != 0
+    block = np.ix_(cosets[a], cosets[b])
+    if message == "pairing depends on coset representatives":
+        cv[cosets[a][0], cosets[b][0]] = 0
+    elif message == "pairing is not antisymmetric":
+        cv[block] = 0
+    elif message == "pairing is nonzero on the diagonal":
+        cv[np.ix_(cosets[a], cosets[a])] = z
+    else:
+        g = int(np.flatnonzero(~derived.mask)[0])
+        cv[block] = g
+        cv[np.ix_(cosets[b], cosets[a])] = G.inv[g]
+    G._cache["commutator_values"] = cv
+    with pytest.raises(NotAGroup, match=message):
+        zc.commutator_pairing(G)
 
 
 # -------------------------------------------------------------- search

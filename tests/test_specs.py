@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import zclasses as zc
-from zclasses.errors import BadParameter, SpecSyntaxError, UnknownConstructor
+from zclasses.errors import BadParameter, OrderExceedsCap, SpecSyntaxError, \
+    UnknownConstructor
 from zclasses.specs import build_group, parse_spec
 
 from oracles import naive_element_order
@@ -117,6 +118,16 @@ def test_build_nested_file_in_product(tmp_path):
     assert zc.is_elementary_abelian(G) == 2
 
 
+def test_build_file_spec_honours_cap(tmp_path):
+    zc.write_cayley_table(zc.cyclic(8), tmp_path / "c8.cayley")
+    with pytest.raises(OrderExceedsCap):
+        build_group("file:c8.cayley", cap=4, base_dir=tmp_path)
+    with pytest.raises(OrderExceedsCap):
+        build_group("product(file:c8.cayley,cyclic(2))", cap=4, base_dir=tmp_path)
+    assert build_group("file:c8.cayley", cap=8, base_dir=tmp_path).order == 8
+
+
 def test_build_exhaustive_validation_applies_to_products():
-    G = build_group("centralproduct(heisenberg(3),heisenberg(3))", exhaustive=True)
+    G = build_group("centralproduct(heisenberg(3),heisenberg(3))")
+    zc.validate_group_table(G)
     assert G.order == 243 and zc.is_extraspecial(G)

@@ -45,7 +45,7 @@ def test_enough_variety():
 
 @pytest.mark.parametrize("G", GROUPS, ids=lambda G: f"{G.label}-n{G.order}")
 def test_axioms_hold(G):
-    zc.validate_group_table(G, exhaustive=True)
+    zc.validate_group_table(G)
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=lambda G: f"{G.label}-n{G.order}")
