@@ -4,6 +4,9 @@ Every group lives on element ids 0..n-1 with the identity at 0, backed by a
 dense numpy multiplication table.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 import zclasses as zc
@@ -62,7 +65,9 @@ quo = zc.quotient(H3, Z)
 print("Heis3 / Z has order", quo.table.order,
       "and is elementary abelian for p =", zc.is_elementary_abelian(quo.table))
 
-zc.write_cayley_table(D8, "/tmp/d8.cayley")
-back = zc.read_cayley_table("/tmp/d8.cayley")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "d8.cayley"
+    zc.write_cayley_table(D8, path)
+    back = zc.read_cayley_table(path)
 print("Cayley file round trip preserves the table:",
       np.array_equal(back.mult, D8.mult))

@@ -38,9 +38,11 @@ print("\nstem groups (center inside the derived subgroup):")
 for G in (D8, H3, zc.direct_product(H3, zc.abelian([3])), zc.abelian([4])):
     print(f"  {G.label or 'Heis3xC3':10s}", zc.is_stem_group(G))
 
-rep = zc.verify_isoclinism_invariance(D8, zc.quaternion(8))
-print("\nclass counts agree across the D8 ~ Q8 isoclinism:", rep.facts)
+Q8 = zc.quaternion(8)
+rep = zc.verify_isoclinism_invariance(D8, Q8)
+print("\nclass counts agree across the D8 ~ Q8 isoclinism:", rep.verdict,
+      zc.z_class_count(D8), zc.z_class_count(Q8))
 
 for G in (D8, H3, zc.extraspecial(3, 2, "plus")):
     rep = zc.verify_direct_factor_invariance(G, iso_cap=96)
-    print(f"{G.label:10s} x C_p keeps the count: {rep.verdict} {rep.facts}")
+    print(f"{G.label:10s} x C_p keeps the count: {rep.verdict}, {zc.z_class_count(G)} classes")

@@ -29,6 +29,7 @@ from .isoclinism import DEFAULT_ISO_CAP, is_stem_group, verify_direct_factor_inv
 from .specs import build_group, parse_spec
 from .zclass import (
     TheoremReport,
+    _label,
     condition_central_quotient_elementary,
     condition_local_center,
     conjugate_type_vector,
@@ -173,7 +174,7 @@ def analyze_group(G: GroupTable, label: str | None = None) -> dict:
         cond1 = condition_central_quotient_elementary(G)
         cond2 = condition_local_center(G)[0]
     return {
-        "group": label if label is not None else (G.label or f"order{G.order}"),
+        "group": label if label is not None else _label(G),
         "order": G.order,
         "center": Z.size,
         "derived": D.size,
@@ -202,8 +203,7 @@ def run_theorem(G: GroupTable, theorem: str, *, iso_cap: int = DEFAULT_ISO_CAP,
         try:
             return verify_corollary_est(G, iso_cap=iso_cap, order_cap=order_cap)
         except PreconditionViolated as exc:
-            return TheoremReport(G.label or f"order{G.order}", "est",
-                                 [("preconditions", False, str(exc))], None, "vacuous")
+            return TheoremReport(_label(G), "est", [("preconditions", False, str(exc))], None)
     if theorem == "kulkarni":
         return verify_kulkarni(G)
     if theorem == "bounds":

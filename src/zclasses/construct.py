@@ -191,10 +191,6 @@ def is_extraspecial(G: GroupTable) -> bool:
         return False
     p = pw[0]
     Z = center(G)
-    if Z.size != p or Z.size == G.order:
+    if Z.size != p or is_abelian(G):
         return False
-    if is_abelian(G):
-        return False
-    if commutator_subgroup(G) != Z:
-        return False
-    return frattini_subgroup(G, p) == Z
+    return commutator_subgroup(G) == Z and frattini_subgroup(G, p) == Z

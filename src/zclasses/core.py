@@ -38,14 +38,7 @@ _ROW_BLOCK = 256
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -428,6 +421,16 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupSet:
     return SubgroupSet(G, mask)
 
 
+def greedy_generating_sequence(G: GroupTable) -> list[int]:
+    """Repeatedly adjoin the smallest element outside the closure so far."""
+    gens: list[int] = []
+    closed = subgroup_generated(G, gens)
+    while closed.size < G.order:
+        gens.append(int(np.argmin(closed.mask)))
+        closed = subgroup_generated(G, gens)
+    return gens
+
+
 def commuting_table(G: GroupTable) -> np.ndarray:
     """Boolean matrix with entry [x, g] true iff x*g = g*x.
 
@@ -445,14 +448,17 @@ def centralizer(G: GroupTable, x: int) -> SubgroupSet:
     return SubgroupSet(G, commuting_table(G)[x])
 
 
-def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
-    """All g with g^-1 * H * g = H; contains H."""
+def _conjugates(G: GroupTable, H: SubgroupSet) -> np.ndarray:
+    """Every conjugate of H's members: entry [g, i] is g^-1 * m_i * g."""
     if H.group is not G:
         raise ValueError("subgroup belongs to a different group")
-    mem = H.members()
     ar = np.arange(G.order)
-    moved = G.mult[G.mult[np.ix_(G.inv, mem)], ar[:, None]]   # [g, i] = g^-1 * m_i * g
-    return SubgroupSet(G, H.mask[moved].all(axis=1))
+    return G.mult[G.mult[np.ix_(G.inv, H.members())], ar[:, None]]
+
+
+def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
+    """All g with g^-1 * H * g = H; contains H."""
+    return SubgroupSet(G, H.mask[_conjugates(G, H)].all(axis=1))
 
 
 def commutator_values(G: GroupTable) -> np.ndarray:
@@ -475,15 +481,11 @@ def commutator_subgroup(G: GroupTable) -> SubgroupSet:
 
 def quotient(G: GroupTable, N: SubgroupSet) -> QuotientGroup:
     """Coset group G/N; raises :class:`NotNormal` with a witness pair."""
-    if N.group is not G:
-        raise ValueError("subgroup belongs to a different group")
+    inside = normalizer(G, N).mask
     mem = N.members()
-    ar = np.arange(G.order)
-    moved = G.mult[G.mult[np.ix_(G.inv, mem)], ar[:, None]]
-    inside = N.mask[moved].all(axis=1)
     if not inside.all():
-        g = int(np.flatnonzero(~inside)[0])
-        h = int(mem[int(np.argmin(N.mask[moved[g]]))])
+        g = int(np.argmin(inside))
+        h = next(int(h) for h in mem if G.conjugate(int(h), g) not in N)
         raise NotNormal(f"not normal: {g}^-1 * {h} * {g} leaves the subgroup", (g, h))
     coset_min = G.mult[:, mem].min(axis=1)
     reps = np.unique(coset_min)
@@ -582,8 +584,5 @@ def are_subgroups_conjugate(G: GroupTable, H: SubgroupSet, K: SubgroupSet) -> in
         raise ValueError("subgroups belong to a different group")
     if H.size != K.size:
         return None
-    mem = H.members()
-    ar = np.arange(G.order)
-    moved = G.mult[G.mult[np.ix_(G.inv, mem)], ar[:, None]]
-    hits = np.flatnonzero(K.mask[moved].all(axis=1))
+    hits = np.flatnonzero(K.mask[_conjugates(G, H)].all(axis=1))
     return int(hits[0]) if hits.size else None

@@ -26,11 +26,11 @@ from .core import (
     commutator_values,
     direct_product,
     element_orders,
+    greedy_generating_sequence,
     smallest_prime_factor,
-    subgroup_generated,
 )
 from .errors import NotAGroup, PreconditionViolated, QuotientExceedsCap
-from .zclass import TheoremReport, z_class_count
+from .zclass import TheoremReport, _label, z_class_count
 
 DEFAULT_ISO_CAP = 64
 
@@ -83,31 +83,24 @@ class IsoclinismWitness:
     psi: dict[int, int]
 
     def validate(self) -> None:
-        """Exhaustively re-check that (phi, psi) is an isoclinism."""
+        """Exhaustively re-check that (phi, psi) is an isoclinism; raises
+        AssertionError naming the first offending pair (a, b)."""
         P1 = commutator_pairing(self.group1)
         P2 = commutator_pairing(self.group2)
         Q1, Q2 = P1.quotient.table, P2.quotient.table
-        if sorted(self.phi.tolist()) != list(range(Q2.order)):
+        phi = self.phi
+        if phi.shape != (Q1.order,) or not np.array_equal(np.sort(phi), np.arange(Q2.order)):
             raise AssertionError("phi is not a bijection")
-        for a in range(Q1.order):
-            for b in range(Q1.order):
-                if self.phi[Q1.mult[a, b]] != Q2.mult[self.phi[a], self.phi[b]]:
-                    raise AssertionError(f"phi is not a homomorphism at ({a}, {b})")
-        d1 = set(int(v) for v in P1.target.members())
-        d2 = set(int(v) for v in P2.target.members())
-        if set(self.psi) != d1 or set(self.psi.values()) != d2:
+        _require(phi[Q1.mult] == Q2.mult[np.ix_(phi, phi)], "phi is not a homomorphism")
+        d1, d2 = P1.target.members(), P2.target.members()
+        if set(self.psi) != set(d1.tolist()) or set(self.psi.values()) != set(d2.tolist()):
             raise AssertionError("psi is not a bijection between the commutator subgroups")
-        for a in d1:
-            for b in d1:
-                lhs = self.psi[self.group1.mul(a, b)]
-                rhs = self.group2.mul(self.psi[a], self.psi[b])
-                if lhs != rhs:
-                    raise AssertionError(f"psi is not a homomorphism at ({a}, {b})")
-        W1, W2 = P1.table, P2.table
-        for a in range(Q1.order):
-            for b in range(Q1.order):
-                if self.psi[int(W1[a, b])] != int(W2[self.phi[a], self.phi[b]]):
-                    raise AssertionError(f"pairing compatibility fails at ({a}, {b})")
+        psi = np.zeros(self.group1.order, dtype=np.int64)
+        psi[list(self.psi)] = list(self.psi.values())
+        _require(psi[self.group1.mult[np.ix_(d1, d1)]]
+                 == self.group2.mult[np.ix_(psi[d1], psi[d1])],
+                 "psi is not a homomorphism", d1)
+        _require(psi[P1.table] == P2.table[np.ix_(phi, phi)], "pairing compatibility fails")
 
     def inverse(self) -> "IsoclinismWitness":
         inv_phi = np.empty_like(self.phi)
@@ -122,21 +115,20 @@ class IsoclinismWitness:
         }
 
 
+def _require(holds: np.ndarray, failure: str, ids=None) -> None:
+    """Raise AssertionError at the first pair (a, b) where ``holds`` is false;
+    ``ids`` maps row and column positions to element ids."""
+    if not holds.all():
+        i, j = np.argwhere(~holds)[0]
+        a, b = (i, j) if ids is None else (ids[i], ids[j])
+        raise AssertionError(f"{failure} at ({a}, {b})")
+
+
 def witness_from_json(G1: GroupTable, G2: GroupTable, payload: dict) -> IsoclinismWitness:
     """Rebuild a witness from its serialized form; call validate() to check it."""
     phi = np.asarray(payload["phi"], dtype=np.int64)
     psi = {int(k): int(v) for k, v in payload["psi"]}
     return IsoclinismWitness(G1, G2, phi, psi)
-
-
-def _greedy_generating_sequence(Q: GroupTable) -> list[int]:
-    """Repeatedly adjoin the smallest element outside the closure so far."""
-    gens: list[int] = []
-    closed = subgroup_generated(Q, gens)
-    while closed.size < Q.order:
-        gens.append(int(np.flatnonzero(~closed.mask)[0]))
-        closed = subgroup_generated(Q, gens)
-    return gens
 
 
 def _extend_embedding(m1: np.ndarray, m2: np.ndarray, assign: list[tuple[int, int]]):
@@ -212,16 +204,9 @@ def _forced_psi(G1: GroupTable, G2: GroupTable, W1: np.ndarray, W2: np.ndarray,
         for d1, e1 in items:
             for d2, e2 in items:
                 d = G1.mul(d1, d2)
-                e = G2.mul(e1, e2)
-                if d in psi:
-                    if psi[d] != e:
-                        return None
-                elif e in taken:
+                changed |= d not in psi
+                if not put(d, G2.mul(e1, e2)):
                     return None
-                else:
-                    psi[d] = e
-                    taken.add(e)
-                    changed = True
     return psi
 
 
@@ -256,7 +241,7 @@ def are_isoclinic(G1: GroupTable, G2: GroupTable,
         witness.validate()
         return witness
 
-    gens = _greedy_generating_sequence(Q1)
+    gens = greedy_generating_sequence(Q1)
     m1, m2 = Q1.mult, Q2.mult
     W1, W2 = P1.table, P2.table
 
@@ -304,17 +289,8 @@ def verify_isoclinism_invariance(G1: GroupTable, G2: GroupTable,
         witness = are_isoclinic(G1, G2, cap=cap)
     if witness is None:
         raise PreconditionViolated("groups are not isoclinic")
-    witness.validate()
-    c1, c2 = z_class_count(G1), z_class_count(G2)
-    ok = c1 == c2
-    label = f"{G1.label or 'G1'}~{G2.label or 'G2'}"
-    return TheoremReport(
-        label, "isoclinism-invariance",
-        [("isoclinic", True, None)], ok,
-        "confirmed" if ok else "REFUTED",
-        None if ok else f"counts differ: {c1} vs {c2}",
-        {"zclasses_1": c1, "zclasses_2": c2},
-    )
+    return _invariance_report(f"{G1.label or 'G1'}~{G2.label or 'G2'}",
+                              ("isoclinic", True, None), G1, G2, witness)
 
 
 def verify_direct_factor_invariance(G: GroupTable, *, iso_cap: int = DEFAULT_ISO_CAP,
@@ -329,22 +305,17 @@ def verify_direct_factor_invariance(G: GroupTable, *, iso_cap: int = DEFAULT_ISO
     H = direct_product(G, cyclic(p), cap=max(order_cap, G.order * p))
     H = H.relabeled(f"{G.label or 'G'}xC{p}")
     witness = are_isoclinic(G, H, cap=iso_cap)
-    label = _report_label(G)
     if witness is None:
-        return TheoremReport(label, "isoclinism-invariance",
+        return TheoremReport(_label(G), "isoclinism-invariance",
                              [("isoclinic_to_GxCp", False, None)], False,
-                             "REFUTED", "no isoclinism with the direct product found")
+                             "no isoclinism with the direct product found")
+    return _invariance_report(_label(G), ("isoclinic_to_GxCp", True, f"p={p}"), G, H, witness)
+
+
+def _invariance_report(label: str, hypothesis: tuple, G1: GroupTable, G2: GroupTable,
+                       witness: IsoclinismWitness) -> TheoremReport:
+    """Re-validate the witness, then compare the class counts of G1 and G2."""
     witness.validate()
-    c1, c2 = z_class_count(G), z_class_count(H)
-    ok = c1 == c2
-    return TheoremReport(
-        label, "isoclinism-invariance",
-        [("isoclinic_to_GxCp", True, f"p={p}")], ok,
-        "confirmed" if ok else "REFUTED",
-        None if ok else f"counts differ: {c1} vs {c2}",
-        {"zclasses": c1, "zclasses_product": c2, "p": p},
-    )
-
-
-def _report_label(G: GroupTable) -> str:
-    return G.label or f"order{G.order}"
+    c1, c2 = z_class_count(G1), z_class_count(G2)
+    return TheoremReport(label, "isoclinism-invariance", [hypothesis], c1 == c2,
+                         None if c1 == c2 else f"counts differ: {c1} vs {c2}")

@@ -13,22 +13,42 @@ Examples: ``extraspecial(p=3,n=2,variant=plus)``, ``heisenberg(5)``,
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import construct
 from .core import DEFAULT_ORDER_CAP, GroupTable, center, central_product, direct_product, \
     is_prime, read_cayley_table
-from .errors import BadParameter, SpecSyntaxError, UnknownConstructor
+from .errors import BadParameter, OrderExceedsCap, SpecSyntaxError, UnknownConstructor
 
-_SIMPLE_KINDS = {
-    "abelian": "abelian",
-    "cyclic": "cyclic",
-    "dihedral": "dihedral",
-    "quaternion": "quaternion",
-    "heisenberg": "heisenberg",
-    "modular_p3": "modular_p3",
-    "extraspecial": "extraspecial",
+
+class _Kind(NamedTuple):
+    build: Callable               # (*values, cap) -> GroupTable
+    params: tuple | None          # parameter names; None takes any number of integers
+    order: Callable               # (*values) -> order of the group built
+    defaults: dict = {}
+
+
+# Every named constructor.  The order formula is checked against the cap
+# before the constructor runs, so it must not fail or stall on parameters
+# the constructor refuses: n is clamped to 0..32, as any p the constructor
+# accepts makes p^65 exceed every cap a dense table can reach.
+_KINDS = {
+    "abelian": _Kind(lambda *orders, cap: construct.abelian(orders, cap=cap), None,
+                     lambda *orders: math.prod(orders)),
+    "cyclic": _Kind(lambda n, cap: construct.cyclic(n), ("n",), lambda n: n),
+    "dihedral": _Kind(lambda order, cap: construct.dihedral(order), ("order",),
+                      lambda order: order),
+    "quaternion": _Kind(lambda order, cap: construct.quaternion(order), ("order",),
+                        lambda order: order),
+    "heisenberg": _Kind(lambda p, cap: construct.heisenberg(p), ("p",), lambda p: p ** 3),
+    "modular_p3": _Kind(lambda p, cap: construct.modular_p3(p), ("p",), lambda p: p ** 3),
+    "extraspecial": _Kind(construct.extraspecial, ("p", "n", "variant"),
+                          lambda p, n, variant: p ** (1 + 2 * min(max(n, 0), 32)),
+                          {"variant": "plus"}),
 }
 _PRODUCT_KINDS = {"product": "direct_product", "centralproduct": "central_product"}
 
@@ -52,8 +72,7 @@ class GroupSpec:
             return f"{name}({self.children[0].text()},{self.children[1].text()})"
         parts = [str(a) for a in self.args]
         parts.extend(f"{k}={v}" for k, v in self.kwargs.items())
-        surface = {v: k for k, v in _SIMPLE_KINDS.items()}[self.kind]
-        return f"{surface}({','.join(parts)})"
+        return f"{self.kind}({','.join(parts)})"
 
 
 class _Parser:
@@ -105,7 +124,7 @@ class _Parser:
             right = self.spec()
             self.expect(")")
             return GroupSpec(kind=_PRODUCT_KINDS[name], children=[left, right])
-        if name not in _SIMPLE_KINDS:
+        if name not in _KINDS:
             raise UnknownConstructor(f"unknown constructor {name!r}")
         self.expect("(")
         args: list = []
@@ -130,7 +149,7 @@ class _Parser:
                     continue
                 break
         self.expect(")")
-        return GroupSpec(kind=_SIMPLE_KINDS[name], args=args, kwargs=kwargs)
+        return GroupSpec(kind=name, args=args, kwargs=kwargs)
 
     def value_or_pair(self):
         self.skip_ws()
@@ -164,24 +183,35 @@ def parse_spec(text: str) -> GroupSpec:
     return spec
 
 
-def _int_param(spec: GroupSpec, name: str, position: int):
-    if name in spec.kwargs:
-        v = spec.kwargs[name]
-    elif position < len(spec.args):
-        v = spec.args[position]
-    else:
-        raise BadParameter(f"{spec.kind}: missing parameter {name!r}")
-    if not isinstance(v, int):
-        raise BadParameter(f"{spec.kind}: parameter {name!r} must be an integer, got {v!r}")
-    return v
-
-
-def _check_params(spec: GroupSpec, names: list[str]):
-    extra = set(spec.kwargs) - set(names)
+def _bind(spec: GroupSpec, kind: _Kind) -> list:
+    """The spec's parameter values in the order of ``kind.params``."""
+    if kind.params is None:
+        if spec.kwargs:
+            raise BadParameter(f"{spec.kind}: parameters are positional orders")
+        if not all(isinstance(a, int) for a in spec.args):
+            raise BadParameter(f"{spec.kind}: orders must be integers")
+        return list(spec.args)
+    extra = set(spec.kwargs) - set(kind.params)
     if extra:
         raise BadParameter(f"{spec.kind}: unknown parameter(s) {sorted(extra)}")
-    if len(spec.args) > len(names):
-        raise BadParameter(f"{spec.kind}: expected at most {len(names)} parameters")
+    if len(spec.args) > len(kind.params):
+        raise BadParameter(f"{spec.kind}: expected at most {len(kind.params)} parameters")
+    values = []
+    for position, name in enumerate(kind.params):
+        if name in spec.kwargs:
+            v = spec.kwargs[name]
+        elif position < len(spec.args):
+            v = spec.args[position]
+        elif name in kind.defaults:
+            v = kind.defaults[name]
+        else:
+            raise BadParameter(f"{spec.kind}: missing parameter {name!r}")
+        wanted = type(kind.defaults.get(name, 0))
+        if not isinstance(v, wanted):
+            raise BadParameter(f"{spec.kind}: parameter {name!r} must be "
+                               f"{'an integer' if wanted is int else 'a word'}, got {v!r}")
+        values.append(v)
+    return values
 
 
 def build_group(spec: GroupSpec | str, *, cap: int = DEFAULT_ORDER_CAP,
@@ -197,53 +227,28 @@ def build_group(spec: GroupSpec | str, *, cap: int = DEFAULT_ORDER_CAP,
 
 
 def _build_from_spec(spec: GroupSpec, *, cap: int, base_dir) -> GroupTable:
-    kind = spec.kind
-    if kind == "cayley_file":
-        from pathlib import Path
+    if spec.kind == "cayley_file":
         path = Path(spec.path)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
         return read_cayley_table(path, label=spec.text(), cap=cap)
-    if kind in ("direct_product", "central_product"):
+    if spec.kind in ("direct_product", "central_product"):
         left = _build_from_spec(spec.children[0], cap=cap, base_dir=base_dir)
         right = _build_from_spec(spec.children[1], cap=cap, base_dir=base_dir)
-        if kind == "direct_product":
+        if spec.kind == "direct_product":
             out = direct_product(left, right, cap=cap)
         else:
             out = central_product(left, right,
                                   *_amalgamation_pair(left, right), cap=cap)
         return out.relabeled(spec.text())
-    if kind == "abelian":
-        if spec.kwargs:
-            raise BadParameter("abelian: parameters are positional orders")
-        if not all(isinstance(a, int) for a in spec.args):
-            raise BadParameter("abelian: orders must be integers")
-        return construct.abelian(spec.args, cap=cap).relabeled(spec.text())
-    if kind == "cyclic":
-        _check_params(spec, ["n"])
-        return construct.cyclic(_int_param(spec, "n", 0)).relabeled(spec.text())
-    if kind == "dihedral":
-        _check_params(spec, ["order"])
-        return construct.dihedral(_int_param(spec, "order", 0)).relabeled(spec.text())
-    if kind == "quaternion":
-        _check_params(spec, ["order"])
-        return construct.quaternion(_int_param(spec, "order", 0)).relabeled(spec.text())
-    if kind == "heisenberg":
-        _check_params(spec, ["p"])
-        return construct.heisenberg(_int_param(spec, "p", 0)).relabeled(spec.text())
-    if kind == "modular_p3":
-        _check_params(spec, ["p"])
-        return construct.modular_p3(_int_param(spec, "p", 0)).relabeled(spec.text())
-    if kind == "extraspecial":
-        _check_params(spec, ["p", "n", "variant"])
-        p = _int_param(spec, "p", 0)
-        n = _int_param(spec, "n", 1)
-        variant = spec.kwargs.get("variant",
-                                  spec.args[2] if len(spec.args) > 2 else "plus")
-        if not isinstance(variant, str):
-            raise BadParameter(f"extraspecial: variant must be plus/minus, got {variant!r}")
-        return construct.extraspecial(p, n, variant, cap=cap).relabeled(spec.text())
-    raise UnknownConstructor(f"unknown construction kind {kind!r}")
+    kind = _KINDS.get(spec.kind)
+    if kind is None:
+        raise UnknownConstructor(f"unknown construction kind {spec.kind!r}")
+    values = _bind(spec, kind)
+    order = kind.order(*values)
+    if order > cap:
+        raise OrderExceedsCap(f"{spec.kind} order {order} exceeds cap {cap}")
+    return kind.build(*values, cap=cap).relabeled(spec.text())
 
 
 def _amalgamation_pair(G: GroupTable, H: GroupTable) -> tuple[int, int]:

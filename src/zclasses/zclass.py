@@ -11,7 +11,7 @@ concrete group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .core import (
     centralizer,
     commutator_subgroup,
     commuting_table,
+    element_orders,
+    greedy_generating_sequence,
     is_abelian,
     is_elementary_abelian,
     is_prime,
@@ -34,7 +36,7 @@ from .core import (
     quotient,
     subgroup_generated,
 )
-from .errors import AbelianGroup, NotPGroup, NotPrimePowerIndex, PreconditionViolated
+from .errors import AbelianGroup, NotPrimePowerIndex, PreconditionViolated
 
 
 @dataclass
@@ -180,17 +182,23 @@ def condition_central_quotient_elementary(G: GroupTable) -> bool:
 def condition_local_center(G: GroupTable) -> tuple[bool, int | None]:
     """Check Z(C_G(x)) = <x, Z(G)> for every noncentral x.
 
+    <x, Z(G)> always lies in Z(C_G(x)) and has order |Z(G)| * ord(xZ), so
+    the condition compares two orders; |Z(C_G(x))| depends only on the
+    centralizer and is computed once per distinct one.
     Returns (True, None), or (False, x) for the smallest offending x.
     """
     cm = commuting_table(G)
-    zmask = center(G).mask
-    zmem = np.flatnonzero(zmask)
-    for x in np.flatnonzero(~zmask):
+    Z = center(G)
+    quo = central_quotient(G)
+    generated = Z.size * element_orders(quo.table)[quo.projection]
+    local_sizes: dict[bytes, int] = {}
+    for x in np.flatnonzero(~Z.mask):
         cmask = cm[x]
-        mem = np.flatnonzero(cmask)
-        local_center = mem[(cm[mem] | ~cmask).all(axis=1)]
-        gen = subgroup_generated(G, np.append(zmem, x))
-        if local_center.size != gen.size or not gen.mask[local_center].all():
+        key = cmask.tobytes()
+        if key not in local_sizes:
+            mem = np.flatnonzero(cmask)
+            local_sizes[key] = int((cm[mem] | ~cmask).all(axis=1).sum())
+        if local_sizes[key] != generated[x]:
             return False, int(x)
     return True, None
 
@@ -200,21 +208,15 @@ def has_abelian_subgroup_of_index_p(G: GroupTable, p: int) -> SubgroupSet | None
 
     The index-p subgroups are exactly the preimages of the hyperplanes of
     the elementary abelian quotient G/Phi(G), enumerated exhaustively.
+    Raises :class:`NotPGroup` (from the Frattini subgroup) unless |G| is a
+    power of p.
     """
-    if G.order > 1:
-        pw = prime_power(G.order)
-        if pw is None or pw[0] != p:
-            raise NotPGroup(f"order {G.order} is not a power of {p}")
     if G.order == 1:
         return None
     phi = frattini_subgroup(G, p)
     quo = quotient(G, phi)
     Q = quo.table
-    basis: list[int] = []
-    span = subgroup_generated(Q, basis)
-    while span.size < Q.order:
-        basis.append(int(np.flatnonzero(~span.mask)[0]))
-        span = subgroup_generated(Q, basis)
+    basis = greedy_generating_sequence(Q)
     r = len(basis)
     coord_of = np.empty((Q.order, r), dtype=np.int64)
     for coords in itertools.product(range(p), repeat=r):
@@ -278,11 +280,7 @@ def zclass_size_lower_bound_check(G: GroupTable) -> tuple[bool, int | None]:
         raise PreconditionViolated(f"order {G.order} is not a prime power")
     p = pw[0]
     Z = center(G)
-    ar = np.arange(G.order)
-    acc = ar.copy()
-    for _ in range(p - 1):
-        acc = G.mult[acc, ar]
-    if not Z.mask[acc].all():
+    if not np.isin(element_orders(central_quotient(G).table), (1, p)).all():
         raise PreconditionViolated("central quotient does not have exponent p")
     floor = (p - 1) * Z.size
     for cls in z_class_partition(G).classes:
@@ -297,22 +295,36 @@ def zclass_size_lower_bound_check(G: GroupTable) -> tuple[bool, int | None]:
 class TheoremReport:
     """Outcome of checking one statement on one group.
 
-    ``verdict`` is ``confirmed``, ``vacuous`` (a hypothesis fails, nothing to
-    check), or ``REFUTED`` (all hypotheses hold and the conclusion fails --
-    which the test suite treats as a failure).
+    ``conclusion`` is None when a hypothesis fails and there is nothing to
+    check; ``verdict`` follows it: ``vacuous``, ``confirmed``, or ``REFUTED``
+    (all hypotheses hold and the conclusion fails -- which the test suite
+    treats as a failure).
     """
 
     group: str
     theorem: str
     hypotheses: list[tuple[str, bool, str | None]]
     conclusion: bool | None
-    verdict: str
     witness: str | None = None
-    facts: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> str:
+        if self.conclusion is None:
+            return "vacuous"
+        return "confirmed" if self.conclusion else "REFUTED"
 
 
 def _label(G: GroupTable) -> str:
     return G.label or f"order{G.order}"
+
+
+def _p_group_hypotheses(G: GroupTable) -> tuple[list, int | None]:
+    """The hypotheses "non-abelian" and "p-group", and p when both hold."""
+    ab = is_abelian(G)
+    pw = prime_power(G.order)
+    hyps = [("non_abelian", not ab, None),
+            ("p_group", pw is not None, None if pw is None else f"p={pw[0]}")]
+    return hyps, None if ab or pw is None else pw[0]
 
 
 def verify_theorem_mt(G: GroupTable) -> TheoremReport:
@@ -330,22 +342,19 @@ def verify_theorem_mt(G: GroupTable) -> TheoremReport:
         ("type_(n,1)", ntype is not None, None if ntype is None else f"n={ntype}"),
     ]
     if ab or ntype is None:
-        return TheoremReport(_label(G), "mt", hyps, None, "vacuous")
+        return TheoremReport(_label(G), "mt", hyps, None)
     count = z_class_count(G)
     bound = max_zclass_bound(G)
     attains = count == bound
     c1 = condition_central_quotient_elementary(G)
     c2, w2 = condition_local_center(G)
     ok = attains == (c1 and c2)
-    facts = {"zclasses": count, "bound": bound, "attains": attains,
-             "cond1": c1, "cond2": c2}
     witness = None
     if not ok:
         witness = f"attains={attains} but cond1={c1}, cond2={c2}"
         if w2 is not None:
             witness += f" (local center fails at x={w2})"
-    return TheoremReport(_label(G), "mt", hyps, ok,
-                         "confirmed" if ok else "REFUTED", witness, facts)
+    return TheoremReport(_label(G), "mt", hyps, ok, witness)
 
 
 def verify_theorem_A(G: GroupTable) -> TheoremReport:
@@ -355,34 +364,24 @@ def verify_theorem_A(G: GroupTable) -> TheoremReport:
     quotient of order p^2 (elementary abelian), or have no abelian subgroup
     of index p together with an elementary abelian central quotient.
     """
-    ab = is_abelian(G)
-    pw = prime_power(G.order)
-    hyps = [
-        ("non_abelian", not ab, None),
-        ("p_group", pw is not None, None if pw is None else f"p={pw[0]}"),
-    ]
-    if ab or pw is None:
-        return TheoremReport(_label(G), "A", hyps, None, "vacuous")
-    p = pw[0]
+    hyps, p = _p_group_hypotheses(G)
+    if p is None:
+        return TheoremReport(_label(G), "A", hyps, None)
     count = z_class_count(G)
     bound = max_zclass_bound(G)
     attains = count == bound
     hyps.append(("attains_bound", attains, f"{count}/{bound}"))
     if not attains:
-        return TheoremReport(_label(G), "A", hyps, None, "vacuous")
+        return TheoremReport(_label(G), "A", hyps, None)
     Q = central_quotient(G).table
     qp = is_elementary_abelian(Q)
     branch1 = qp == p and Q.order == p * p
     no_abelian_maximal = has_abelian_subgroup_of_index_p(G, p) is None
     branch2 = qp == p and no_abelian_maximal
     ok = branch1 or branch2
-    facts = {"zclasses": count, "bound": bound,
-             "quotient_order": Q.order, "quotient_elementary": qp == p,
-             "no_abelian_index_p": no_abelian_maximal}
     witness = "central quotient CpxCp" if branch1 else (
         "no abelian index-p subgroup" if branch2 else "both branches fail")
-    return TheoremReport(_label(G), "A", hyps, ok,
-                         "confirmed" if ok else "REFUTED", witness, facts)
+    return TheoremReport(_label(G), "A", hyps, ok, witness)
 
 
 def verify_corollary_est(G: GroupTable, *, iso_cap: int = 64,
@@ -430,12 +429,9 @@ def verify_corollary_est(G: GroupTable, *, iso_cap: int = 64,
             witness_text = f"isoclinic to {target.label}"
     rhs = iso is not None
     ok = attains == rhs
-    facts = {"zclasses": count, "bound": bound, "attains": attains,
-             "isoclinic_to_extraspecial": rhs, "k": k}
     if not ok:
         witness_text = f"attains={attains} but isoclinic={rhs}"
-    return TheoremReport(_label(G), "est", hyps, ok,
-                         "confirmed" if ok else "REFUTED", witness_text, facts)
+    return TheoremReport(_label(G), "est", hyps, ok, witness_text)
 
 
 def verify_kulkarni(G: GroupTable) -> TheoremReport:
@@ -446,7 +442,6 @@ def verify_kulkarni(G: GroupTable) -> TheoremReport:
     covering all elements.
     """
     cm = commuting_table(G)
-    part = z_class_partition(G)
     seen: set[bytes] = set()
     mismatch = None
     for x in range(G.order):
@@ -460,27 +455,16 @@ def verify_kulkarni(G: GroupTable) -> TheoremReport:
             break
     ok = mismatch is None
     witness = None if ok else f"x={mismatch[0]}: predicted {mismatch[1]}, actual {mismatch[2]}"
-    return TheoremReport(_label(G), "kulkarni", [], ok,
-                         "confirmed" if ok else "REFUTED", witness,
-                         {"distinct_centralizers": len(seen),
-                          "zclasses": part.num_classes})
+    return TheoremReport(_label(G), "kulkarni", [], ok, witness)
 
 
 def verify_bounds(G: GroupTable) -> TheoremReport:
     """Check p + 2 <= class count <= (p^k - 1)/(p - 1) + 1 on a p-group."""
-    ab = is_abelian(G)
-    pw = prime_power(G.order)
-    hyps = [
-        ("non_abelian", not ab, None),
-        ("p_group", pw is not None, None if pw is None else f"p={pw[0]}"),
-    ]
-    if ab or pw is None:
-        return TheoremReport(_label(G), "bounds", hyps, None, "vacuous")
-    p = pw[0]
+    hyps, p = _p_group_hypotheses(G)
+    if p is None:
+        return TheoremReport(_label(G), "bounds", hyps, None)
     count = z_class_count(G)
     bound = max_zclass_bound(G)
     ok = p + 2 <= count <= bound
-    facts = {"zclasses": count, "lower": p + 2, "upper": bound}
     witness = None if ok else f"count={count} outside [{p + 2}, {bound}]"
-    return TheoremReport(_label(G), "bounds", hyps, ok,
-                         "confirmed" if ok else "REFUTED", witness, facts)
+    return TheoremReport(_label(G), "bounds", hyps, ok, witness)

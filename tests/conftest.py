@@ -9,27 +9,9 @@ import zclasses as zc
 
 
 def _build_catalog() -> dict:
-    s3 = Path(__file__).parent.parent / "src" / "zclasses" / "data" / "s3.cayley"
-    return {
-        "trivial": zc.abelian([]),
-        "C2": zc.cyclic(2),
-        "C2xC2": zc.abelian([2, 2]),
-        "C4": zc.cyclic(4),
-        "S3": zc.read_cayley_table(s3, label="S3"),
-        "D8": zc.dihedral(8),
-        "Q8": zc.quaternion(8),
-        "D16": zc.dihedral(16),
-        "Q16": zc.quaternion(16),
-        "Heis3": zc.heisenberg(3),
-        "M27": zc.modular_p3(3),
-        "Heis5": zc.heisenberg(5),
-        "ES(2,2,+)": zc.extraspecial(2, 2, "plus"),
-        "ES(2,2,-)": zc.extraspecial(2, 2, "minus"),
-        "ES(3,2,+)": zc.extraspecial(3, 2, "plus"),
-        "Heis3xC3": zc.direct_product(zc.heisenberg(3), zc.abelian([3])),
-        "D8xC2": zc.direct_product(zc.dihedral(8), zc.abelian([2])),
-        "Heis3xC9": zc.direct_product(zc.heisenberg(3), zc.abelian([9])),
-    }
+    """The builtin catalog's groups, keyed and labelled by their catalog labels."""
+    return {entry.label: zc.build_group(entry.spec_text).relabeled(entry.label)
+            for entry in zc.builtin_catalog()}
 
 
 @pytest.fixture(scope="session")

@@ -117,6 +117,21 @@ def naive_subgroup_closure(G, gens) -> frozenset[int]:
     return frozenset(seen)
 
 
+def naive_local_center(G) -> tuple[bool, int | None]:
+    """Z(C_G(x)) = <x, Z(G)> for every noncentral x, by comparing the sets;
+    (True, None) or (False, smallest offending x)."""
+    m = table_of(G)
+    Z = naive_center(G)
+    for x in range(G.order):
+        if x in Z:
+            continue
+        C = naive_centralizer(G, x)
+        local = frozenset(y for y in C if all(m[y][c] == m[c][y] for c in C))
+        if local != naive_subgroup_closure(G, Z | {x}):
+            return False, x
+    return True, None
+
+
 def naive_all_subgroups(G) -> set[frozenset[int]]:
     """Full subgroup lattice by incremental generation; fine up to order ~64."""
     n = G.order

@@ -1,8 +1,10 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 CLI = [sys.executable, "-m", "zclasses.cli"]
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args, **kwargs):
@@ -102,10 +104,11 @@ def test_catalog_builtin_green(tmp_path):
 
 
 def test_catalog_byte_identical(tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    run_cli("catalog", "--output", str(a))
-    run_cli("catalog", "--output", str(b))
-    assert a.read_bytes() == b.read_bytes()
+    """The builtin catalog report matches the frozen reference byte for byte."""
+    out = tmp_path / "report.jsonl"
+    res = run_cli("catalog", "--output", str(out))
+    assert res.returncode == 0, res.stderr
+    assert out.read_bytes() == (DATA / "catalog_builtin.jsonl").read_bytes()
 
 
 def test_catalog_empty_file(tmp_path):

@@ -235,6 +235,71 @@ def test_witness_serialization_round_trip():
         zc.witness_from_json(G1, G2, bad).validate()
 
 
+def loop_validate(w):
+    """The pairwise loops that IsoclinismWitness.validate replaces, kept as
+    its reference: the same checks in the same (a, b) order."""
+    P1, P2 = zc.commutator_pairing(w.group1), zc.commutator_pairing(w.group2)
+    Q1, Q2 = P1.quotient.table, P2.quotient.table
+    if len(w.phi) != Q1.order or sorted(w.phi.tolist()) != list(range(Q2.order)):
+        raise AssertionError("phi is not a bijection")
+    for a in range(Q1.order):
+        for b in range(Q1.order):
+            if w.phi[Q1.mul(a, b)] != Q2.mul(int(w.phi[a]), int(w.phi[b])):
+                raise AssertionError(f"phi is not a homomorphism at ({a}, {b})")
+    d1 = [int(v) for v in P1.target.members()]
+    d2 = [int(v) for v in P2.target.members()]
+    if set(w.psi) != set(d1) or set(w.psi.values()) != set(d2):
+        raise AssertionError("psi is not a bijection between the commutator subgroups")
+    for a in d1:
+        for b in d1:
+            if w.psi[w.group1.mul(a, b)] != w.group2.mul(w.psi[a], w.psi[b]):
+                raise AssertionError(f"psi is not a homomorphism at ({a}, {b})")
+    for a in range(Q1.order):
+        for b in range(Q1.order):
+            if w.psi[int(P1.table[a, b])] != int(P2.table[w.phi[a], w.phi[b]]):
+                raise AssertionError(f"pairing compatibility fails at ({a}, {b})")
+
+
+def forged_witnesses():
+    """Witnesses broken in each of the ways validate checks, by editing
+    found isoclinisms between groups of derived order 2, 3 and 4."""
+    for G1, G2 in ((zc.dihedral(8), zc.quaternion(8)),
+                   (zc.heisenberg(3), zc.modular_p3(3)),
+                   (zc.dihedral(16), zc.quaternion(16))):
+        w = zc.are_isoclinic(G1, G2)
+        d = sorted(w.psi)
+        yield zc.IsoclinismWitness(G1, G2, w.phi[::-1].copy(), w.psi)
+        yield zc.IsoclinismWitness(G1, G2, np.roll(w.phi, 1), w.psi)
+        yield zc.IsoclinismWitness(G1, G2, np.zeros_like(w.phi), w.psi)
+        yield zc.IsoclinismWitness(G1, G2, w.phi[:-1].copy(), w.psi)
+        yield zc.IsoclinismWitness(G1, G2, w.phi, {k: v for k, v in w.psi.items() if k != d[-1]})
+        for i, j in [(0, 1), (1, len(d) - 1)] + ([(1, 2)] if len(d) > 2 else []):
+            psi = dict(w.psi)
+            psi[d[i]], psi[d[j]] = w.psi[d[j]], w.psi[d[i]]
+            yield zc.IsoclinismWitness(G1, G2, w.phi, psi)
+        yield zc.IsoclinismWitness(G1, G2, w.phi, w.psi)
+
+
+def test_validate_matches_pairwise_loops():
+    messages = set()
+    for w in forged_witnesses():
+        try:
+            loop_validate(w)
+            expected = None
+        except AssertionError as exc:
+            expected = str(exc)
+        try:
+            w.validate()
+            got = None
+        except AssertionError as exc:
+            got = str(exc)
+        assert got == expected
+        messages.add(expected and expected.split(" at ")[0])
+    assert messages == {None, "phi is not a bijection", "phi is not a homomorphism",
+                        "psi is not a bijection between the commutator subgroups",
+                        "psi is not a homomorphism", "pairing compatibility fails"}
+
+
 # ------------------------------------------------------------------ stem
 
 def test_is_stem_group(catalog):
@@ -263,13 +328,13 @@ def test_stem_with_prime_derived_is_extraspecial(catalog):
 def test_invariance_d8_q8(catalog):
     rep = zc.verify_isoclinism_invariance(catalog["D8"], catalog["Q8"])
     assert rep.verdict == "confirmed"
-    assert rep.facts == {"zclasses_1": 4, "zclasses_2": 4}
+    assert zc.z_class_count(catalog["D8"]) == zc.z_class_count(catalog["Q8"]) == 4
 
 
 def test_invariance_heisenberg_modular(catalog):
     rep = zc.verify_isoclinism_invariance(catalog["Heis3"], catalog["M27"])
     assert rep.verdict == "confirmed"
-    assert rep.facts == {"zclasses_1": 5, "zclasses_2": 5}
+    assert zc.z_class_count(catalog["Heis3"]) == zc.z_class_count(catalog["M27"]) == 5
 
 
 def test_invariance_requires_isoclinic(pencil_pair):

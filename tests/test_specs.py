@@ -131,3 +131,46 @@ def test_build_exhaustive_validation_applies_to_products():
     G = build_group("centralproduct(heisenberg(3),heisenberg(3))")
     zc.validate_group_table(G)
     assert G.order == 243 and zc.is_extraspecial(G)
+
+
+CAP_CASES = {   # one spec per named constructor, of order above 8
+    "abelian": ("abelian(4,4)", 16),
+    "cyclic": ("cyclic(16)", 16),
+    "dihedral": ("dihedral(16)", 16),
+    "quaternion": ("quaternion(16)", 16),
+    "heisenberg": ("heisenberg(3)", 27),
+    "modular_p3": ("modular_p3(3)", 27),
+    "extraspecial": ("extraspecial(2,2)", 32),
+}
+
+
+def test_cap_cases_cover_every_constructor():
+    from zclasses.specs import _KINDS
+    assert set(CAP_CASES) == set(_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(CAP_CASES))
+def test_build_honours_cap_before_constructing(kind, monkeypatch):
+    text, order = CAP_CASES[kind]
+    assert build_group(text, cap=order).order == order
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("constructor ran above the cap")
+
+    for name in CAP_CASES:
+        monkeypatch.setattr(zc.construct, name, refuse)
+    with pytest.raises(OrderExceedsCap):
+        build_group(text, cap=order - 1)
+
+
+def test_build_order_formula_on_refused_parameters():
+    with pytest.raises(zc.errors.NotPrime):
+        build_group("extraspecial(0,-1)")
+    with pytest.raises(BadParameter):
+        build_group("extraspecial(2,-3)")
+    with pytest.raises(OrderExceedsCap):
+        build_group("extraspecial(3,1000000000)")
+    with pytest.raises(BadParameter):
+        build_group("abelian(-2,3)")
+    with pytest.raises(BadParameter):
+        build_group("cyclic(0)")

@@ -5,7 +5,7 @@ import zclasses as zc
 from zclasses.errors import AbelianGroup, NotPGroup, NotPrimePowerIndex, PreconditionViolated
 
 from conftest import CTV, ZCLASS_COUNTS
-from oracles import naive_z_partition
+from oracles import naive_local_center, naive_z_partition
 
 
 def noncentral(G):
@@ -224,6 +224,14 @@ def test_condition_local_center(catalog):
         assert ok and witness is None
 
 
+def test_condition_local_center_matches_oracle(catalog):
+    groups = [G for G in catalog.values() if G.order <= 128]
+    groups += [zc.dihedral(32), zc.quaternion(32)]
+    for G in groups:
+        if not zc.is_abelian(G):
+            assert zc.condition_local_center(G) == naive_local_center(G), G.label
+
+
 def test_condition_local_center_verifies_inside_centralizer():
     # cross-check one instance by hand: the centralizer of a noncentral
     # element of Heis3 is abelian, so its center is the whole centralizer
@@ -322,7 +330,10 @@ def test_theorem_mt_confirmed_on_attainers(catalog):
                  "ES(3,2,+)", "Heis3xC3", "D8xC2", "Heis3xC9"):
         rep = zc.verify_theorem_mt(catalog[name])
         assert rep.verdict == "confirmed", name
-        assert rep.facts["attains"] and rep.facts["cond1"] and rep.facts["cond2"]
+        G = catalog[name]
+        assert zc.z_class_count(G) == zc.max_zclass_bound(G), name
+        assert zc.condition_central_quotient_elementary(G), name
+        assert zc.condition_local_center(G) == (True, None), name
 
 
 def test_theorem_mt_vacuous_cases(catalog):
@@ -331,8 +342,9 @@ def test_theorem_mt_vacuous_cases(catalog):
 
 
 def test_theorem_mt_heisenberg5_facts(catalog):
-    rep = zc.verify_theorem_mt(catalog["Heis5"])
-    assert rep.facts["zclasses"] == rep.facts["bound"] == 7
+    G = catalog["Heis5"]
+    assert zc.verify_theorem_mt(G).conclusion is True
+    assert zc.z_class_count(G) == zc.max_zclass_bound(G) == 7
 
 
 def test_theorem_A_branches(catalog):
@@ -356,7 +368,8 @@ def test_corollary_est_examples(catalog):
     for name in ("Heis3", "M27", "Heis3xC9", "D8", "Q8", "ES(2,2,-)"):
         rep = zc.verify_corollary_est(catalog[name], iso_cap=96)
         assert rep.verdict == "confirmed", name
-        assert rep.facts["attains"] and rep.facts["isoclinic_to_extraspecial"]
+        assert zc.z_class_count(catalog[name]) == zc.max_zclass_bound(catalog[name]), name
+        assert rep.witness.startswith("isoclinic to ES("), name
 
 
 def test_corollary_est_preconditions(catalog):
@@ -389,7 +402,8 @@ def test_direct_factor_invariance_various_abelian_factors(catalog):
 def test_bounds_report(catalog):
     rep = zc.verify_bounds(catalog["Heis3xC3"])
     assert rep.verdict == "confirmed"
-    assert rep.facts == {"zclasses": 5, "lower": 5, "upper": 5}
+    assert zc.z_class_count(catalog["Heis3xC3"]) == 5            # lower bound p + 2 = 5
+    assert zc.max_zclass_bound(catalog["Heis3xC3"]) == 5         # upper bound
     assert zc.verify_bounds(catalog["C2"]).verdict == "vacuous"
     assert zc.verify_bounds(catalog["S3"]).verdict == "vacuous"
 
