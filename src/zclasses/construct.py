@@ -18,7 +18,6 @@ from .core import (
     center,
     central_product,
     commutator_subgroup,
-    commutator_values,
     direct_product,
     is_abelian,
     is_prime,
@@ -62,12 +61,14 @@ def dihedral(order: int) -> GroupTable:
     if order < 4 or order % 2:
         raise BadParameter(f"dihedral order must be even and >= 4, got {order}")
     half = order // 2
-    ids = np.arange(order)
+    ids = np.arange(order, dtype=np.int32)
     rot, ref = ids // 2, ids % 2
-    sign = np.where(ref == 1, -1, 1)
-    r = (rot[:, None] + sign[:, None] * rot[None, :]) % half
-    e = (ref[:, None] + ref[None, :]) % 2
-    mult = 2 * r + e
+    mult = (1 - 2 * ref)[:, None] * rot     # one n x n int32 table, then in place
+    mult += rot[:, None]
+    mult %= half
+    mult *= 2
+    mult |= ref[:, None]
+    mult ^= ref                             # low bit: ref_a + ref_b mod 2
     inv = np.where(ref == 1, ids, 2 * ((half - rot) % half))
     return GroupTable(mult, inv, label=f"D{order}")
 
@@ -180,8 +181,9 @@ def frattini_subgroup(G: GroupTable, p: int) -> SubgroupSet:
     acc = ar.copy()
     for _ in range(p - 1):
         acc = G.mult[acc, ar]
-    gens = np.union1d(np.unique(commutator_values(G)), np.unique(acc))
-    return subgroup_generated(G, gens)
+    gens = commutator_subgroup(G).mask.copy()    # <G', x^p> = <[a, b], x^p>
+    gens[acc] = True
+    return subgroup_generated(G, np.flatnonzero(gens))
 
 
 def is_extraspecial(G: GroupTable) -> bool:

@@ -66,7 +66,9 @@ class GroupTable:
     """A finite group as a dense multiplication table plus inverse table.
 
     Instances are immutable after construction; derived data (center,
-    commutator subgroup, partitions) is memoised on the instance.
+    commutator subgroup, partitions) is memoised on the instance as plain
+    arrays that hold no reference back to it, so no reference cycle keeps a
+    group alive once its last outside reference is gone.
     """
 
     __slots__ = ("order", "mult", "inv", "label", "_cache")
@@ -440,7 +442,7 @@ def commuting_table(G: GroupTable) -> np.ndarray:
 
 
 def center(G: GroupTable) -> SubgroupSet:
-    return G._memo("center", lambda: SubgroupSet(G, commuting_table(G).all(axis=1)))
+    return SubgroupSet(G, G._memo("center", lambda: commuting_table(G).all(axis=1)))
 
 
 def centralizer(G: GroupTable, x: int) -> SubgroupSet:
@@ -473,10 +475,11 @@ def commutator_values(G: GroupTable) -> np.ndarray:
 
 def commutator_subgroup(G: GroupTable) -> SubgroupSet:
     """Subgroup generated by all commutators [a, b]."""
-    return G._memo(
-        "derived",
-        lambda: subgroup_generated(G, np.unique(commutator_values(G))),
-    )
+    def compute():
+        values = np.zeros(G.order, dtype=bool)
+        values[commutator_values(G).ravel()] = True
+        return subgroup_generated(G, np.flatnonzero(values)).mask
+    return SubgroupSet(G, G._memo("derived", compute))
 
 
 def quotient(G: GroupTable, N: SubgroupSet) -> QuotientGroup:
@@ -500,7 +503,11 @@ def quotient(G: GroupTable, N: SubgroupSet) -> QuotientGroup:
 
 def central_quotient(G: GroupTable) -> QuotientGroup:
     """G/Z(G), memoised."""
-    return G._memo("central_quotient", lambda: quotient(G, center(G)))
+    def compute():
+        quo = quotient(G, center(G))
+        return quo.table, quo.projection, quo.coset_reps
+    table, projection, reps = G._memo("central_quotient", compute)
+    return QuotientGroup(table, projection, center(G), reps)
 
 
 def is_abelian(G: GroupTable) -> bool:
@@ -544,11 +551,12 @@ def direct_product(G: GroupTable, H: GroupTable, *, cap: int = DEFAULT_ORDER_CAP
     n = G.order * H.order
     if n > cap:
         raise OrderExceedsCap(f"direct product order {n} exceeds cap {cap}")
-    mg = G.mult.astype(np.int64)
-    mult = (mg[:, None, :, None] * H.order + H.mult[None, :, None, :]).reshape(n, n)
-    inv = (G.inv.astype(np.int64)[:, None] * H.order + H.inv[None, :]).reshape(n)
+    mult = np.empty((G.order, H.order, G.order, H.order), dtype=np.int32)
+    mult[...] = (G.mult * H.order)[:, None, :, None]
+    mult += H.mult[None, :, None, :]
+    inv = (G.inv[:, None] * H.order + H.inv[None, :]).reshape(n)
     label = f"{G.label}x{H.label}" if G.label and H.label else ""
-    return GroupTable(mult, inv, label=label)
+    return GroupTable(mult.reshape(n, n), inv, label=label)
 
 
 def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
@@ -556,7 +564,10 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
     """(G x H) / <(zg, zh^-1)> for central zg, zh of one prime order p.
 
     The result has order |G|*|H|/p and amalgamates the two chosen central
-    subgroups.
+    subgroups.  It is built on the quotient directly, never on G x H: the
+    coset of the pair (g, h), which has id g*|H| + h in G x H, is labelled
+    by its smallest id ``(g * zg^i)*|H| + h * zh^-i`` over the p shifts i,
+    and the cosets are numbered in the order of those labels.
     """
     if zg not in center(G):
         raise NotCentral(f"element {zg} is not central in {G.label or 'G'}")
@@ -570,12 +581,20 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
     n = G.order * H.order // og
     if n > cap:
         raise OrderExceedsCap(f"central product order {n} exceeds cap {cap}")
-    P = direct_product(G, H, cap=G.order * H.order)
-    d = zg * H.order + int(H.inv[zh])
-    D = subgroup_generated(P, [d])
-    table = quotient(P, D).table
+    coset_min = np.full((G.order, H.order), G.order * H.order, dtype=np.int32)
+    gi, hi = 0, 0
+    for _ in range(og):
+        shifted = (G.mult[:, gi] * H.order)[:, None] + H.mult[:, hi]
+        np.minimum(coset_min, shifted, out=coset_min)
+        gi, hi = G.mul(gi, zg), H.mul(hi, int(H.inv[zh]))
+    reps = np.unique(coset_min)
+    proj = np.searchsorted(reps, coset_min.ravel()).astype(np.int32)
+    gr, hr = np.divmod(reps, H.order)
+    qmult = G.mult[np.ix_(gr, gr)]      # in place: three n x n int32 arrays at most
+    qmult *= H.order
+    qmult += H.mult[np.ix_(hr, hr)]
     label = f"{G.label}o{H.label}" if G.label and H.label else ""
-    return table.relabeled(label)
+    return GroupTable(proj[qmult], proj[G.inv[gr] * H.order + H.inv[hr]], label=label)
 
 
 def are_subgroups_conjugate(G: GroupTable, H: SubgroupSet, K: SubgroupSet) -> int | None:

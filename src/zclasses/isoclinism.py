@@ -64,12 +64,12 @@ def commutator_pairing(G: GroupTable) -> CommutatorPairing:
             raise NotAGroup("pairing is not antisymmetric")
         if table.diagonal().any():
             raise NotAGroup("pairing is nonzero on the diagonal")
-        target = commutator_subgroup(G)
-        if not target.mask[table].all():
+        if not commutator_subgroup(G).mask[table].all():
             raise NotAGroup("pairing value outside the commutator subgroup")
-        return CommutatorPairing(quotient=quo, target=target, table=table)
+        return table
 
-    return G._memo("commutator_pairing", compute)
+    table = G._memo("commutator_pairing", compute)
+    return CommutatorPairing(central_quotient(G), commutator_subgroup(G), table)
 
 
 @dataclass
@@ -241,35 +241,33 @@ def are_isoclinic(G1: GroupTable, G2: GroupTable,
         witness.validate()
         return witness
 
-    gens = greedy_generating_sequence(Q1)
-    m1, m2 = Q1.mult, Q2.mult
-    W1, W2 = P1.table, P2.table
+    return _search(G1, G2, P1, P2, greedy_generating_sequence(Q1), oq1, oq2, [])
 
-    def search(i: int, assign: list[tuple[int, int]]) -> IsoclinismWitness | None:
-        ext = _extend_embedding(m1, m2, assign)
-        if ext is None:
-            return None
-        phi, domain = ext
-        psi = _forced_psi(G1, G2, W1, W2, phi, domain)
-        if psi is None:
-            return None
-        if i == len(gens):
-            if len(domain) != Q1.order or len(psi) != P1.target.size:
-                return None
-            witness = IsoclinismWitness(G1, G2, phi, psi)
-            witness.validate()
-            return witness
-        g = gens[i]
-        want = int(oq1[g])
-        for im in range(Q2.order):
-            if int(oq2[im]) != want:
-                continue
-            found = search(i + 1, assign + [(g, im)])
-            if found is not None:
-                return found
+
+def _search(G1: GroupTable, G2: GroupTable, P1: CommutatorPairing, P2: CommutatorPairing,
+            gens: list[int], oq1: np.ndarray, oq2: np.ndarray,
+            assign: list[tuple[int, int]]) -> IsoclinismWitness | None:
+    """One node of the search of :func:`are_isoclinic`: ``assign`` holds the
+    images of the first generators, the rest of ``gens`` are still open."""
+    ext = _extend_embedding(P1.quotient.table.mult, P2.quotient.table.mult, assign)
+    if ext is None:
         return None
-
-    return search(0, [])
+    phi, domain = ext
+    psi = _forced_psi(G1, G2, P1.table, P2.table, phi, domain)
+    if psi is None:
+        return None
+    if len(assign) == len(gens):
+        if len(domain) != P1.quotient.table.order or len(psi) != P1.target.size:
+            return None
+        witness = IsoclinismWitness(G1, G2, phi, psi)
+        witness.validate()
+        return witness
+    g = gens[len(assign)]
+    for im in np.flatnonzero(oq2 == oq1[g]):
+        found = _search(G1, G2, P1, P2, gens, oq1, oq2, assign + [(g, int(im))])
+        if found is not None:
+            return found
+    return None
 
 
 def is_stem_group(G: GroupTable) -> bool:
@@ -285,10 +283,12 @@ def verify_isoclinism_invariance(G1: GroupTable, G2: GroupTable,
     Searches for a witness when none is supplied and raises
     :class:`PreconditionViolated` if the groups are not isoclinic.
     """
-    if witness is None:
-        witness = are_isoclinic(G1, G2, cap=cap)
-    if witness is None:
-        raise PreconditionViolated("groups are not isoclinic")
+    if witness is not None:
+        witness.validate()
+    else:
+        witness = are_isoclinic(G1, G2, cap=cap)    # validated by the search
+        if witness is None:
+            raise PreconditionViolated("groups are not isoclinic")
     return _invariance_report(f"{G1.label or 'G1'}~{G2.label or 'G2'}",
                               ("isoclinic", True, None), G1, G2, witness)
 
@@ -298,8 +298,8 @@ def verify_direct_factor_invariance(G: GroupTable, *, iso_cap: int = DEFAULT_ISO
     """Check that appending an abelian direct factor C_p preserves the count.
 
     p is the smallest prime dividing |G| (2 for the trivial group); the
-    isoclinism between G and G x C_p is found by the full search and
-    re-validated before the counts are compared.
+    isoclinism between G and G x C_p is found by the full search, which
+    validates it before the counts are compared.
     """
     p = 2 if G.order == 1 else smallest_prime_factor(G.order)
     H = direct_product(G, cyclic(p), cap=max(order_cap, G.order * p))
@@ -314,8 +314,7 @@ def verify_direct_factor_invariance(G: GroupTable, *, iso_cap: int = DEFAULT_ISO
 
 def _invariance_report(label: str, hypothesis: tuple, G1: GroupTable, G2: GroupTable,
                        witness: IsoclinismWitness) -> TheoremReport:
-    """Re-validate the witness, then compare the class counts of G1 and G2."""
-    witness.validate()
+    """Compare the class counts of G1 and G2, given a validated witness."""
     c1, c2 = z_class_count(G1), z_class_count(G2)
     return TheoremReport(label, "isoclinism-invariance", [hypothesis], c1 == c2,
                          None if c1 == c2 else f"counts differ: {c1} vs {c2}")

@@ -11,7 +11,7 @@ concrete group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,15 +41,20 @@ from .errors import AbelianGroup, NotPrimePowerIndex, PreconditionViolated
 
 @dataclass
 class ZClass:
-    """One class of the partition: members, smallest member, its centralizer."""
+    """One class of the partition: members and its smallest member."""
 
     members: np.ndarray
     representative: int
-    centralizer: SubgroupSet
+    group: GroupTable = field(repr=False)
 
     @property
     def size(self) -> int:
         return int(self.members.size)
+
+    @property
+    def centralizer(self) -> SubgroupSet:
+        """The centralizer of the representative; every member's is conjugate to it."""
+        return centralizer(self.group, self.representative)
 
 
 class ZClassPartition:
@@ -57,15 +62,13 @@ class ZClassPartition:
 
     Classes are ordered by (and represented by) their smallest member, so the
     class containing the identity -- which is exactly the center -- comes
-    first.
+    first.  ``members`` holds each class's sorted ids and ``lookup[x]`` the
+    index of the class of x.
     """
 
-    def __init__(self, group: GroupTable, classes: list[ZClass]):
+    def __init__(self, group: GroupTable, members: list[np.ndarray], lookup: np.ndarray):
         self.group = group
-        self.classes = classes
-        lookup = np.empty(group.order, dtype=np.int32)
-        for i, cls in enumerate(classes):
-            lookup[cls.members] = i
+        self.classes = [ZClass(mem, int(mem[0]), group) for mem in members]
         self._lookup = lookup
 
     @property
@@ -118,15 +121,14 @@ def z_class_partition(G: GroupTable) -> ZClassPartition:
                     break
             else:
                 merged.append((C, list(members)))
-        classes = [
-            ZClass(members=np.array(sorted(mem), dtype=np.int64),
-                   representative=min(mem), centralizer=cent)
-            for cent, mem in merged
-        ]
-        classes.sort(key=lambda c: c.representative)
-        return ZClassPartition(G, classes)
+        members = sorted((np.array(sorted(mem), dtype=np.int64) for _, mem in merged),
+                         key=lambda mem: mem[0])
+        lookup = np.empty(G.order, dtype=np.int32)
+        for i, mem in enumerate(members):
+            lookup[mem] = i
+        return members, lookup
 
-    return G._memo("zclass_partition", compute)
+    return ZClassPartition(G, *G._memo("zclass_partition", compute))
 
 
 def z_class_count(G: GroupTable) -> int:

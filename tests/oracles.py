@@ -159,3 +159,28 @@ def naive_frattini(G) -> frozenset[int]:
     for H in maximal:
         out &= H
     return frozenset(out)
+
+
+def naive_central_product(G, H, zg: int, zh: int) -> tuple[list[list[int]], list[int]]:
+    """(G x H)/<(zg, zh^-1)> by its definition: the pair (g, h) has id
+    g*|H| + h, a coset is labelled by the smallest id in it, and the cosets
+    are numbered in the order of their labels.  Returns (mult, inv)."""
+    mg, mh, nh = table_of(G), table_of(H), H.order
+    zh_inv = naive_inverse(H, zh)
+    kernel = [(0, 0)]
+    while True:
+        a, b = mg[kernel[-1][0]][zg], mh[kernel[-1][1]][zh_inv]
+        if (a, b) == (0, 0):
+            break
+        kernel.append((a, b))
+
+    def label(g: int, h: int) -> int:
+        return min(mg[g][a] * nh + mh[h][b] for a, b in kernel)
+
+    reps = sorted({label(g, h) for g in range(G.order) for h in range(nh)})
+    index = {r: i for i, r in enumerate(reps)}
+    pairs = [divmod(r, nh) for r in reps]
+    mult = [[index[label(mg[g1][g2], mh[h1][h2])] for g2, h2 in pairs] for g1, h1 in pairs]
+    ginv = [naive_inverse(G, g) for g in range(G.order)]
+    hinv = [naive_inverse(H, h) for h in range(nh)]
+    return mult, [index[label(ginv[g], hinv[h])] for g, h in pairs]

@@ -1,0 +1,143 @@
+"""The constructed tables themselves, and the memory it takes to build and
+analyse them.
+
+The SHA-256 digests below were taken from the tables as built before the
+constructors moved to int32 arithmetic and before central products were
+built on the quotient directly; element ids must not move.
+"""
+
+import gc
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import zclasses as zc
+from zclasses import catalog, cli
+from zclasses.specs import _amalgamation_pair
+
+from oracles import naive_central_product
+
+FROZEN_DIGESTS = {
+    "extraspecial(2,4,plus)": (
+        "12e46adc9b071a83805e15d4f72f4f5dd3268434740b5085b86fb5f7bbb30c0e",
+        "5871cff43762fc9a2e5700244470ae313dcfc0c39da0b0bd5a1f10db7fd340c9"),
+    "extraspecial(2,5,minus)": (
+        "62e3387f7d791218f5556c9dac8881596458a7985d41351f466e0c682bee724f",
+        "56a09bee676662d48a1781ba81e01e0b9e235b9114744d460d8d6e5e2761452a"),
+    "extraspecial(3,3,plus)": (
+        "0b7ea0c9873c52fb5c3f949e311d52d4445b264c0bd3e924bd4f3ab05666036d",
+        "a86bbe5a70890f56716c427103faae01cb07cebb3cee45aee5b5f81127f03412"),
+    "extraspecial(5,2,plus)": (
+        "037863d20dac6fec462c4c9685f32908ca024ece0f93f1e6f1e53f01e389dc19",
+        "83626fb6a9c2674ed24eddfedd8589dccad6f9470afcf55a31aa4f34a7cb5c7d"),
+    "dihedral(4096)": (
+        "e2a46d143f39bcb69450e9f05bf3a7b0f6a6567bd8d7705385af493760487890",
+        "2e312bdff50bf69356502c8fc80749ec030bc76b79388eb921602ee9ca2c3f0a"),
+    "product(dihedral(1024),abelian(4))": (
+        "9e9cfec10cae5bd6f6efc46ed3817bcd47d058d8c6493a0c307591e23b6f509a",
+        "1e32fa9f20bf913f65174544b4ba6f1e94d3c2d529126e07c45b47c01eaf0cec"),
+    "product(abelian(2,2),heisenberg(5))": (
+        "23f50308b97df19fa6553d9cde96021b955e5f7ae881e92d22f50fe405ddd8cb",
+        "28290ba89e0a3ed8dd315ff994eb1bcbf7aa3390bb65ed2992e70248210bb73f"),
+    "centralproduct(dihedral(16),quaternion(16))": (
+        "d98d371dc9937886b7ce36eb475d939496b79e1ba413759c8f7fb5f5e0867ad8",
+        "613208cf79bc842ea2d39a7debe58939d93074ebc2edb266f51b6e0598021387"),
+    "centralproduct(heisenberg(3),abelian(9))": (
+        "be8f06c7af9725246bbe3ee9dc202b51c9b35b52d65e099196c436134935e696",
+        "2b0637baa5591014390305b7813fbb34176994d9ee5c9d5e3845e2f4eef71648"),
+    "centralproduct(dihedral(8),abelian(4))": (
+        "d9a17240e5f57df9dd7e171312dc94cde3e4b994193f424d4ea7bb0590c1d27d",
+        "45336485444963ee2f78e9b4794d4fe5952c4d883eef7feecad892ed995dd6b3"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FROZEN_DIGESTS))
+def test_table_digest_frozen(spec):
+    G = zc.build_group(spec)
+    assert G.mult.dtype == G.inv.dtype == "int32"
+    digests = (hashlib.sha256(G.mult.tobytes()).hexdigest(),
+               hashlib.sha256(G.inv.tobytes()).hexdigest())
+    assert digests == FROZEN_DIGESTS[spec]
+
+
+def _es_factors(p, n, variant):
+    """The factors extraspecial(p, n, variant) amalgamates, in order."""
+    if p == 2:
+        base, last = zc.dihedral(8), zc.quaternion(8) if variant == "minus" else zc.dihedral(8)
+    else:
+        base, last = zc.heisenberg(p), zc.modular_p3(p) if variant == "minus" else zc.heisenberg(p)
+    return [base] * (n - 1) + [last]
+
+
+def _second_central(G):
+    return int(zc.center(G).members()[1])
+
+
+@pytest.mark.parametrize("p,n,variant", [(p, n, v) for p, n in ((2, 2), (2, 3), (3, 2))
+                                         for v in ("plus", "minus")])
+def test_extraspecial_steps_match_oracle(p, n, variant):
+    """Every central product on the way to each extraspecial group of order
+    at most 243 with n >= 2 (the n = 1 groups are no central product)."""
+    factors = _es_factors(p, n, variant)
+    G = factors[0]
+    for F in factors[1:]:
+        zg, zf = _second_central(G), _second_central(F)
+        mult, inv = naive_central_product(G, F, zg, zf)
+        G = zc.central_product(G, F, zg, zf)
+        assert G.mult.tolist() == mult
+        assert G.inv.tolist() == inv
+    assert np.array_equal(G.mult, zc.extraspecial(p, n, variant).mult)
+
+
+@pytest.mark.parametrize("left,right", [
+    ("dihedral(8)", "quaternion(8)"), ("dihedral(8)", "abelian(4)"),
+    ("heisenberg(3)", "abelian(9)"), ("heisenberg(3)", "modular_p3(3)"),
+    ("dihedral(16)", "quaternion(16)"), ("abelian(6)", "dihedral(12)"),
+])
+def test_central_product_spec_matches_oracle(left, right):
+    G, H = zc.build_group(left), zc.build_group(right)
+    zg, zh = _amalgamation_pair(G, H)
+    mult, inv = naive_central_product(G, H, zg, zh)
+    P = zc.build_group(f"centralproduct({left},{right})")
+    assert P.mult.tolist() == mult
+    assert P.inv.tolist() == inv
+
+
+@pytest.mark.parametrize("spec", ["extraspecial(5,2,plus)", "dihedral(4096)",
+                                  "product(dihedral(1024),abelian(4))"])
+def test_construction_peak_under_200_mb(spec):
+    """A group at the cap is built within about three n x n int32 tables
+    (64 MB each at order 4096), never through a larger product."""
+    tracemalloc.start()
+    try:
+        zc.build_group(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6, f"{spec}: tracemalloc peak {peak / 1e6:.0f} MB"
+
+
+def test_analysed_group_dies_without_the_cycle_collector():
+    """Every memo of a group holds plain arrays, so a group and everything
+    derived from it is freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for entry in zc.builtin_catalog():
+            G = zc.build_group(entry.spec_text)
+            catalog.analyze_group(G)
+            for theorem in catalog.THEOREMS:
+                catalog.run_theorem(G, theorem, iso_cap=cli.CLI_ISO_CAP)
+            del G
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage
+                      if isinstance(o, (zc.GroupTable, np.ndarray))]
+            gc.garbage.clear()
+            assert leaked == [], f"{entry.label}: {leaked[:5]}"
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
