@@ -44,5 +44,5 @@ print("\nclass counts agree across the D8 ~ Q8 isoclinism:", rep.verdict,
       zc.z_class_count(D8), zc.z_class_count(Q8))
 
 for G in (D8, H3, zc.extraspecial(3, 2, "plus")):
-    rep = zc.verify_direct_factor_invariance(G, iso_cap=96)
+    rep = zc.verify_direct_factor_invariance(G)
     print(f"{G.label:10s} x C_p keeps the count: {rep.verdict}, {zc.z_class_count(G)} classes")

@@ -8,6 +8,7 @@ over a catalog of groups.
 """
 
 from .core import (
+    DEFAULT_ISO_CAP,
     DEFAULT_ORDER_CAP,
     GroupTable,
     QuotientGroup,
@@ -67,7 +68,6 @@ from .zclass import (
     zclass_size_lower_bound_check,
 )
 from .isoclinism import (
-    DEFAULT_ISO_CAP,
     CommutatorPairing,
     IsoclinismWitness,
     are_isoclinic,

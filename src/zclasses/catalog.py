@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .core import (
+    DEFAULT_ISO_CAP,
     DEFAULT_ORDER_CAP,
     GroupTable,
     center,
@@ -25,7 +26,7 @@ from .core import (
 )
 from .construct import is_extraspecial
 from .errors import GroupError, PreconditionViolated, SpecSyntaxError
-from .isoclinism import DEFAULT_ISO_CAP, is_stem_group, verify_direct_factor_invariance
+from .isoclinism import is_stem_group, verify_direct_factor_invariance
 from .specs import build_group, parse_spec
 from .zclass import (
     TheoremReport,
@@ -194,7 +195,8 @@ def analyze_group(G: GroupTable, label: str | None = None) -> dict:
 
 def run_theorem(G: GroupTable, theorem: str, *, iso_cap: int = DEFAULT_ISO_CAP,
                 order_cap: int = DEFAULT_ORDER_CAP) -> TheoremReport:
-    """Dispatch one named check; unmet preconditions come back as vacuous."""
+    """Dispatch one named check; unmet preconditions come back as vacuous.
+    ``iso_cap`` bounds the one search left, the isoclinism search of ``est``."""
     if theorem == "mt":
         return verify_theorem_mt(G)
     if theorem == "A":
@@ -209,7 +211,7 @@ def run_theorem(G: GroupTable, theorem: str, *, iso_cap: int = DEFAULT_ISO_CAP,
     if theorem == "bounds":
         return verify_bounds(G)
     if theorem == "isoclinism-invariance":
-        return verify_direct_factor_invariance(G, iso_cap=iso_cap, order_cap=order_cap)
+        return verify_direct_factor_invariance(G, order_cap=order_cap)
     raise ValueError(f"unknown theorem {theorem!r}")
 
 

@@ -37,7 +37,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP,
                      help="maximum group order for constructions")
     sub.add_argument("--iso-cap", type=int, default=CLI_ISO_CAP,
-                     help="maximum |G/Z| for the isoclinism search")
+                     help="maximum |G/Z| for the isoclinism search of 'est'")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="report format")
 

@@ -30,6 +30,7 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 4096
+DEFAULT_ISO_CAP = 64
 
 # Rows per block of the associativity check.  At the cap a block is 4 MB, so
 # the check allocates a few MB instead of three n x n arrays, and runs about

@@ -1,22 +1,22 @@
 """Partitions of a group by conjugacy of centralizers.
 
-Two elements are equivalent when their centralizers are conjugate
-subgroups; the resulting classes, their sizes, the orbit-size identity
-predicting those sizes, and conjugate type vectors are all computed by
-exhaustive search over the dense tables.  The ``verify_*`` functions turn
-each statement under test into a checkable :class:`TheoremReport` on one
-concrete group.
+Two elements are equivalent when their centralizers are conjugate.  The
+checks share one table, the cells of equal centralizers: the partition merges
+cells, the orbit-size identity and the local-center condition run once per
+cell, and an abelian subgroup of index p is read off the cells.  The
+``verify_*`` functions turn each statement under test into a checkable
+:class:`TheoremReport` on one concrete group.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .construct import frattini_subgroup
 from .core import (
+    DEFAULT_ISO_CAP,
     DEFAULT_ORDER_CAP,
     GroupTable,
     SubgroupSet,
@@ -33,10 +33,9 @@ from .core import (
     is_prime,
     normalizer,
     prime_power,
-    quotient,
     subgroup_generated,
 )
-from .errors import AbelianGroup, NotPrimePowerIndex, PreconditionViolated
+from .errors import AbelianGroup, NotPGroup, NotPrimePowerIndex, PreconditionViolated
 
 
 @dataclass
@@ -88,10 +87,23 @@ class ZClassPartition:
         return f"ZClassPartition({self.group!r}, {self.num_classes} classes)"
 
 
+def _cells(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of equal centralizers, memoised: the smallest member of each in
+    ascending order (cell 0 is the center), and the cell index of each element."""
+    def compute():
+        cm = commuting_table(G)
+        index: dict[bytes, int] = {}
+        cell = np.empty(G.order, dtype=np.int32)
+        for x in range(G.order):
+            cell[x] = index.setdefault(cm[x].tobytes(), len(index))
+        return np.unique(cell, return_index=True)[1], cell
+    return G._memo("cells", compute)
+
+
 def strict_fixed_set(G: GroupTable, x: int) -> np.ndarray:
     """All y whose centralizer equals that of x, as a sorted id array."""
-    cm = commuting_table(G)
-    return np.flatnonzero((cm == cm[x]).all(axis=1))
+    cell = _cells(G)[1]
+    return np.flatnonzero(cell == cell[x])
 
 
 def fixed_set(G: GroupTable, x: int) -> np.ndarray:
@@ -103,29 +115,27 @@ def fixed_set(G: GroupTable, x: int) -> np.ndarray:
 def z_class_partition(G: GroupTable) -> ZClassPartition:
     """Partition G by conjugacy of centralizers.
 
-    Elements with identical centralizers are grouped first; those cells are
-    then merged whenever their centralizers are conjugate subgroups, with the
-    conjugacy test short-circuiting on subgroup size.
+    Cells of equal centralizers are merged, in ascending order of their
+    smallest members, whenever their centralizers are conjugate subgroups;
+    the conjugacy test short-circuits on subgroup size.
     """
     def compute():
         cm = commuting_table(G)
-        cells: dict[bytes, list[int]] = {}
-        for x in range(G.order):
-            cells.setdefault(cm[x].tobytes(), []).append(x)
-        merged: list[tuple[SubgroupSet, list[int]]] = []
-        for members in cells.values():
-            C = SubgroupSet(G, cm[members[0]])
-            for cent, acc in merged:
+        reps, cell = _cells(G)
+        merged: list[SubgroupSet] = []
+        class_of_cell = np.empty(reps.size, dtype=np.int32)
+        for i, r in enumerate(reps):
+            C = SubgroupSet(G, cm[r])
+            for j, cent in enumerate(merged):
                 if cent.size == C.size and are_subgroups_conjugate(G, cent, C) is not None:
-                    acc.extend(members)
+                    class_of_cell[i] = j
                     break
             else:
-                merged.append((C, list(members)))
-        members = sorted((np.array(sorted(mem), dtype=np.int64) for _, mem in merged),
-                         key=lambda mem: mem[0])
-        lookup = np.empty(G.order, dtype=np.int32)
-        for i, mem in enumerate(members):
-            lookup[mem] = i
+                class_of_cell[i] = len(merged)
+                merged.append(C)
+        lookup = class_of_cell[cell]
+        members = np.split(np.argsort(lookup, kind="stable"),
+                           np.cumsum(np.bincount(lookup))[:-1])
         return members, lookup
 
     return ZClassPartition(G, *G._memo("zclass_partition", compute))
@@ -193,54 +203,42 @@ def condition_local_center(G: GroupTable) -> tuple[bool, int | None]:
     Z = center(G)
     quo = central_quotient(G)
     generated = Z.size * element_orders(quo.table)[quo.projection]
-    local_sizes: dict[bytes, int] = {}
+    cell = _cells(G)[1]
+    local_sizes: dict[int, int] = {}
     for x in np.flatnonzero(~Z.mask):
-        cmask = cm[x]
-        key = cmask.tobytes()
+        key = int(cell[x])
         if key not in local_sizes:
-            mem = np.flatnonzero(cmask)
-            local_sizes[key] = int((cm[mem] | ~cmask).all(axis=1).sum())
+            mem = np.flatnonzero(cm[x])
+            local_sizes[key] = int((cm[mem] | ~cm[x]).all(axis=1).sum())
         if local_sizes[key] != generated[x]:
             return False, int(x)
     return True, None
 
 
 def has_abelian_subgroup_of_index_p(G: GroupTable, p: int) -> SubgroupSet | None:
-    """Search all index-p subgroups of a p-group for an abelian one.
+    """An abelian subgroup of index p in a p-group, or None.
 
-    The index-p subgroups are exactly the preimages of the hyperplanes of
-    the elementary abelian quotient G/Phi(G), enumerated exhaustively.
-    Raises :class:`NotPGroup` (from the Frattini subgroup) unless |G| is a
-    power of p.
+    In non-abelian G such a subgroup is C_G(x) for each of its noncentral x,
+    so it exists exactly when some noncentral x has [G : C_G(x)] = p and
+    |C_G(x)| = |Z(G)| + |cell of x|; then each y in C_G(x) is central or has
+    C(y) = C(x), so C_G(x) is abelian.  Abelian G returns <Phi(G), g_1 ..
+    g_(r-1)> for its greedy generating sequence g_1 .. g_r, a proper subgroup
+    since Phi(G) consists of non-generators.  Raises :class:`NotPGroup`
+    unless |G| is a power of p.
     """
     if G.order == 1:
         return None
-    phi = frattini_subgroup(G, p)
-    quo = quotient(G, phi)
-    Q = quo.table
-    basis = greedy_generating_sequence(Q)
-    r = len(basis)
-    coord_of = np.empty((Q.order, r), dtype=np.int64)
-    for coords in itertools.product(range(p), repeat=r):
-        e = 0
-        for b, c in zip(basis, coords):
-            e = Q.mul(e, Q.power(b, c))
-        coord_of[e] = coords
+    pw = prime_power(G.order)
+    if pw is None or pw[0] != p:
+        raise NotPGroup(f"order {G.order} is not a power of {p}")
+    if is_abelian(G):
+        gens = greedy_generating_sequence(G)
+        return subgroup_generated(G, np.append(frattini_subgroup(G, p).members(), gens[:-1]))
     cm = commuting_table(G)
-    for alpha in _functionals(p, r):
-        in_plane = (coord_of @ alpha) % p == 0
-        mask = in_plane[quo.projection]
-        mem = np.flatnonzero(mask)
-        if cm[np.ix_(mem, mem)].all():
-            return SubgroupSet(G, mask)
-    return None
-
-
-def _functionals(p: int, r: int):
-    """Nonzero functionals on F_p^r up to scalar (leading coefficient 1)."""
-    for lead in range(r):
-        for tail in itertools.product(range(p), repeat=r - lead - 1):
-            yield np.array((0,) * lead + (1,) + tail, dtype=np.int64)
+    reps, cell = _cells(G)
+    cent = cm[reps].sum(axis=1)
+    hits = reps[(G.order == p * cent) & (cent == center(G).size + np.bincount(cell))]
+    return SubgroupSet(G, cm[hits[0]]) if hits.size else None
 
 
 def has_abelian_subgroup_exceeding(G: GroupTable) -> SubgroupSet | None:
@@ -386,7 +384,7 @@ def verify_theorem_A(G: GroupTable) -> TheoremReport:
     return TheoremReport(_label(G), "A", hyps, ok, witness)
 
 
-def verify_corollary_est(G: GroupTable, *, iso_cap: int = 64,
+def verify_corollary_est(G: GroupTable, *, iso_cap: int = DEFAULT_ISO_CAP,
                          order_cap: int = DEFAULT_ORDER_CAP) -> TheoremReport:
     """Check: with |G'| = p and [G : Z(G)] = p^k (k >= 2), the class count
     attains the bound exactly when G is isoclinic to an extraspecial group.
@@ -443,14 +441,8 @@ def verify_kulkarni(G: GroupTable) -> TheoremReport:
     size, so the sweep runs once per distinct centralizer while still
     covering all elements.
     """
-    cm = commuting_table(G)
-    seen: set[bytes] = set()
     mismatch = None
-    for x in range(G.order):
-        key = cm[x].tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
+    for x in _cells(G)[0].tolist():
         predicted, actual = kulkarni_size_check(G, x)
         if predicted != actual:
             mismatch = (x, predicted, actual)

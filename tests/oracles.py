@@ -7,6 +7,8 @@ these can serve as oracles for the implementations under test.
 
 from __future__ import annotations
 
+import itertools
+
 
 def table_of(G) -> list[list[int]]:
     return G.mult.tolist()
@@ -159,6 +161,49 @@ def naive_frattini(G) -> frozenset[int]:
     for H in maximal:
         out &= H
     return frozenset(out)
+
+
+def naive_index_p_subgroups(G, p: int) -> set[frozenset[int]]:
+    """Kernels of the nonzero homomorphisms G -> Z/p.  In a p-group these are
+    the subgroups of index p: the preimages of the hyperplanes of G/Phi(G).
+
+    Each assignment of images to a greedy generating sequence is extended
+    along the Cayley graph by f(x*g) = f(x) + f(g) and kept when no edge
+    contradicts it."""
+    m = table_of(G)
+    gens: list[int] = []
+    closure = frozenset([0])
+    while len(closure) < G.order:
+        gens.append(min(set(range(G.order)) - closure))
+        closure = naive_subgroup_closure(G, gens)
+    kernels = set()
+    for images in itertools.product(range(p), repeat=len(gens)):
+        if not any(images):
+            continue
+        f = {0: 0}
+        frontier = [0]
+        consistent = True
+        while frontier and consistent:
+            x = frontier.pop()
+            for g, a in zip(gens, images):
+                y, v = m[x][g], (f[x] + a) % p
+                if y not in f:
+                    f[y] = v
+                    frontier.append(y)
+                elif f[y] != v:
+                    consistent = False
+                    break
+        if consistent:
+            kernels.add(frozenset(x for x, v in f.items() if v == 0))
+    return kernels
+
+
+def naive_abelian_index_p(G, p: int) -> frozenset[int] | None:
+    """Some abelian subgroup of index p, found by testing every index-p
+    subgroup pair by pair; None when there is none."""
+    m = table_of(G)
+    return next((K for K in naive_index_p_subgroups(G, p)
+                 if all(m[a][b] == m[b][a] for a in K for b in K)), None)
 
 
 def naive_central_product(G, H, zg: int, zh: int) -> tuple[list[list[int]], list[int]]:

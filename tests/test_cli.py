@@ -70,6 +70,17 @@ def test_verify_all_theorems_on_attainer():
         assert json.loads(res.stdout)["verdict"] in ("confirmed", "vacuous")
 
 
+def test_verify_invariance_above_cap_exit_3():
+    assert run_cli("verify", "dihedral(4096)", "--theorem", "isoclinism-invariance").returncode == 3
+
+
+def test_verify_invariance_ignores_iso_cap():
+    res = run_cli("verify", "extraspecial(3,2,plus)", "--theorem", "isoclinism-invariance",
+                  "--iso-cap", "8")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["verdict"] == "confirmed"
+
+
 def test_exit_code_parse_error():
     assert run_cli("analyze", "frobnicate(3)").returncode == 2
     assert run_cli("analyze", "dihedral(8").returncode == 2

@@ -472,11 +472,15 @@ def test_centralizer_conjugation_equivariance_small(catalog):
 
 
 def test_centralizer_conjugation_equivariance_sampled(catalog):
-    rng = np.random.default_rng(7)
+    # every (x, g): C(x^g) = C(x)^g says y^g commutes with x^g exactly when
+    # y commutes with x, so the commuting table is invariant under each
+    # conjugation map
     G = catalog["ES(3,2,+)"]
-    for x, g in rng.integers(0, G.order, size=(200, 2)):
-        C = zc.centralizer(G, int(x))
-        assert zc.centralizer(G, G.conjugate(int(x), int(g))) == C.conjugate_by(int(g))
+    cm = zc.commuting_table(G)
+    ar = np.arange(G.order)
+    for g in G.elements():
+        conj = G.mult[G.mult[G.inv[g], ar], g]
+        assert np.array_equal(cm[np.ix_(conj, conj)], cm), g
 
 
 # ------------------------------------------------------------ validator

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import zclasses as zc
 from zclasses.core import commutator_values
-from zclasses.errors import NotAGroup, PreconditionViolated, QuotientExceedsCap
+from zclasses.errors import NotAGroup, OrderExceedsCap, PreconditionViolated, QuotientExceedsCap
 
 
 def cocycle_group(B1, B2, label):
@@ -77,15 +79,12 @@ def test_pairing_invariants(catalog):
 
 
 def test_pairing_representative_independent(catalog):
-    # re-derive entries from randomly chosen coset members
-    rng = np.random.default_rng(5)
+    # the commutator of every pair of elements is the pairing of their cosets
     for name in ("Q8", "Heis3", "Heis3xC3"):
         G = catalog[name]
         P = zc.commutator_pairing(G)
         proj = P.quotient.projection
-        for _ in range(50):
-            x, y = (int(v) for v in rng.integers(0, G.order, size=2))
-            assert G.commutator(x, y) == int(P.table[proj[x], proj[y]])
+        assert np.array_equal(commutator_values(G), P.table[np.ix_(proj, proj)]), name
 
 
 @pytest.mark.parametrize("message", [
@@ -342,10 +341,35 @@ def test_invariance_requires_isoclinic(pencil_pair):
         zc.verify_isoclinism_invariance(*pencil_pair)
 
 
-def test_direct_factor_invariance_catalog(catalog):
-    for name in ("trivial", "C4", "S3", "D8", "Q16", "Heis3", "M27", "ES(2,2,-)"):
-        rep = zc.verify_direct_factor_invariance(catalog[name])
+def test_direct_factor_invariance_catalog(catalog, monkeypatch):
+    # the natural witness G -> G x C_p validates on every catalog group; no
+    # search runs, so ES(3,2,+) with |G/Z| = 81 passes the search cap of 64
+    validated = []
+    validate = zc.IsoclinismWitness.validate
+
+    def recording_validate(witness):
+        validate(witness)
+        validated.append(witness.group1)
+
+    monkeypatch.setattr(zc.IsoclinismWitness, "validate", recording_validate)
+    for name, G in catalog.items():
+        rep = zc.verify_direct_factor_invariance(G)
         assert rep.verdict == "confirmed", name
+        assert validated[-1] is G, name
+
+
+@pytest.mark.parametrize("spec", ["dihedral(4096)", "extraspecial(5,2,plus)"])
+def test_direct_factor_invariance_refuses_above_cap_first(spec):
+    # |G| * p exceeds the order cap: refused before any table is built
+    G = zc.build_group(spec)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderExceedsCap):
+            zc.verify_direct_factor_invariance(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_normalized_size_multisets_agree(catalog):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ import zclasses as zc
 from zclasses.errors import AbelianGroup, NotPGroup, NotPrimePowerIndex, PreconditionViolated
 
 from conftest import CTV, ZCLASS_COUNTS
-from oracles import naive_local_center, naive_z_partition
+from oracles import (naive_abelian_index_p, naive_frattini, naive_index_p_subgroups,
+                     naive_local_center, naive_z_partition)
 
 
 def noncentral(G):
@@ -105,13 +108,13 @@ def test_partition_matches_pairwise_oracle(catalog):
 
 
 def test_partition_soundness_sampled_large(catalog):
-    # orders above 128: re-verify conjugacy within / across classes on a seeded sample
-    rng = np.random.default_rng(11)
+    # orders above 128: re-verify conjugacy within / across classes on every
+    # pair of equal-centralizer cell representatives, which covers all pairs
     for name in ("ES(3,2,+)", "Heis3xC9"):
         G = catalog[name]
         part = zc.z_class_partition(G)
-        for _ in range(60):
-            x, y = (int(v) for v in rng.integers(0, G.order, size=2))
+        reps = np.unique(zc.commuting_table(G), axis=0, return_index=True)[1].tolist()
+        for x, y in itertools.product(reps, repeat=2):
             same = part.class_index_of(x) == part.class_index_of(y)
             Cx, Cy = zc.centralizer(G, x), zc.centralizer(G, y)
             assert (zc.are_subgroups_conjugate(G, Cx, Cy) is not None) == same
@@ -249,7 +252,7 @@ def test_abelian_index_p_d8():
     assert sub is not None
     assert sub.index == 2
     sub.validate()
-    assert sorted(sub.members().tolist()) == [0, 2, 4, 6]   # the rotation C4
+    assert sorted(sub.members().tolist()) == [0, 1, 4, 5]   # C(s) for the reflection s = 1
 
 
 def test_abelian_index_p_extraspecial_none(catalog):
@@ -261,6 +264,44 @@ def test_abelian_index_p_extraspecial_none(catalog):
 def test_abelian_index_p_abelian_group():
     sub = zc.has_abelian_subgroup_of_index_p(zc.abelian([2, 2]), 2)
     assert sub is not None and sub.size == 2
+
+
+# p-groups beyond the builtin catalog, with and without an abelian subgroup of index p
+INDEX_P_SPECS = ["dihedral(32)", "quaternion(32)", "product(dihedral(8),dihedral(8))",
+                 "product(quaternion(8),abelian(4))", "centralproduct(dihedral(8),abelian(4))",
+                 "modular_p3(5)", "extraspecial(2,3,plus)", "extraspecial(2,3,minus)",
+                 "centralproduct(extraspecial(3,2,plus),cyclic(9))"]
+CATALOG_P_GROUPS = [e.label for e in zc.builtin_catalog()
+                    if e.expect["order"] > 1 and zc.core.prime_power(e.expect["order"])]
+
+
+@pytest.mark.parametrize("name", CATALOG_P_GROUPS + INDEX_P_SPECS)
+def test_abelian_index_p_matches_oracle(catalog, name):
+    G = catalog[name] if name in catalog else zc.build_group(name)
+    p = zc.core.prime_power(G.order)[0]
+    sub = zc.has_abelian_subgroup_of_index_p(G, p)
+    assert (sub is None) == (naive_abelian_index_p(G, p) is None)
+    if sub is not None:
+        sub.validate()
+        mem = sub.members()
+        assert sub.index == p
+        assert zc.commuting_table(G)[np.ix_(mem, mem)].all()
+
+
+def test_index_p_oracle_gives_the_hyperplanes_over_frattini(catalog):
+    # the oracle's kernels are all the index-p subgroups containing Phi(G):
+    # as many as the hyperplanes of G/Phi, and meeting exactly in Phi
+    for name in CATALOG_P_GROUPS:
+        G = catalog[name]
+        if G.order > 64:
+            continue
+        p = zc.core.prime_power(G.order)[0]
+        phi = naive_frattini(G)
+        kernels = naive_index_p_subgroups(G, p)
+        d = zc.core.prime_power(G.order // len(phi))[1]
+        assert len(kernels) == (p ** d - 1) // (p - 1), name
+        assert all(len(K) * p == G.order and phi <= K for K in kernels), name
+        assert frozenset.intersection(*kernels) == phi, name
 
 
 def test_abelian_index_p_rejects_non_p_group(catalog):
