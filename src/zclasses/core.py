@@ -560,6 +560,11 @@ def direct_product(G: GroupTable, H: GroupTable, *, cap: int = DEFAULT_ORDER_CAP
     return GroupTable(mult.reshape(n, n), inv, label=label)
 
 
+def first_factor_ids(G: GroupTable, H: GroupTable) -> np.ndarray:
+    """Ids of the pairs (g, 1) in ``direct_product(G, H)``, indexed by g."""
+    return np.arange(G.order) * H.order
+
+
 def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
                     cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """(G x H) / <(zg, zh^-1)> for central zg, zh of one prime order p.

@@ -28,6 +28,7 @@ from .core import (
     commutator_values,
     direct_product,
     element_orders,
+    first_factor_ids,
     greedy_generating_sequence,
     smallest_prime_factor,
 )
@@ -285,12 +286,10 @@ def verify_isoclinism_invariance(G1: GroupTable, G2: GroupTable,
     """
     if witness is not None:
         witness.validate()
-    else:
-        witness = are_isoclinic(G1, G2, cap=cap)    # validated by the search
-        if witness is None:
-            raise PreconditionViolated("groups are not isoclinic")
+    elif are_isoclinic(G1, G2, cap=cap) is None:    # a found witness is validated
+        raise PreconditionViolated("groups are not isoclinic")
     return _invariance_report(f"{G1.label or 'G1'}~{G2.label or 'G2'}",
-                              ("isoclinic", True, None), G1, G2, witness)
+                              ("isoclinic", True, None), G1, G2)
 
 
 def verify_direct_factor_invariance(G: GroupTable, *,
@@ -298,22 +297,21 @@ def verify_direct_factor_invariance(G: GroupTable, *,
     """Check that appending an abelian direct factor C_p preserves the count.
 
     p is the smallest prime dividing |G| (2 for the trivial group); G x C_p
-    is built under ``order_cap``, and (g, 1) has id g*p there.  The natural
-    isoclinism, gZ -> (g, 1)Z and d -> (d, 1) on G', is validated before the
-    counts are compared.
+    is built under ``order_cap``.  The natural isoclinism, gZ -> (g, 1)Z and
+    d -> (d, 1) on G', is validated before the counts are compared.
     """
     p = 2 if G.order == 1 else smallest_prime_factor(G.order)
     H = direct_product(G, cyclic(p), cap=order_cap)
-    phi = central_quotient(H).projection[central_quotient(G).coset_reps * p]
-    psi = {int(d): int(d) * p for d in commutator_subgroup(G).members()}
-    witness = IsoclinismWitness(G, H, phi, psi)
-    witness.validate()
-    return _invariance_report(_label(G), ("isoclinic_to_GxCp", True, f"p={p}"), G, H, witness)
+    embed = first_factor_ids(G, cyclic(p))
+    phi = central_quotient(H).projection[embed[central_quotient(G).coset_reps]]
+    psi = {int(d): int(embed[d]) for d in commutator_subgroup(G).members()}
+    IsoclinismWitness(G, H, phi, psi).validate()
+    return _invariance_report(_label(G), ("isoclinic_to_GxCp", True, f"p={p}"), G, H)
 
 
-def _invariance_report(label: str, hypothesis: tuple, G1: GroupTable, G2: GroupTable,
-                       witness: IsoclinismWitness) -> TheoremReport:
-    """Compare the class counts of G1 and G2, given a validated witness."""
+def _invariance_report(label: str, hypothesis: tuple, G1: GroupTable,
+                       G2: GroupTable) -> TheoremReport:
+    """Compare the class counts of G1 and G2, once their isoclinism is proved."""
     c1, c2 = z_class_count(G1), z_class_count(G2)
     return TheoremReport(label, "isoclinism-invariance", [hypothesis], c1 == c2,
                          None if c1 == c2 else f"counts differ: {c1} vs {c2}")
