@@ -47,19 +47,18 @@ class CommutatorPairing:
 
 
 def commutator_pairing(G: GroupTable) -> CommutatorPairing:
-    """Build the pairing and verify it is representative-independent,
-    antisymmetric (w(a,b) = w(b,a)^-1), trivial on the diagonal and valued
-    in G'; raises :class:`NotAGroup` if not, which no group table can."""
+    """Build the pairing from the commutators of the coset representatives and
+    verify it is representative-independent (unchanged on the representatives
+    times the smallest nontrivial central element), antisymmetric
+    (w(a,b) = w(b,a)^-1), trivial on the diagonal and valued in G'; raises
+    :class:`NotAGroup` if not, which no group table can."""
     def compute():
         quo = central_quotient(G)
         reps = quo.coset_reps
-        cv = commutator_values(G)
-        table = cv[np.ix_(reps, reps)]
-        # second representative per coset; equal tables certify well-definedness
+        table = commutator_values(G, reps, reps)
         if quo.kernel.size > 1:
-            alt = np.array([np.flatnonzero(quo.projection == q)[1]
-                            for q in range(quo.table.order)])
-            if not np.array_equal(table, cv[np.ix_(alt, alt)]):
+            alt = G.mult[reps, quo.kernel.members()[1]]
+            if not np.array_equal(table, commutator_values(G, alt, alt)):
                 raise NotAGroup("pairing depends on coset representatives")
         if not np.array_equal(table.T, G.inv[table]):
             raise NotAGroup("pairing is not antisymmetric")

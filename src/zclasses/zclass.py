@@ -67,21 +67,26 @@ class ZClassPartition:
 
     def __init__(self, group: GroupTable, members: list[np.ndarray], lookup: np.ndarray):
         self.group = group
-        self.classes = [ZClass(mem, int(mem[0]), group) for mem in members]
+        self._members = members
         self._lookup = lookup
 
     @property
+    def classes(self) -> list[ZClass]:
+        return [self.class_of(int(mem[0])) for mem in self._members]
+
+    @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return len(self._members)
 
     def class_index_of(self, x: int) -> int:
         return int(self._lookup[x])
 
     def class_of(self, x: int) -> ZClass:
-        return self.classes[self.class_index_of(x)]
+        mem = self._members[self.class_index_of(x)]
+        return ZClass(mem, int(mem[0]), self.group)
 
     def sizes(self) -> list[int]:
-        return [cls.size for cls in self.classes]
+        return [int(mem.size) for mem in self._members]
 
     def __repr__(self) -> str:
         return f"ZClassPartition({self.group!r}, {self.num_classes} classes)"
@@ -107,9 +112,11 @@ def strict_fixed_set(G: GroupTable, x: int) -> np.ndarray:
 
 
 def fixed_set(G: GroupTable, x: int) -> np.ndarray:
-    """All y whose centralizer contains that of x (non-strict containment)."""
+    """All y whose centralizer contains that of x (non-strict containment);
+    each commutes with x, so the set is Z(C_G(x))."""
     cm = commuting_table(G)
-    return np.flatnonzero((cm | ~cm[x]).all(axis=1))
+    cx = np.flatnonzero(cm[x])
+    return cx[(cm[cx] | ~cm[x]).all(axis=1)]
 
 
 def z_class_partition(G: GroupTable) -> ZClassPartition:
@@ -152,8 +159,7 @@ def kulkarni_size_check(G: GroupTable, x: int) -> tuple[int, int]:
     ``[G : N_G(C_G(x))] * |{y : C(y) = C(x)}|``; the actual size comes from
     the computed partition.  The two must agree for every element.
     """
-    C = centralizer(G, x)
-    NC = normalizer(G, C)
+    NC = normalizer(G, centralizer(G, x))
     predicted = (G.order // NC.size) * int(strict_fixed_set(G, x).size)
     actual = z_class_partition(G).class_of(x).size
     return predicted, actual
@@ -199,7 +205,6 @@ def condition_local_center(G: GroupTable) -> tuple[bool, int | None]:
     centralizer and is computed once per distinct one.
     Returns (True, None), or (False, x) for the smallest offending x.
     """
-    cm = commuting_table(G)
     Z = center(G)
     quo = central_quotient(G)
     generated = Z.size * element_orders(quo.table)[quo.projection]
@@ -208,8 +213,7 @@ def condition_local_center(G: GroupTable) -> tuple[bool, int | None]:
     for x in np.flatnonzero(~Z.mask):
         key = int(cell[x])
         if key not in local_sizes:
-            mem = np.flatnonzero(cm[x])
-            local_sizes[key] = int((cm[mem] | ~cm[x]).all(axis=1).sum())
+            local_sizes[key] = fixed_set(G, int(x)).size
         if local_sizes[key] != generated[x]:
             return False, int(x)
     return True, None
@@ -279,13 +283,10 @@ def zclass_size_lower_bound_check(G: GroupTable) -> tuple[bool, int | None]:
     if pw is None:
         raise PreconditionViolated(f"order {G.order} is not a prime power")
     p = pw[0]
-    Z = center(G)
     if not np.isin(element_orders(central_quotient(G).table), (1, p)).all():
         raise PreconditionViolated("central quotient does not have exponent p")
-    floor = (p - 1) * Z.size
-    for cls in z_class_partition(G).classes:
-        if cls.representative == 0:
-            continue
+    floor = (p - 1) * center(G).size
+    for cls in z_class_partition(G).classes[1:]:     # class 0 is the center
         if cls.size < floor:
             return False, cls.representative
     return True, None

@@ -119,6 +119,14 @@ def naive_subgroup_closure(G, gens) -> frozenset[int]:
     return frozenset(seen)
 
 
+def naive_commutator_subgroup(G) -> frozenset[int]:
+    """The closure of every commutator x^-1 y^-1 x y."""
+    m = table_of(G)
+    inv = [row.index(0) for row in m]
+    values = {m[m[m[inv[x]][inv[y]]][x]][y] for x in range(G.order) for y in range(G.order)}
+    return naive_subgroup_closure(G, values)
+
+
 def naive_local_center(G) -> tuple[bool, int | None]:
     """Z(C_G(x)) = <x, Z(G)> for every noncentral x, by comparing the sets;
     (True, None) or (False, smallest offending x)."""

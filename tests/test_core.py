@@ -15,6 +15,7 @@ from oracles import (
     conj_subset,
     naive_center,
     naive_centralizer,
+    naive_commutator_subgroup,
     naive_element_order,
 )
 
@@ -300,6 +301,24 @@ def test_commutator_subgroup_examples(catalog):
     for name in ("Heis3", "Heis5"):
         G = catalog[name]
         assert zc.commutator_subgroup(G) == zc.center(G)
+
+
+# A4 and S4: the commutators among their generators alone generate a
+# subgroup that is not normal, so it falls short of G'
+PERMUTATION_GROUPS = {"A4": [(1, 2, 0, 3), (1, 0, 3, 2)], "S4": [(1, 2, 3, 0), (1, 0, 2, 3)]}
+
+
+@pytest.mark.parametrize("name", [entry.label for entry in zc.builtin_catalog()] + [
+    "dihedral(32)", "quaternion(32)", "product(dihedral(8),quaternion(8))",
+    "centralproduct(dihedral(8),cyclic(4))", *PERMUTATION_GROUPS])
+def test_commutator_subgroup_matches_oracle(name, catalog):
+    """G' from the commutators of a generating sequence with every element is
+    the closure of all n^2 commutators."""
+    if name in PERMUTATION_GROUPS:
+        G = zc.from_permutation_generators(PERMUTATION_GROUPS[name])
+    else:
+        G = catalog[name] if name in catalog else zc.build_group(name)
+    assert frozenset(zc.commutator_subgroup(G).members().tolist()) == naive_commutator_subgroup(G)
 
 
 # ------------------------------------------------------------ quotients

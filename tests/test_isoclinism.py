@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import zclasses as zc
+from zclasses import isoclinism
 from zclasses.core import commutator_values
 from zclasses.errors import NotAGroup, OrderExceedsCap, PreconditionViolated, QuotientExceedsCap
 
@@ -95,11 +96,13 @@ def test_pairing_representative_independent(catalog):
     "pairing is nonzero on the diagonal",
     "pairing value outside the commutator subgroup",
 ])
-def test_forged_pairing_raises(message):
-    # forge D8's memoised commutator values so that one check fails
+def test_forged_pairing_raises(message, monkeypatch):
+    # forge the commutators of D8 that commutator_pairing gathers, so that one
+    # check fails
     G = zc.dihedral(8)
     quo, derived = zc.central_quotient(G), zc.commutator_subgroup(G)
-    cv = commutator_values(G).copy()
+    everything = np.arange(G.order)
+    cv = commutator_values(G, everything, everything)
     cosets = [np.flatnonzero(quo.projection == q) for q in range(quo.table.order)]
     a, b = 1, 2
     z = int(cv[cosets[a][0], cosets[b][0]])
@@ -115,7 +118,8 @@ def test_forged_pairing_raises(message):
         g = int(np.flatnonzero(~derived.mask)[0])
         cv[block] = g
         cv[np.ix_(cosets[b], cosets[a])] = G.inv[g]
-    G._cache["commutator_values"] = cv
+    monkeypatch.setattr(isoclinism, "commutator_values",
+                        lambda H, rows, cols: cv[np.ix_(rows, cols)])
     with pytest.raises(NotAGroup, match=message):
         zc.commutator_pairing(G)
 

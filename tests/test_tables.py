@@ -141,3 +141,36 @@ def test_analysed_group_dies_without_the_cycle_collector():
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+def _memo_arrays(value, key=None):
+    """(memo key, array) for every array a memo holds, quotient tables included."""
+    if isinstance(value, np.ndarray):
+        yield key, value
+    elif isinstance(value, zc.GroupTable):
+        yield from _memo_arrays((value.mult, value.inv, value._cache), key)
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            yield from _memo_arrays(v, k if key is None else key)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _memo_arrays(v, key)
+
+
+@pytest.mark.parametrize("spec", ["dihedral(4096)", "extraspecial(5,2,plus)"])
+def test_commutators_keep_no_n_by_n_integer_table(spec):
+    """G' gathers |S| * n commutators and the pairing |G/Z|^2, so neither
+    leaves an n x n table behind beside the boolean commuting table, and the
+    two calls peak below 96 MB (an n x n int32 table is 64 MB at order 4096)."""
+    G = zc.build_group(spec)
+    tracemalloc.start()
+    try:
+        zc.commutator_subgroup(G)
+        zc.commutator_pairing(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    big = [(key, arr.dtype.name) for key, arr in _memo_arrays(G._cache)
+           if arr.size >= G.order ** 2]
+    assert big == [("commuting", "bool")]
+    assert peak < 96e6, f"{spec}: tracemalloc peak {peak / 1e6:.0f} MB"
