@@ -32,9 +32,8 @@ from .errors import (
 DEFAULT_ORDER_CAP = 4096
 DEFAULT_ISO_CAP = 64
 
-# Rows per block of the associativity check.  At the cap a block is 4 MB, so
-# the check allocates a few MB instead of three n x n arrays, and runs about
-# twice as fast as on whole tables.
+# Rows per block wherever an n x n table is built or checked: at the cap a
+# block is 4 MB, so no step needs an n x n temporary beside its result.
 _ROW_BLOCK = 256
 
 
@@ -69,14 +68,15 @@ class GroupTable:
     Instances are immutable after construction; derived data (center,
     commutator subgroup, partitions) is memoised on the instance as plain
     arrays that hold no reference back to it, so no reference cycle keeps a
-    group alive once its last outside reference is gone.
+    group alive once its last outside reference is gone.  An int32 table is
+    kept and frozen, not copied: the caller must not write to it afterwards.
     """
 
     __slots__ = ("order", "mult", "inv", "label", "_cache")
 
     def __init__(self, mult, inv, label: str = ""):
-        mult = np.array(mult, dtype=np.int32)
-        inv = np.array(inv, dtype=np.int32)
+        mult = np.ascontiguousarray(mult, dtype=np.int32)
+        inv = np.ascontiguousarray(inv, dtype=np.int32)
         if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
             raise NotAGroup("multiplication table is not square")
         if inv.shape != (mult.shape[0],):
@@ -300,12 +300,11 @@ def from_multiplication_table(rows, label: str = "") -> GroupTable:
     if not idents:
         raise NotAGroup("no two-sided identity element")
     e = idents[0]
-    if e != 0:
-        p = ar.copy()
-        p[[0, e]] = [e, 0]
-        arr = p[arr]                        # relabel the entries, then swap
-        arr[[0, e]] = arr[[e, 0]]           # rows 0 and e
-        arr[:, [0, e]] = arr[:, [e, 0]]     # and columns 0 and e
+    p = ar.astype(np.int32)
+    p[[0, e]] = [e, 0]
+    arr = p[arr]                        # the one int32 copy: relabel the entries,
+    arr[[0, e]] = arr[[e, 0]]           # then swap rows 0 and e
+    arr[:, [0, e]] = arr[:, [e, 0]]     # and columns 0 and e
     zeros = arr == 0
     bad = np.flatnonzero(zeros.sum(axis=1) != 1)
     if bad.size:
@@ -466,11 +465,16 @@ def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
 
 def commutator_values(G: GroupTable, rows, cols) -> np.ndarray:
     """Commutators of a block of pairs, not memoised: entry [i, j] is the id of
-    [rows[i], cols[j]], read at one int32 flat index (n^2 < 2^31)."""
-    a, b = np.ix_(rows, cols)
-    flat = G.mult[G.inv[a], G.inv[b]] * G.order    # the row of a^-1 * b^-1 ...
-    flat += G.mult[a, b]                           # ... at the column of a * b
-    return G.mult.ravel()[flat]
+    [rows[i], cols[j]], read at one int32 flat index (n^2 < 2^31), by rows."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    out = np.empty((rows.size, cols.size), dtype=np.int32)
+    for lo in range(0, rows.size, _ROW_BLOCK):
+        a = rows[lo:lo + _ROW_BLOCK, None]
+        flat = G.mult[G.inv[a], G.inv[cols]]    # the row of a^-1 * b^-1 ...
+        flat *= G.order
+        flat += G.mult[a, cols]                 # ... at the column of a * b
+        out[lo:lo + _ROW_BLOCK] = G.mult.ravel()[flat]
+    return out
 
 
 def commutator_subgroup(G: GroupTable) -> SubgroupSet:
@@ -596,11 +600,14 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
     reps = np.unique(coset_min)
     proj = np.searchsorted(reps, coset_min.ravel()).astype(np.int32)
     gr, hr = np.divmod(reps, H.order)
-    qmult = G.mult[np.ix_(gr, gr)]      # in place: three n x n int32 arrays at most
-    qmult *= H.order
-    qmult += H.mult[np.ix_(hr, hr)]
+    mult = np.empty((n, n), dtype=np.int32)
+    for lo in range(0, n, _ROW_BLOCK):
+        block = G.mult[gr[lo:lo + _ROW_BLOCK, None], gr]    # the G x H id of the
+        block *= H.order                                    # product of two reps
+        block += H.mult[hr[lo:lo + _ROW_BLOCK, None], hr]
+        mult[lo:lo + _ROW_BLOCK] = proj[block]
     label = f"{G.label}o{H.label}" if G.label and H.label else ""
-    return GroupTable(proj[qmult], proj[G.inv[gr] * H.order + H.inv[hr]], label=label)
+    return GroupTable(mult, proj[G.inv[gr] * H.order + H.inv[hr]], label=label)
 
 
 def are_subgroups_conjugate(G: GroupTable, H: SubgroupSet, K: SubgroupSet) -> int | None:

@@ -197,26 +197,39 @@ def condition_central_quotient_elementary(G: GroupTable) -> bool:
     return is_elementary_abelian(central_quotient(G).table) is not None
 
 
+def _cell_centralizer_orders(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """|C_G(r)| and |Z(C_G(r))| for the smallest member r of each cell.
+    Z(C_G(r)) is r's cell, the center, and each cell in C_G(r) whose proper
+    centralizer contains C_G(r); only a proper multiple of |C_G(r)| can."""
+    cm = commuting_table(G)
+    reps, cell = _cells(G)
+    counts, cent = np.bincount(cell), cm[reps].sum(axis=1)
+    local = counts + np.where(cent < G.order, counts[0], 0)
+    for s in np.unique(cent[1:]):
+        small = np.flatnonzero(cent == s)
+        large = np.flatnonzero((cent > s) & (cent < G.order) & (cent % s == 0))
+        inside = cm[np.ix_(reps[small], reps[large])]
+        hit = inside.any(axis=1)
+        for i, row in zip(small[hit], inside[hit]):
+            js = large[row]
+            holds = cm[np.ix_(reps[js], np.flatnonzero(cm[reps[i]]))].all(axis=1)
+            local[i] += counts[js[holds]].sum()
+    return cent, local
+
+
 def condition_local_center(G: GroupTable) -> tuple[bool, int | None]:
     """Check Z(C_G(x)) = <x, Z(G)> for every noncentral x.
 
     <x, Z(G)> always lies in Z(C_G(x)) and has order |Z(G)| * ord(xZ), so
-    the condition compares two orders; |Z(C_G(x))| depends only on the
-    centralizer and is computed once per distinct one.
+    the condition compares two orders; Z(C_G(x)) is the union of the cells
+    whose centralizer contains C_G(x) (:func:`_cell_centralizer_orders`).
     Returns (True, None), or (False, x) for the smallest offending x.
     """
-    Z = center(G)
-    quo = central_quotient(G)
-    generated = Z.size * element_orders(quo.table)[quo.projection]
-    cell = _cells(G)[1]
-    local_sizes: dict[int, int] = {}
-    for x in np.flatnonzero(~Z.mask):
-        key = int(cell[x])
-        if key not in local_sizes:
-            local_sizes[key] = fixed_set(G, int(x)).size
-        if local_sizes[key] != generated[x]:
-            return False, int(x)
-    return True, None
+    quo = central_quotient(G)     # G/Z(G), its kernel the center
+    generated = quo.kernel.size * element_orders(quo.table)[quo.projection]
+    local = _cell_centralizer_orders(G)[1][_cells(G)[1]]
+    bad = np.flatnonzero((local != generated) & ~quo.kernel.mask)
+    return (False, int(bad[0])) if bad.size else (True, None)
 
 
 def has_abelian_subgroup_of_index_p(G: GroupTable, p: int) -> SubgroupSet | None:
@@ -224,11 +237,10 @@ def has_abelian_subgroup_of_index_p(G: GroupTable, p: int) -> SubgroupSet | None
 
     In non-abelian G such a subgroup is C_G(x) for each of its noncentral x,
     so it exists exactly when some noncentral x has [G : C_G(x)] = p and
-    |C_G(x)| = |Z(G)| + |cell of x|; then each y in C_G(x) is central or has
-    C(y) = C(x), so C_G(x) is abelian.  Abelian G returns <Phi(G), g_1 ..
-    g_(r-1)> for its greedy generating sequence g_1 .. g_r, a proper subgroup
-    since Phi(G) consists of non-generators.  Raises :class:`NotPGroup`
-    unless |G| is a power of p.
+    C_G(x) abelian, that is |Z(C_G(x))| = |C_G(x)|.  Abelian G returns
+    <Phi(G), g_1 .. g_(r-1)> for its greedy generating sequence g_1 .. g_r,
+    a proper subgroup since Phi(G) consists of non-generators.  Raises
+    :class:`NotPGroup` unless |G| is a power of p.
     """
     if G.order == 1:
         return None
@@ -238,11 +250,9 @@ def has_abelian_subgroup_of_index_p(G: GroupTable, p: int) -> SubgroupSet | None
     if is_abelian(G):
         gens = greedy_generating_sequence(G)
         return subgroup_generated(G, np.append(frattini_subgroup(G, p).members(), gens[:-1]))
-    cm = commuting_table(G)
-    reps, cell = _cells(G)
-    cent = cm[reps].sum(axis=1)
-    hits = reps[(G.order == p * cent) & (cent == center(G).size + np.bincount(cell))]
-    return SubgroupSet(G, cm[hits[0]]) if hits.size else None
+    cent, local = _cell_centralizer_orders(G)
+    hits = _cells(G)[0][(G.order == p * cent) & (cent == local)]
+    return SubgroupSet(G, commuting_table(G)[hits[0]]) if hits.size else None
 
 
 def has_abelian_subgroup_exceeding(G: GroupTable) -> SubgroupSet | None:

@@ -174,3 +174,42 @@ def test_commutators_keep_no_n_by_n_integer_table(spec):
            if arr.size >= G.order ** 2]
     assert big == [("commuting", "bool")]
     assert peak < 96e6, f"{spec}: tracemalloc peak {peak / 1e6:.0f} MB"
+
+
+def _traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", ["extraspecial(5,2,plus)", "extraspecial(2,5,minus)",
+                                  "dihedral(4096)"])
+def test_construction_peaks_near_the_kept_table(spec):
+    """Central products fill their table in blocks of rows, and GroupTable
+    keeps an int32 table without copying it, so building a group allocates
+    at most 16 MB beside the tables it keeps."""
+    G, peak = _traced_peak(zc.build_group, spec)
+    kept = G.mult.nbytes + G.inv.nbytes
+    assert peak - kept <= 16e6, f"{spec}: peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
+
+
+def test_relabeled_shares_the_tables():
+    G = zc.dihedral(16)
+    H = G.relabeled("x")
+    assert np.shares_memory(G.mult, H.mult) and np.shares_memory(G.inv, H.inv)
+    assert not H.mult.flags.writeable
+
+
+def test_pairing_checks_in_row_blocks():
+    """With the central quotient and G' at hand, the pairing of dihedral(4096)
+    allocates its 2048 x 2048 int32 table (16.8 MB) and blocks of rows for
+    its checks: under 24 MB in all."""
+    G = zc.dihedral(4096)
+    zc.central_quotient(G)
+    zc.commutator_subgroup(G)
+    _, peak = _traced_peak(zc.commutator_pairing, G)
+    assert peak < 24e6, f"tracemalloc peak {peak / 1e6:.1f} MB"

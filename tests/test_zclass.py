@@ -5,6 +5,7 @@ import pytest
 
 import zclasses as zc
 from zclasses.errors import AbelianGroup, NotPGroup, NotPrimePowerIndex, PreconditionViolated
+from zclasses.zclass import _cell_centralizer_orders, _cells
 
 from conftest import CTV, ZCLASS_COUNTS
 from oracles import (naive_abelian_index_p, naive_frattini, naive_index_p_subgroups,
@@ -233,6 +234,33 @@ def test_condition_local_center_matches_oracle(catalog):
     for G in groups:
         if not zc.is_abelian(G):
             assert zc.condition_local_center(G) == naive_local_center(G), G.label
+
+
+# Groups in which C(x) can hold a noncentral element of larger centralizer,
+# whose cell then lies in Z(C(x)) beside x's own cell and the center; in A4
+# every noncentral centralizer holds only its own cell and the center.  In
+# D16xD8 some such centralizer is a multiple of |C(x)| in order and still
+# does not contain C(x).
+LARGER_CENTRALIZERS = {
+    "A4": (lambda: zc.from_permutation_generators([(1, 2, 0, 3), (1, 0, 3, 2)]), False),
+    "S4": (lambda: zc.from_permutation_generators([(1, 2, 3, 0), (1, 0, 2, 3)]), True),
+    "S5": (lambda: zc.from_permutation_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]), True),
+    "D12xD8": (lambda: zc.build_group("product(dihedral(12),dihedral(8))"), True),
+    "D8xQ8": (lambda: zc.build_group("product(dihedral(8),quaternion(8))"), True),
+    "D16xD8": (lambda: zc.build_group("product(dihedral(16),dihedral(8))"), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_CENTRALIZERS))
+def test_local_center_sizes_count_larger_centralizers(name):
+    make, takes_larger = LARGER_CENTRALIZERS[name]
+    G = make()
+    reps, cell = _cells(G)
+    local = _cell_centralizer_orders(G)[1]
+    assert local.tolist() == [zc.fixed_set(G, int(r)).size for r in reps]
+    own_and_center = np.bincount(cell) + zc.center(G).size * (np.arange(reps.size) > 0)
+    assert bool((local > own_and_center).any()) == takes_larger
+    assert zc.condition_local_center(G) == naive_local_center(G)
 
 
 def test_condition_local_center_verifies_inside_centralizer():
