@@ -40,10 +40,10 @@ print("ES(2,2,+) abelian subgroup of index 2:",
 # ---- one report per statement ----------------------------------------------
 
 for name in THEOREMS:
-    rep = run_theorem(H3, name, iso_cap=96)
+    rep = run_theorem(H3, name)
     print(f"Heis3 {name:22s} -> {rep.verdict}")
 
 # ---- the whole catalog ------------------------------------------------------
 
-result = run_catalog(builtin_catalog(), iso_cap=96)
+result = run_catalog(builtin_catalog())
 print("\ncatalog sweep summary:", result.summary)

@@ -3,8 +3,8 @@
 Construct small groups concretely (abelian, dihedral, quaternion, the two
 non-abelian order-p^3 families, extraspecial central products), partition
 them by conjugacy of centralizers, compute conjugate type vectors, test
-isoclinism by complete backtracking, and sweep every statement under test
-over a catalog of groups.
+isoclinism (by construction in the checks, by complete backtracking for a
+pair a user supplies), and sweep every statement over a catalog of groups.
 """
 
 from .core import (
@@ -59,7 +59,6 @@ from .zclass import (
     max_zclass_bound,
     strict_fixed_set,
     verify_bounds,
-    verify_corollary_est,
     verify_kulkarni,
     verify_theorem_A,
     verify_theorem_mt,
@@ -73,6 +72,7 @@ from .isoclinism import (
     are_isoclinic,
     commutator_pairing,
     is_stem_group,
+    verify_corollary_est,
     verify_direct_factor_invariance,
     verify_isoclinism_invariance,
     witness_from_json,

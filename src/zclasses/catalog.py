@@ -16,7 +16,6 @@ from importlib import resources
 from pathlib import Path
 
 from .core import (
-    DEFAULT_ISO_CAP,
     DEFAULT_ORDER_CAP,
     GroupTable,
     center,
@@ -26,7 +25,7 @@ from .core import (
 )
 from .construct import is_extraspecial
 from .errors import GroupError, PreconditionViolated, SpecSyntaxError
-from .isoclinism import is_stem_group, verify_direct_factor_invariance
+from .isoclinism import is_stem_group, verify_corollary_est, verify_direct_factor_invariance
 from .specs import build_group, parse_spec
 from .zclass import (
     TheoremReport,
@@ -37,7 +36,6 @@ from .zclass import (
     is_type_n_1,
     max_zclass_bound,
     verify_bounds,
-    verify_corollary_est,
     verify_kulkarni,
     verify_theorem_A,
     verify_theorem_mt,
@@ -193,17 +191,17 @@ def analyze_group(G: GroupTable, label: str | None = None) -> dict:
     }
 
 
-def run_theorem(G: GroupTable, theorem: str, *, iso_cap: int = DEFAULT_ISO_CAP,
+def run_theorem(G: GroupTable, theorem: str, *, iso_cap: int | None = None,
                 order_cap: int = DEFAULT_ORDER_CAP) -> TheoremReport:
     """Dispatch one named check; unmet preconditions come back as vacuous.
-    ``iso_cap`` bounds the one search left, the isoclinism search of ``est``."""
+    No check searches, so ``iso_cap`` is ignored (perfbench still passes it)."""
     if theorem == "mt":
         return verify_theorem_mt(G)
     if theorem == "A":
         return verify_theorem_A(G)
     if theorem == "est":
         try:
-            return verify_corollary_est(G, iso_cap=iso_cap, order_cap=order_cap)
+            return verify_corollary_est(G)
         except PreconditionViolated as exc:
             return TheoremReport(_label(G), "est", [("preconditions", False, str(exc))], None)
     if theorem == "kulkarni":
@@ -238,8 +236,7 @@ class CatalogResult:
         return 1 if (self.refuted or self.golden_mismatches) else 0
 
 
-def run_catalog(entries, *, cap: int = DEFAULT_ORDER_CAP,
-                iso_cap: int = DEFAULT_ISO_CAP) -> CatalogResult:
+def run_catalog(entries, *, cap: int = DEFAULT_ORDER_CAP) -> CatalogResult:
     """Analyze every entry and run every check, in catalog order then
     check order.  Per-entry failures become in-band error records; only the
     caller's I/O can abort the run."""
@@ -266,7 +263,7 @@ def run_catalog(entries, *, cap: int = DEFAULT_ORDER_CAP,
                     f"{key}: expected {_fmt_expect(wanted)}, got {_fmt_expect(got)}"))
         for theorem in THEOREMS:
             try:
-                report = run_theorem(G, theorem, iso_cap=iso_cap, order_cap=cap)
+                report = run_theorem(G, theorem, order_cap=cap)
             except GroupError as exc:
                 errors += 1
                 records.append(_error_record(entry.label, theorem, str(exc)))

@@ -28,16 +28,14 @@ from .core import DEFAULT_ORDER_CAP
 from .errors import GroupError, SpecSyntaxError, UnknownConstructor
 from .specs import build_group
 
-# The builtin catalog's largest central quotient has order 81, so the CLI
-# default search cap sits above the library default of 64.
+# No subcommand searches for an isoclinism; perfbench's traced walk still
+# passes this constant to run_theorem, which ignores it.
 CLI_ISO_CAP = 96
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP,
                      help="maximum group order for constructions")
-    sub.add_argument("--iso-cap", type=int, default=CLI_ISO_CAP,
-                     help="maximum |G/Z| for the isoclinism search of 'est'")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="report format")
 
@@ -84,7 +82,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "verify":
             G = build_group(args.spec, cap=args.cap)
-            report = run_theorem(G, args.theorem, iso_cap=args.iso_cap, order_cap=args.cap)
+            report = run_theorem(G, args.theorem, order_cap=args.cap)
             record = theorem_record(args.spec, analyze_group(G, label=args.spec), report)
             _emit_records([record], None, args.format, None)
             return 1 if report.verdict == "REFUTED" else 0
@@ -93,7 +91,7 @@ def main(argv=None) -> int:
                 entries = builtin_catalog()
             else:
                 entries = parse_catalog_file(args.path)
-            result = run_catalog(entries, cap=args.cap, iso_cap=args.iso_cap)
+            result = run_catalog(entries, cap=args.cap)
             _emit_records(result.records, None, args.format, args.output)
             print("summary: " + json.dumps(result.summary, separators=(",", ":")),
                   file=sys.stderr)

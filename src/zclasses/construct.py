@@ -21,6 +21,7 @@ from .core import (
     direct_product,
     is_abelian,
     is_prime,
+    power_map,
     prime_power,
     subgroup_generated,
 )
@@ -177,12 +178,8 @@ def frattini_subgroup(G: GroupTable, p: int) -> SubgroupSet:
         pw = prime_power(G.order)
         if pw is None or pw[0] != p:
             raise NotPGroup(f"order {G.order} is not a power of {p}")
-    ar = np.arange(G.order)
-    acc = ar.copy()
-    for _ in range(p - 1):
-        acc = G.mult[acc, ar]
     gens = commutator_subgroup(G).mask.copy()    # <G', x^p> = <[a, b], x^p>
-    gens[acc] = True
+    gens[power_map(G, np.arange(G.order), p)] = True
     return subgroup_generated(G, np.flatnonzero(gens))
 
 

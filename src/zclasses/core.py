@@ -118,12 +118,8 @@ class GroupTable:
         return acc
 
     def element_order(self, x: int) -> int:
-        """Smallest k >= 1 with x^k = identity."""
-        k, y = 1, x
-        while y != 0:
-            y = self.mul(y, x)
-            k += 1
-        return k
+        """Smallest k >= 1 with x^k = identity, read off :func:`element_orders`."""
+        return int(element_orders(self)[x])
 
     def elements(self) -> range:
         return range(self.order)
@@ -286,7 +282,9 @@ def from_multiplication_table(rows, label: str = "") -> GroupTable:
     so that it is.  Raises :class:`NotAGroup` with the first witness of any
     failed axiom.
     """
-    arr = np.asarray(rows, dtype=np.int64)
+    arr = np.asarray(rows)
+    if arr.dtype != np.int32:    # int32 input is not widened to an int64 copy
+        arr = arr.astype(np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotAGroup("table is not square")
     n = arr.shape[0]
@@ -305,11 +303,10 @@ def from_multiplication_table(rows, label: str = "") -> GroupTable:
     arr = p[arr]                        # the one int32 copy: relabel the entries,
     arr[[0, e]] = arr[[e, 0]]           # then swap rows 0 and e
     arr[:, [0, e]] = arr[:, [e, 0]]     # and columns 0 and e
-    zeros = arr == 0
-    bad = np.flatnonzero(zeros.sum(axis=1) != 1)
+    bad = np.flatnonzero((arr == 0).sum(axis=1) != 1)
     if bad.size:
         raise NotAGroup("row has no unique inverse", int(bad[0]))
-    inv = np.argmax(zeros, axis=1)
+    inv = np.argmax(arr == 0, axis=1)
     bad = np.flatnonzero(arr[inv, ar] != 0)
     if bad.size:
         raise NotAGroup("left and right inverses disagree", int(bad[0]))
@@ -386,14 +383,18 @@ def read_cayley_table(path, label: str | None = None, *,
         raise NotAGroup(f"{path}: malformed token {token.decode(errors='replace')!r}")
     if not data or data.isspace():
         raise NotAGroup(f"{path}: no data")
-    entries = np.fromstring(data, dtype=np.int64, sep=" ")
+    entries = np.fromstring(data, dtype=np.int64, sep=" ")    # saturates, never wraps
+    del data                                   # free the text before the table is built
     n = int(entries[0])
     if n > cap:
         raise OrderExceedsCap(f"{path}: order {n} exceeds cap {cap}")
     if n < 1 or entries.size != 1 + n * n:
         raise NotAGroup(f"{path}: expected {n}*{n} entries after the order, "
                         f"got {entries.size - 1}")
-    return from_multiplication_table(entries[1:].reshape(n, n), label=label or path.name)
+    np.minimum(entries, n, out=entries)        # ids above n stay out of range in int32
+    table = entries[1:].astype(np.int32).reshape(n, n)
+    del entries                                # only the int32 table is relabelled and validated
+    return from_multiplication_table(table, label=label or path.name)
 
 
 def write_cayley_table(G: GroupTable, path) -> None:
@@ -519,21 +520,33 @@ def is_abelian(G: GroupTable) -> bool:
     return center(G).size == G.order
 
 
+def power_map(G: GroupTable, x, k: int) -> np.ndarray:
+    """Entrywise x^k (k >= 0) of an id array, by repeated squaring."""
+    acc, base = np.zeros_like(x), np.asarray(x)
+    while k:
+        if k & 1:
+            acc = G.mult[acc, base]
+        base, k = G.mult[base, base], k >> 1
+    return acc
+
+
 def element_orders(G: GroupTable) -> np.ndarray:
-    """Vector of element orders, computed by iterated powering."""
+    """Vector of element orders.  For each prime power q^a exactly dividing
+    |G|, y = x^(|G|/q^a) has the q-part of ord(x) as its order, found by at
+    most a steps y -> y^q."""
     def compute():
         n = G.order
-        ar = np.arange(n)
-        orders = np.zeros(n, dtype=np.int64)
-        acc = ar.copy()
-        k = 1
-        while True:
-            fresh = (acc == 0) & (orders == 0)
-            orders[fresh] = k
-            if orders.all():
-                return orders
-            acc = G.mult[acc, ar]
-            k += 1
+        orders = np.ones(n, dtype=np.int64)
+        m = n
+        while m > 1:
+            q, qa = smallest_prime_factor(m), 1
+            while m % q == 0:
+                m, qa = m // q, qa * q
+            y = power_map(G, np.arange(n), n // qa)
+            while y.any():
+                orders[y != 0] *= q
+                y = power_map(G, y, q)
+        return orders
     return G._memo("element_orders", compute)
 
 

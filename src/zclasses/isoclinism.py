@@ -3,10 +3,12 @@
 The pairing G/Z x G/Z -> G' (send a coset pair to the commutator of any
 representatives) determines a group up to isoclinism: two groups are
 isoclinic when isomorphisms between their central quotients and their
-commutator subgroups intertwine the pairings.  ``are_isoclinic`` runs a
-complete backtracking search over such pairs, so a ``None`` answer is a
-proof of non-isoclinism at desk scale.  G and G x C_p need no search: the
-natural map gZ -> (g, 1)Z with the inclusion of G' is written down.
+commutator subgroups intertwine the pairings.  The checks write their
+isoclinisms down: G and G x C_p by the natural map gZ -> (g, 1)Z, and a
+group with |G'| = p and [G : Z] = p^k onto ES(p, k/2, +) by matching
+symplectic bases of the pairing.  Only a pair a user supplies is searched:
+``are_isoclinic`` runs a complete backtracking search, so a ``None`` answer
+is a proof of non-isoclinism at desk scale.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import cyclic
+from .construct import cyclic, extraspecial
 from .core import (
     DEFAULT_ISO_CAP,
     DEFAULT_ORDER_CAP,
@@ -31,10 +33,12 @@ from .core import (
     element_orders,
     first_factor_ids,
     greedy_generating_sequence,
+    is_prime,
+    prime_power,
     smallest_prime_factor,
 )
 from .errors import NotAGroup, PreconditionViolated, QuotientExceedsCap
-from .zclass import TheoremReport, _label, z_class_count
+from .zclass import TheoremReport, _label, max_zclass_bound, z_class_count
 
 
 @dataclass
@@ -233,17 +237,10 @@ def are_isoclinic(G1: GroupTable, G2: GroupTable,
     oq1, oq2 = element_orders(Q1), element_orders(Q2)
     if sorted(oq1.tolist()) != sorted(oq2.tolist()):
         return None
-    od1 = sorted(G1.element_order(int(x)) for x in P1.target.members())
-    od2 = sorted(G2.element_order(int(x)) for x in P2.target.members())
-    if od1 != od2:
+    od1 = np.sort(element_orders(G1)[P1.target.members()])
+    od2 = np.sort(element_orders(G2)[P2.target.members()])
+    if not np.array_equal(od1, od2):
         return None
-
-    if G1.order == G2.order and np.array_equal(G1.mult, G2.mult):
-        witness = IsoclinismWitness(G1, G2, np.arange(Q1.order, dtype=np.int64),
-                                    {int(x): int(x) for x in P1.target.members()})
-        witness.validate()
-        return witness
-
     return _search(G1, G2, P1, P2, greedy_generating_sequence(Q1), oq1, oq2, [])
 
 
@@ -309,6 +306,73 @@ def verify_direct_factor_invariance(G: GroupTable, *,
     psi = {int(d): int(embed[d]) for d in commutator_subgroup(G).members()}
     IsoclinismWitness(G, H, phi, psi).validate()
     return _invariance_report(_label(G), ("isoclinic_to_GxCp", True, f"p={p}"), G, H)
+
+
+def verify_corollary_est(G: GroupTable) -> TheoremReport:
+    """Check: with |G'| = p and [G : Z(G)] = p^k (k >= 2), the class count
+    attains the bound exactly when G is isoclinic to an extraspecial group.
+    The isoclinism onto ES(p, k/2, +) is constructed and validated, so only
+    attainment is left to check.  Raises :class:`PreconditionViolated` when
+    the hypotheses on G', the central index, or k fail."""
+    D = commutator_subgroup(G)
+    if not is_prime(D.size):                  # abelian G has |G'| = 1
+        raise PreconditionViolated(f"|G'| = {D.size} is not prime")
+    index = G.order // center(G).size
+    pw = prime_power(index)
+    if pw is None or pw[0] != D.size:
+        raise PreconditionViolated(
+            f"[G : Z(G)] = {index} is not a power of |G'| = {D.size}")
+    p, k = pw
+    if k < 2:
+        raise PreconditionViolated(f"need [G : Z(G)] = p^k with k >= 2, got k={k}")
+    hyps = [
+        ("non_abelian", True, None),
+        ("derived_subgroup_prime", True, f"|G'|={p}"),
+        ("central_index_p^k", True, f"k={k}"),
+    ]
+    iso = _extraspecial_witness(G, p, k)
+    iso.validate()
+    attains = z_class_count(G) == max_zclass_bound(G)
+    witness = f"isoclinic to {iso.group2.label}" if attains else \
+        "attains=False but isoclinic=True"
+    return TheoremReport(_label(G), "est", hyps, attains, witness)
+
+
+def _extraspecial_witness(G: GroupTable, p: int, k: int) -> IsoclinismWitness:
+    """An isoclinism of G onto ES(p, k/2, +), given |G'| = p and [G : Z] = p^k.
+
+    G/Z is a p-group, so G is nilpotent and its normal subgroup G' of order
+    p is central; the pairing is then bilinear on G/Z = F_p^k, alternating,
+    and non-degenerate, as its radical is Z/Z.  Symplectic Gram-Schmidt
+    turns a generating sequence of each central quotient into a basis
+    e_1, f_1, .., e_m, f_m with w(e_i, f_i) = c, the smallest nontrivial
+    member of G', and every other pair trivial.  phi matches the two bases,
+    psi maps c^i to c'^i.  Raises :class:`NotAGroup` on a degenerate pairing."""
+    groups = (G, extraspecial(p, k // 2, "plus", cap=G.order))
+    spans, powers = [], []
+    for H in groups:
+        P = commutator_pairing(H)
+        Q, c = P.quotient.table, int(P.target.members()[1])
+        powers.append([H.power(c, i) for i in range(p)])
+        log = np.zeros(H.order, dtype=np.int32)
+        log[powers[-1]] = np.arange(p)
+        w = log[P.table]                  # w[x, y] = i where [x, y] = c^i
+        rest, span = greedy_generating_sequence(Q), np.zeros(1, dtype=np.int64)
+        while rest:
+            e = rest.pop(0)
+            f = next((v for v in rest if w[e, v]), None)
+            if f is None:
+                raise NotAGroup("commutator pairing is degenerate")
+            rest.remove(f)
+            f = Q.power(f, pow(int(w[e, f]), -1, p))
+            rest = [Q.mul(Q.mul(v, Q.power(e, -w[v, f] % p)), Q.power(f, w[v, e]))
+                    for v in rest]
+            for b in (e, f):
+                span = np.concatenate([Q.mult[span, Q.power(b, j)] for j in range(p)])
+        spans.append(span)
+    phi = np.empty(spans[0].size, dtype=np.int64)
+    phi[spans[0]] = spans[1]
+    return IsoclinismWitness(*groups, phi, dict(zip(*powers)))
 
 
 def _invariance_report(label: str, hypothesis: tuple, G1: GroupTable,

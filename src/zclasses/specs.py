@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import construct
 from .core import DEFAULT_ORDER_CAP, GroupTable, center, central_product, direct_product, \
-    is_prime, read_cayley_table
+    element_orders, is_prime, read_cayley_table
 from .errors import BadParameter, OrderExceedsCap, SpecSyntaxError, UnknownConstructor
 
 
@@ -256,12 +256,10 @@ def _amalgamation_pair(G: GroupTable, H: GroupTable) -> tuple[int, int]:
     the smallest central elements of the smallest shared prime order."""
     def prime_central(T: GroupTable) -> dict[int, int]:
         out: dict[int, int] = {}
-        for z in center(T).members():
-            if z == 0:
-                continue
-            o = T.element_order(int(z))
-            if is_prime(o) and o not in out:
-                out[o] = int(z)
+        orders = element_orders(T)
+        for z in center(T).members()[1:]:
+            if is_prime(int(orders[z])):
+                out.setdefault(int(orders[z]), int(z))
         return out
 
     cg, ch = prime_central(G), prime_central(H)

@@ -16,21 +16,17 @@ import numpy as np
 
 from .construct import frattini_subgroup
 from .core import (
-    DEFAULT_ISO_CAP,
-    DEFAULT_ORDER_CAP,
     GroupTable,
     SubgroupSet,
     are_subgroups_conjugate,
     center,
     central_quotient,
     centralizer,
-    commutator_subgroup,
     commuting_table,
     element_orders,
     greedy_generating_sequence,
     is_abelian,
     is_elementary_abelian,
-    is_prime,
     normalizer,
     prime_power,
     subgroup_generated,
@@ -393,56 +389,6 @@ def verify_theorem_A(G: GroupTable) -> TheoremReport:
     witness = "central quotient CpxCp" if branch1 else (
         "no abelian index-p subgroup" if branch2 else "both branches fail")
     return TheoremReport(_label(G), "A", hyps, ok, witness)
-
-
-def verify_corollary_est(G: GroupTable, *, iso_cap: int = DEFAULT_ISO_CAP,
-                         order_cap: int = DEFAULT_ORDER_CAP) -> TheoremReport:
-    """Check: with |G'| = p and [G : Z(G)] = p^k (k >= 2), the class count
-    attains the bound exactly when G is isoclinic to an extraspecial group.
-
-    The isoclinism target is the plus-type extraspecial group of order
-    p^(1+k); an attained bound with odd k is unsatisfiable and reported as
-    REFUTED.  Raises :class:`PreconditionViolated` when the hypotheses on
-    G', the central index, or k fail.
-    """
-    from .construct import extraspecial
-    from .isoclinism import are_isoclinic
-
-    if is_abelian(G):
-        raise PreconditionViolated("group is abelian")
-    D = commutator_subgroup(G)
-    if not is_prime(D.size):
-        raise PreconditionViolated(f"|G'| = {D.size} is not prime")
-    index = G.order // center(G).size
-    pw = prime_power(index)
-    if pw is None or pw[0] != D.size:
-        raise PreconditionViolated(
-            f"[G : Z(G)] = {index} is not a power of |G'| = {D.size}")
-    p, k = pw
-    if k < 2:
-        raise PreconditionViolated(f"need [G : Z(G)] = p^k with k >= 2, got k={k}")
-    hyps = [
-        ("non_abelian", True, None),
-        ("derived_subgroup_prime", True, f"|G'|={p}"),
-        ("central_index_p^k", True, f"k={k}"),
-    ]
-    count = z_class_count(G)
-    bound = max_zclass_bound(G)
-    attains = count == bound
-    witness_text = None
-    if k % 2:
-        iso = None
-        witness_text = "k odd: no extraspecial target exists"
-    else:
-        target = extraspecial(p, k // 2, "plus", cap=order_cap)
-        iso = are_isoclinic(G, target, cap=iso_cap)
-        if iso is not None:
-            witness_text = f"isoclinic to {target.label}"
-    rhs = iso is not None
-    ok = attains == rhs
-    if not ok:
-        witness_text = f"attains={attains} but isoclinic={rhs}"
-    return TheoremReport(_label(G), "est", hyps, ok, witness_text)
 
 
 def verify_kulkarni(G: GroupTable) -> TheoremReport:

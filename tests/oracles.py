@@ -50,7 +50,16 @@ def subsets_conjugate(G, A: frozenset[int], B: frozenset[int]) -> bool:
 
 
 def naive_element_order(G, x: int) -> int:
+    return _order_in(table_of(G), x)
+
+
+def naive_element_orders(G) -> list[int]:
+    """The order of every element, off one copy of the table."""
     m = table_of(G)
+    return [_order_in(m, x) for x in range(G.order)]
+
+
+def _order_in(m: list[list[int]], x: int) -> int:
     k, y = 1, x
     while y != 0:
         y = m[y][x]

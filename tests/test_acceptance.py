@@ -173,7 +173,7 @@ def test_criterion_9_property_suite(catalog):
 
 def test_full_catalog_run_is_green():
     """End to end: the builtin catalog sweep reports no refutations."""
-    result = run_catalog(builtin_catalog(), iso_cap=96)
+    result = run_catalog(builtin_catalog())
     assert result.refuted == 0
     assert result.errors == 0
     assert result.golden_mismatches == 0

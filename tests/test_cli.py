@@ -74,11 +74,23 @@ def test_verify_invariance_above_cap_exit_3():
     assert run_cli("verify", "dihedral(4096)", "--theorem", "isoclinism-invariance").returncode == 3
 
 
-def test_verify_invariance_ignores_iso_cap():
-    res = run_cli("verify", "extraspecial(3,2,plus)", "--theorem", "isoclinism-invariance",
-                  "--iso-cap", "8")
+def test_iso_cap_flag_is_gone():
+    # no check searches for an isoclinism, so no subcommand takes a search cap
+    res = run_cli("verify", "extraspecial(3,2,plus)", "--theorem", "isoclinism-invariance")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["verdict"] == "confirmed"
+    for command in (["analyze", "heisenberg(3)"], ["verify", "heisenberg(3)", "--theorem", "est"],
+                    ["catalog"]):
+        assert run_cli(*command, "--iso-cap", "8").returncode == 2, command
+
+
+def test_verify_est_beyond_the_old_search_cap():
+    # |G/Z| = 121: the isoclinism onto ES(11,1,+) is written down, not searched
+    res = run_cli("verify", "heisenberg(11)", "--theorem", "est")
+    assert res.returncode == 0, res.stderr
+    record = json.loads(res.stdout)
+    assert record["verdict"] == "confirmed"
+    assert record["witness"] == "isoclinic to ES(11,1,+)"
 
 
 def test_exit_code_parse_error():

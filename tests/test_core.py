@@ -17,6 +17,7 @@ from oracles import (
     naive_centralizer,
     naive_commutator_subgroup,
     naive_element_order,
+    naive_element_orders,
 )
 
 # S3 written out by hand: elements e, (12), (13), (23), (123), (132)
@@ -160,6 +161,26 @@ def test_element_order_examples():
     H = zc.heisenberg(3)
     x = int(np.flatnonzero(~zc.center(H).mask)[0])
     assert H.element_order(x) == 3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zc.from_permutation_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+    lambda: zc.cyclic(720),
+    lambda: zc.build_group("product(dihedral(12),cyclic(9))"),
+    lambda: zc.central_quotient(zc.dihedral(2048)).table,
+], ids=["S5", "C720", "D12xC9", "D2048/Z"])
+def test_element_orders_match_oracle(build):
+    """Prime-power steps through the power map agree with iterated
+    multiplication on groups with several primes or a large exponent."""
+    G = build()
+    assert zc.element_orders(G).tolist() == naive_element_orders(G)
+
+
+def test_power_map():
+    G = zc.build_group("product(dihedral(12),cyclic(9))")
+    x = np.arange(G.order)
+    for k in (0, 1, 2, 5, 36, 37):
+        assert zc.core.power_map(G, x, k).tolist() == [G.power(int(v), k) for v in x]
 
 
 def test_power():

@@ -5,6 +5,7 @@ import pytest
 
 import zclasses as zc
 from zclasses import isoclinism
+from zclasses.catalog import run_theorem
 from zclasses.core import commutator_values
 from zclasses.errors import NotAGroup, OrderExceedsCap, PreconditionViolated, QuotientExceedsCap
 
@@ -387,3 +388,98 @@ def test_normalized_size_multisets_agree(catalog):
     for a, b in (("D8", "Q8"), ("Heis3", "M27"), ("D16", "Q16"),
                  ("Heis3", "Heis3xC3"), ("Heis3", "Heis3xC9"), ("D8", "D8xC2")):
         assert normalized(catalog[a]) == normalized(catalog[b]), (a, b)
+
+
+EST_IN_SCOPE = ("D8", "Q8", "Heis3", "M27", "Heis5", "ES(2,2,+)", "ES(2,2,-)", "ES(3,2,+)",
+                "Heis3xC3", "D8xC2", "Heis3xC9")
+EST_LADDER = ("extraspecial(2,4,plus)", "extraspecial(2,5,minus)", "extraspecial(3,3,plus)",
+              "extraspecial(5,2,plus)", "centralproduct(extraspecial(3,2,plus),cyclic(9))",
+              "centralproduct(dihedral(8),cyclic(4))", "product(extraspecial(3,2,plus),cyclic(9))")
+
+
+def est_witness(G):
+    """The isoclinism verify_corollary_est constructs, and its (p, k)."""
+    p, k = zc.core.prime_power(G.order // zc.center(G).size)
+    return isoclinism._extraspecial_witness(G, p, k), p, k
+
+
+def test_est_in_scope_catalog_groups(catalog):
+    in_scope = [name for name, G in catalog.items()
+                if run_theorem(G, "est").verdict != "vacuous"]
+    assert sorted(in_scope) == sorted(EST_IN_SCOPE)
+    for name in EST_IN_SCOPE:
+        w, p, k = est_witness(catalog[name])
+        w.validate()
+        assert w.group2.label == f"ES({p},{k // 2},+)", name
+
+
+@pytest.mark.parametrize("spec", EST_LADDER)
+def test_est_witness_validates_on_the_ladder(spec):
+    # the witness only: the partitions of the largest of these take minutes
+    w, p, k = est_witness(zc.build_group(spec))
+    w.validate()
+    assert w.group2.order == p ** (1 + k)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_est_beyond_the_old_search_cap(p):
+    rep = zc.verify_corollary_est(zc.heisenberg(p))
+    assert rep.verdict == "confirmed"
+    assert rep.witness == f"isoclinic to ES({p},1,+)"
+
+
+@pytest.mark.parametrize("build", [lambda: zc.heisenberg(3), lambda: zc.modular_p3(5),
+                                   lambda: zc.extraspecial(3, 2, "plus")],
+                         ids=["Heis3", "M125", "ES(3,2,+)"])
+def test_est_witness_refuses_squared_psi(build):
+    w, p, _ = est_witness(build())
+    c = min(d for d in w.psi if d)
+    squared = {w.group1.power(c, i): w.group2.power(w.psi[c], 2 * i) for i in range(p)}
+    with pytest.raises(AssertionError, match="pairing compatibility fails"):
+        zc.IsoclinismWitness(w.group1, w.group2, w.phi, squared).validate()
+
+
+@pytest.mark.parametrize("spec", ["extraspecial(2,2,plus)", "extraspecial(2,2,minus)",
+                                  "extraspecial(2,3,plus)", "extraspecial(3,2,plus)"])
+def test_est_witness_refuses_swapped_phi(spec):
+    # on |G/Z| = 4 a swap of two nonidentity images is an automorphism, so
+    # the smallest groups here have |G/Z| = 16
+    w, _, _ = est_witness(zc.build_group(spec))
+    phi = w.phi.copy()
+    phi[[1, 2]] = phi[[2, 1]]
+    with pytest.raises(AssertionError, match="phi is not a homomorphism"):
+        zc.IsoclinismWitness(w.group1, w.group2, phi, w.psi).validate()
+
+
+def test_est_degenerate_pairing_raises(monkeypatch):
+    # forge the commutators of ES(2,2,+) into w(pi x, pi y), for pi the
+    # projection of G/Z onto <g_1, g_2, g_3> along the last greedy generator:
+    # still a pairing by every check of commutator_pairing, but degenerate
+    G = zc.extraspecial(2, 2, "plus")
+    quo = zc.central_quotient(G)
+    Q = quo.table
+    gens = zc.core.greedy_generating_sequence(Q)
+    ar = np.arange(Q.order)
+    pi = np.where(zc.subgroup_generated(Q, gens[:-1]).mask, ar, Q.mult[ar, gens[-1]])
+    moved = quo.coset_reps[pi[quo.projection]]
+    cv = commutator_values(G, moved, moved)
+    monkeypatch.setattr(isoclinism, "commutator_values",
+                        lambda H, rows, cols: cv[np.ix_(rows, cols)])
+    zc.commutator_pairing(G)     # passes its own checks
+    with pytest.raises(NotAGroup, match="commutator pairing is degenerate"):
+        isoclinism._extraspecial_witness(G, 2, 4)
+
+
+@pytest.mark.parametrize("spec", ["extraspecial(2,2,minus)", "extraspecial(2,3,plus)",
+                                  "extraspecial(3,2,plus)", "product(heisenberg(5),cyclic(2))"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_est_witness_on_relabelled_groups(spec, seed):
+    # shuffled ids put the greedy generators of G/Z anywhere, so the
+    # Gram-Schmidt steps cannot lean on a basis that is symplectic already
+    G = zc.build_group(spec)
+    rng = np.random.default_rng(seed)
+    new = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])    # new id of each old id
+    mult = np.empty_like(G.mult)
+    mult[np.ix_(new, new)] = new[G.mult]
+    w, _, _ = est_witness(zc.from_multiplication_table(mult, label=spec))
+    w.validate()

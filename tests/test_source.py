@@ -12,3 +12,14 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at line(s) {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    """Every import sits at module level, so the module graph stays one-way
+    (zclass, then isoclinism, then catalog) and a cycle fails at import time."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = {id(node) for node in tree.body}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert lines == [], f"{path.name}: import inside a block at line(s) {lines}"

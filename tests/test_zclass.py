@@ -435,7 +435,7 @@ def test_theorem_A_d8_has_abelian_maximal_but_first_branch_saves_it(catalog):
 
 def test_corollary_est_examples(catalog):
     for name in ("Heis3", "M27", "Heis3xC9", "D8", "Q8", "ES(2,2,-)"):
-        rep = zc.verify_corollary_est(catalog[name], iso_cap=96)
+        rep = zc.verify_corollary_est(catalog[name])
         assert rep.verdict == "confirmed", name
         assert zc.z_class_count(catalog[name]) == zc.max_zclass_bound(catalog[name]), name
         assert rep.witness.startswith("isoclinic to ES("), name
@@ -456,7 +456,7 @@ def test_order_125_exponent_25_group_attains():
     G = zc.modular_p3(5)
     assert zc.is_type_n_1(G) == 5
     assert zc.z_class_count(G) == zc.max_zclass_bound(G) == 7
-    assert zc.verify_corollary_est(G, iso_cap=96).verdict == "confirmed"
+    assert zc.verify_corollary_est(G).verdict == "confirmed"
 
 
 def test_direct_factor_invariance_various_abelian_factors(catalog):
