@@ -4,10 +4,15 @@ Covers abelian groups, dihedral and generalized quaternion 2-groups, the
 two non-abelian families of order p^3 (exponent p and exponent p^2), and
 extraspecial groups of order p^(1+2n) assembled as iterated central
 products.  Element labeling is lexicographic over the natural parameter
-tuples so every constructor is reproducible bit for bit.
+tuples so every constructor is reproducible bit for bit.  Each table is
+filled from its closed form (or, for extraspecial groups, by central
+products) in blocks of rows, so a constructor allocates little beside the
+table it returns.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,6 +20,7 @@ from .core import (
     DEFAULT_ORDER_CAP,
     GroupTable,
     SubgroupSet,
+    _fill_rows,
     center,
     central_product,
     commutator_subgroup,
@@ -32,10 +38,9 @@ def cyclic(n: int) -> GroupTable:
     """C_n with addition mod n (n = 1 gives the trivial group)."""
     if n < 1:
         raise BadParameter(f"cyclic order must be >= 1, got {n}")
-    ar = np.arange(n)
-    mult = (ar[:, None] + ar[None, :]) % n
-    inv = (-ar) % n
-    return GroupTable(mult, inv, label=f"C{n}")
+    ids = np.arange(n, dtype=np.int32)
+    return GroupTable(_fill_rows((n, n), lambda rows: (ids[rows, None] + ids) % n),
+                      (-ids) % n, label=f"C{n}")
 
 
 def abelian(orders, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -47,11 +52,33 @@ def abelian(orders, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     for k in orders:
         if k < 2:
             raise BadParameter(f"abelian factor orders must be >= 2, got {k}")
-    G = cyclic(1)
-    for k in orders:
+    if math.prod(orders) > cap:
+        raise OrderExceedsCap(f"abelian order {math.prod(orders)} exceeds cap {cap}")
+    G = cyclic(orders[0] if orders else 1)
+    for k in orders[1:]:
         G = direct_product(G, cyclic(k), cap=cap)
-    label = "x".join(f"C{k}" for k in orders) if orders else "C1"
-    return G.relabeled(label)
+    return G.relabeled("x".join(f"C{k}" for k in orders) if orders else "C1")
+
+
+def _dicyclic(order: int, twist: int, label: str) -> GroupTable:
+    """<r, s | r^(order/2) = 1, s^2 = r^twist, s^-1 r s = r^-1> for twist 0 or
+    order/4.  Element (r^i, s^e) gets id 2*i + e, and r^i s has inverse
+    r^(i+twist) s."""
+    half = order // 2
+    ids = np.arange(order, dtype=np.int32)
+    rot, ref = ids // 2, ids % 2
+    def block_of(rows):
+        block = (1 - 2 * ref[rows, None]) * rot     # one int32 block, then in place
+        block += rot[rows, None]
+        if twist:
+            block += twist * (ref[rows, None] & ref)
+        block %= half
+        block *= 2
+        block |= ref[rows, None]
+        block ^= ref                                # low bit: ref_a + ref_b mod 2
+        return block
+    inv = np.where(ref == 1, 2 * ((rot + twist) % half) + 1, 2 * ((half - rot) % half))
+    return GroupTable(_fill_rows((order, order), block_of), inv, label=label)
 
 
 def dihedral(order: int) -> GroupTable:
@@ -61,17 +88,7 @@ def dihedral(order: int) -> GroupTable:
     """
     if order < 4 or order % 2:
         raise BadParameter(f"dihedral order must be even and >= 4, got {order}")
-    half = order // 2
-    ids = np.arange(order, dtype=np.int32)
-    rot, ref = ids // 2, ids % 2
-    mult = (1 - 2 * ref)[:, None] * rot     # one n x n int32 table, then in place
-    mult += rot[:, None]
-    mult %= half
-    mult *= 2
-    mult |= ref[:, None]
-    mult ^= ref                             # low bit: ref_a + ref_b mod 2
-    inv = np.where(ref == 1, ids, 2 * ((half - rot) % half))
-    return GroupTable(mult, inv, label=f"D{order}")
+    return _dicyclic(order, 0, f"D{order}")
 
 
 def quaternion(order: int) -> GroupTable:
@@ -79,16 +96,7 @@ def quaternion(order: int) -> GroupTable:
     s^-1 r s = r^-1.  Element (r^i, s^e) gets id 2*i + e."""
     if order < 8 or prime_power(order) != (2, order.bit_length() - 1):
         raise BadParameter(f"quaternion order must be a power of 2 and >= 8, got {order}")
-    half = order // 2
-    ids = np.arange(order)
-    rot, ref = ids // 2, ids % 2
-    sign = np.where(ref == 1, -1, 1)
-    r = (rot[:, None] + sign[:, None] * rot[None, :]) % half
-    e = ref[:, None] + ref[None, :]
-    r = np.where(e == 2, (r + half // 2) % half, r)
-    mult = 2 * r + (e % 2)
-    inv = np.where(ref == 1, 2 * ((rot + half // 2) % half) + 1, 2 * ((half - rot) % half))
-    return GroupTable(mult, inv, label=f"Q{order}")
+    return _dicyclic(order, order // 4, f"Q{order}")
 
 
 def heisenberg(p: int) -> GroupTable:
@@ -99,16 +107,16 @@ def heisenberg(p: int) -> GroupTable:
     """
     if not is_prime(p) or p == 2:
         raise NotPrime(f"p must be an odd prime, got {p}")
-    n = p ** 3
-    ids = np.arange(n)
+    ids = np.arange(p ** 3, dtype=np.int32)
     a, b, c = ids // (p * p), (ids // p) % p, ids % p
-    ra = (a[:, None] + a[None, :]) % p
-    rb = (b[:, None] + b[None, :]) % p
-    rc = (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % p
-    mult = ra * p * p + rb * p + rc
-    ia, ib, ic = (-a) % p, (-b) % p, (a * b - c) % p
-    inv = ia * p * p + ib * p + ic
-    return GroupTable(mult, inv, label=f"Heis{p}")
+    def block_of(rows):
+        ar = a[rows, None]
+        block = (ar + a) % p * (p * p)
+        block += (b[rows, None] + b) % p * p
+        block += (c[rows, None] + c + ar * b) % p
+        return block
+    inv = (-a) % p * (p * p) + (-b) % p * p + (a * b - c) % p
+    return GroupTable(_fill_rows((ids.size, ids.size), block_of), inv, label=f"Heis{p}")
 
 
 def modular_p3(p: int) -> GroupTable:
@@ -119,20 +127,21 @@ def modular_p3(p: int) -> GroupTable:
     """
     if not is_prime(p) or p == 2:
         raise NotPrime(f"p must be an odd prime, got {p}")
-    psq = p * p
-    n = p ** 3
-    ids = np.arange(n)
+    psq, n = p * p, p ** 3
+    ids = np.arange(n, dtype=np.int32)
     i, j = ids // p, ids % p
     # b^j a^k = a^(k*(1+p)^j) b^j
-    twist = np.array([pow(1 + p, jj, psq) for jj in range(p)])
-    ri = (i[:, None] + i[None, :] * twist[j][:, None]) % psq
-    rj = (j[:, None] + j[None, :]) % p
-    mult = ri * p + rj
-    # inverse of a^i b^j is a^(-i*(1+p)^(-j)) b^(-j)
-    inv_twist = np.array([pow(pow(1 + p, jj, psq), -1, psq) for jj in range(p)])
-    ii = (-(i * inv_twist[j])) % psq
-    inv = ii * p + ((-j) % p)
-    return GroupTable(mult, inv, label=f"M{n}")
+    twist = np.array([pow(1 + p, jj, psq) for jj in range(p)], dtype=np.int32)
+    def block_of(rows):
+        block = twist[j[rows], None] * i
+        block += i[rows, None]
+        block %= psq
+        block *= p
+        block += (j[rows, None] + j) % p
+        return block
+    # inverse of a^i b^j is a^(-i*(1+p)^(-j)) b^(-j), and (1+p)^p = 1 mod p^2
+    inv = (-i * twist[-j % p]) % psq * p + (-j) % p
+    return GroupTable(_fill_rows((n, n), block_of), inv, label=f"M{n}")
 
 
 def extraspecial(p: int, n: int, variant: str = "plus", *,
@@ -143,7 +152,7 @@ def extraspecial(p: int, n: int, variant: str = "plus", *,
     their centers: for p = 2 the plus type is D8 o ... o D8 and the minus
     type replaces the last factor with Q8; for odd p the plus type uses
     exponent-p factors throughout and the minus type ends with the
-    exponent-p^2 factor.
+    exponent-p^2 factor.  Only the factors used are built.
     """
     if variant not in ("plus", "minus"):
         raise BadParameter(f"variant must be 'plus' or 'minus', got {variant!r}")
@@ -154,18 +163,14 @@ def extraspecial(p: int, n: int, variant: str = "plus", *,
     order = p ** (1 + 2 * n)
     if order > cap:
         raise OrderExceedsCap(f"extraspecial order {order} exceeds cap {cap}")
-    if p == 2:
-        base, last = dihedral(8), (dihedral(8) if variant == "plus" else quaternion(8))
-    else:
-        base, last = heisenberg(p), (heisenberg(p) if variant == "plus" else modular_p3(p))
-    G = last if n == 1 else base
+    kinds, q = ((dihedral, quaternion), 8) if p == 2 else ((heisenberg, modular_p3), p)
+    last = kinds[variant == "minus"](q)
+    G = base = kinds[0](q) if variant == "minus" and n > 1 else last
     for i in range(1, n):
         F = last if i == n - 1 else base
-        zg = int(center(G).members()[1])
-        zf = int(center(F).members()[1])
-        G = central_product(G, F, zg, zf, cap=cap)
-    sign = "+" if variant == "plus" else "-"
-    return G.relabeled(f"ES({p},{n},{sign})")
+        G = central_product(G, F, int(center(G).members()[1]), int(center(F).members()[1]),
+                            cap=cap)
+    return G.relabeled(f"ES({p},{n},{'+' if variant == 'plus' else '-'})")
 
 
 def frattini_subgroup(G: GroupTable, p: int) -> SubgroupSet:

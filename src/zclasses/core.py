@@ -37,6 +37,16 @@ DEFAULT_ISO_CAP = 64
 _ROW_BLOCK = 256
 
 
+def _fill_rows(shape, block_of) -> np.ndarray:
+    """A preallocated int32 table of ``shape``, filled _ROW_BLOCK rows at a
+    time: the rows in slice ``rows`` are ``block_of(rows)``."""
+    out = np.empty(shape, dtype=np.int32)
+    for lo in range(0, shape[0], _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        out[rows] = block_of(rows)
+    return out
+
+
 def is_prime(n: int) -> bool:
     return n >= 2 and smallest_prime_factor(n) == n
 
@@ -110,12 +120,8 @@ class GroupTable:
         return int(m[m[m[self.inv[a], self.inv[b]], a], b])
 
     def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse(x), -k)
-        acc = 0
-        for _ in range(k):
-            acc = self.mul(acc, x)
-        return acc
+        """x^k for any integer k, read off :func:`power_map`."""
+        return int(power_map(self, self.inverse(x) if k < 0 else x, abs(int(k))))
 
     def element_order(self, x: int) -> int:
         """Smallest k >= 1 with x^k = identity, read off :func:`element_orders`."""
@@ -323,43 +329,32 @@ def from_permutation_generators(gens, label: str = "", *,
     images; products compose right-to-left, ``(p*q)(i) = p[q[i]]``.  Element
     ids follow breadth-first discovery order with the identity first.
     """
-    perms: list[tuple[int, ...]] = []
-    degree = None
-    for g in gens:
-        t = tuple(int(v) for v in g)
-        if degree is None:
-            degree = len(t)
-        if len(t) != degree or sorted(t) != list(range(degree)):
+    perms = [tuple(int(v) for v in g) for g in gens]
+    degree = len(perms[0]) if perms else 0
+    for t in perms:
+        if sorted(t) != list(range(degree)):
             raise InvalidPermutation(f"not a bijection of 0..{degree - 1}: {t}")
-        perms.append(t)
-    if degree is None:
-        degree = 0
-    ident = tuple(range(degree))
-    index = {ident: 0}
-    elems = [ident]
-    queue = [ident]
-    while queue:
-        x = queue.pop(0)
-        for g in perms:
+    elems, parent, step = [tuple(range(degree))], [0], [0]
+    index = {elems[0]: 0}
+    for i, x in enumerate(elems):          # breadth first: elems grows as it is read
+        for k, g in enumerate(perms):
             y = tuple(x[v] for v in g)
             if y not in index:
                 if len(elems) >= cap:
                     raise OrderExceedsCap(f"permutation closure exceeds cap {cap}")
                 index[y] = len(elems)
                 elems.append(y)
-                queue.append(y)
+                parent.append(i)
+                step.append(k)
+    # e_i = e_parent * g, so row i is the parent's row read at g * e_j:
+    # one gather per row once each generator's left multiplication is known.
     n = len(elems)
+    left = np.array([[index[tuple(g[v] for v in q)] for q in elems] for g in perms])
     mult = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            mult[i, j] = index[tuple(p[v] for v in q)]
-    inv = np.empty(n, dtype=np.int32)
-    for i, p in enumerate(elems):
-        pinv = [0] * degree
-        for a, b in enumerate(p):
-            pinv[b] = a
-        inv[i] = index[tuple(pinv)]
-    G = GroupTable(mult, inv, label=label)
+    mult[0] = np.arange(n)
+    for i in range(1, n):
+        mult[i] = mult[parent[i], left[step[i]]]
+    G = GroupTable(mult, mult.argmin(axis=1), label=label)    # the 0 in each row
     validate_group_table(G)
     return G
 
@@ -468,14 +463,13 @@ def commutator_values(G: GroupTable, rows, cols) -> np.ndarray:
     """Commutators of a block of pairs, not memoised: entry [i, j] is the id of
     [rows[i], cols[j]], read at one int32 flat index (n^2 < 2^31), by rows."""
     rows, cols = np.asarray(rows), np.asarray(cols)
-    out = np.empty((rows.size, cols.size), dtype=np.int32)
-    for lo in range(0, rows.size, _ROW_BLOCK):
-        a = rows[lo:lo + _ROW_BLOCK, None]
+    def block_of(block):
+        a = rows[block, None]
         flat = G.mult[G.inv[a], G.inv[cols]]    # the row of a^-1 * b^-1 ...
         flat *= G.order
         flat += G.mult[a, cols]                 # ... at the column of a * b
-        out[lo:lo + _ROW_BLOCK] = G.mult.ravel()[flat]
-    return out
+        return G.mult.ravel()[flat]
+    return _fill_rows((rows.size, cols.size), block_of)
 
 
 def commutator_subgroup(G: GroupTable) -> SubgroupSet:
@@ -499,10 +493,9 @@ def quotient(G: GroupTable, N: SubgroupSet) -> QuotientGroup:
     coset_min = G.mult[:, mem].min(axis=1)
     reps = np.unique(coset_min)
     proj = np.searchsorted(reps, coset_min).astype(np.int32)
-    qmult = proj[G.mult[np.ix_(reps, reps)]]
-    qinv = proj[G.inv[reps]]
+    qmult = _fill_rows((reps.size,) * 2, lambda rows: proj[G.mult[reps[rows, None], reps]])
     label = f"{G.label}/{N.size}" if G.label else f"G/{N.size}"
-    table = GroupTable(qmult, qinv, label=label)
+    table = GroupTable(qmult, proj[G.inv[reps]], label=label)
     return QuotientGroup(table=table, projection=proj, kernel=N,
                          coset_reps=reps.astype(np.int32))
 
@@ -569,12 +562,12 @@ def direct_product(G: GroupTable, H: GroupTable, *, cap: int = DEFAULT_ORDER_CAP
     n = G.order * H.order
     if n > cap:
         raise OrderExceedsCap(f"direct product order {n} exceeds cap {cap}")
-    mult = np.empty((G.order, H.order, G.order, H.order), dtype=np.int32)
-    mult[...] = (G.mult * H.order)[:, None, :, None]
-    mult += H.mult[None, :, None, :]
-    inv = (G.inv[:, None] * H.order + H.inv[None, :]).reshape(n)
+    g, h = np.divmod(np.arange(n, dtype=np.int32), H.order)
+    def block_of(rows):
+        block = (G.mult[g[rows]] * H.order)[:, :, None] + H.mult[h[rows]][:, None, :]
+        return block.reshape(-1, n)
     label = f"{G.label}x{H.label}" if G.label and H.label else ""
-    return GroupTable(mult.reshape(n, n), inv, label=label)
+    return GroupTable(_fill_rows((n, n), block_of), G.inv[g] * H.order + H.inv[h], label=label)
 
 
 def first_factor_ids(G: GroupTable, H: GroupTable) -> np.ndarray:
@@ -613,12 +606,12 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
     reps = np.unique(coset_min)
     proj = np.searchsorted(reps, coset_min.ravel()).astype(np.int32)
     gr, hr = np.divmod(reps, H.order)
-    mult = np.empty((n, n), dtype=np.int32)
-    for lo in range(0, n, _ROW_BLOCK):
-        block = G.mult[gr[lo:lo + _ROW_BLOCK, None], gr]    # the G x H id of the
-        block *= H.order                                    # product of two reps
-        block += H.mult[hr[lo:lo + _ROW_BLOCK, None], hr]
-        mult[lo:lo + _ROW_BLOCK] = proj[block]
+    def block_of(rows):
+        block = G.mult[gr[rows, None], gr]      # the G x H id of the
+        block *= H.order                        # product of two reps
+        block += H.mult[hr[rows, None], hr]
+        return proj[block]
+    mult = _fill_rows((n, n), block_of)
     label = f"{G.label}o{H.label}" if G.label and H.label else ""
     return GroupTable(mult, proj[G.inv[gr] * H.order + H.inv[hr]], label=label)
 

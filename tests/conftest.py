@@ -20,6 +20,21 @@ def catalog() -> dict:
     return _build_catalog()
 
 
+# Every permutation group the suite builds, by the generators it is built from
+PERMUTATION_GENERATORS = {
+    "trivial": [],
+    "C3": [(1, 2, 0)],
+    "S3": [(1, 0, 2), (1, 2, 0)],
+    "D8": [(1, 2, 3, 0), (0, 3, 2, 1)],
+    "A4": [(1, 2, 0, 3), (1, 0, 3, 2)],
+    "S4": [(1, 2, 3, 0), (1, 0, 2, 3)],
+    "S5": [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
+    "S6": [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)],
+    # the generalized dihedral group of C3 x C3: two translations and -1
+    "GD(3,3)": [[3, 4, 5, 6, 7, 8, 0, 1, 2], [1, 2, 0, 4, 5, 3, 7, 8, 6],
+                [3 * ((-(i // 3)) % 3) + ((-(i % 3)) % 3) for i in range(9)]],
+}
+
 # labels of the extraspecial members of the catalog with their (count, bound)
 EXTRASPECIAL_COUNTS = {
     "D8": 4,

@@ -246,3 +246,35 @@ def naive_central_product(G, H, zg: int, zh: int) -> tuple[list[list[int]], list
     ginv = [naive_inverse(G, g) for g in range(G.order)]
     hinv = [naive_inverse(H, h) for h in range(nh)]
     return mult, [index[label(ginv[g], hinv[h])] for g, h in pairs]
+
+
+def naive_permutation_table(gens) -> tuple[list[list[int]], list[int]]:
+    """The permutation group generated by ``gens`` by breadth-first closure and
+    one composition per pair, ``(p*q)(i) = p[q[i]]``, with element ids in
+    discovery order from the identity.  Returns (mult, inv)."""
+    perms = [tuple(int(v) for v in g) for g in gens]
+    degree = len(perms[0]) if perms else 0
+    ident = tuple(range(degree))
+    index = {ident: 0}
+    elems = [ident]
+    queue = [ident]
+    while queue:
+        x = queue.pop(0)
+        for g in perms:
+            y = tuple(x[v] for v in g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+                queue.append(y)
+    n = len(elems)
+    mult = [[0] * n for _ in range(n)]
+    for i, p in enumerate(elems):
+        for j, q in enumerate(elems):
+            mult[i][j] = index[tuple(p[v] for v in q)]
+    inv = [0] * n
+    for i, p in enumerate(elems):
+        pinv = [0] * degree
+        for a, b in enumerate(p):
+            pinv[b] = a
+        inv[i] = index[tuple(pinv)]
+    return mult, inv

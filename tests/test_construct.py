@@ -4,6 +4,7 @@ import pytest
 import zclasses as zc
 from zclasses.errors import BadParameter, NotPGroup, NotPrime, OrderExceedsCap
 
+from conftest import PERMUTATION_GENERATORS
 from oracles import naive_element_order, naive_frattini
 
 CATALOG_ES_PARAMS = [(2, 1, "plus"), (2, 1, "minus"), (2, 2, "plus"), (2, 2, "minus"),
@@ -204,7 +205,7 @@ def test_is_extraspecial_negatives():
     assert not zc.is_extraspecial(zc.abelian([4]))
     assert not zc.is_extraspecial(zc.abelian([2, 2]))
     assert not zc.is_extraspecial(zc.dihedral(16))   # derived subgroup too big
-    s3 = zc.from_permutation_generators([(1, 0, 2), (1, 2, 0)])
+    s3 = zc.from_permutation_generators(PERMUTATION_GENERATORS["S3"])
     assert not zc.is_extraspecial(s3)
 
 

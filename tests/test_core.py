@@ -11,6 +11,7 @@ from zclasses.errors import (
     OrderMismatch,
 )
 
+from conftest import PERMUTATION_GENERATORS
 from oracles import (
     conj_subset,
     naive_center,
@@ -18,6 +19,7 @@ from oracles import (
     naive_commutator_subgroup,
     naive_element_order,
     naive_element_orders,
+    naive_permutation_table,
 )
 
 # S3 written out by hand: elements e, (12), (13), (23), (123), (132)
@@ -104,18 +106,18 @@ def test_entries_out_of_range():
 # ----------------------------------------------- permutation generators
 
 def test_permutation_d8():
-    G = zc.from_permutation_generators([(1, 2, 3, 0), (0, 3, 2, 1)], label="D8p")
+    G = zc.from_permutation_generators(PERMUTATION_GENERATORS["D8"], label="D8p")
     assert G.order == 8
     assert len(naive_center(G)) == 2
 
 
 def test_permutation_empty_gens():
-    G = zc.from_permutation_generators([])
+    G = zc.from_permutation_generators(PERMUTATION_GENERATORS["trivial"])
     assert G.order == 1
 
 
 def test_permutation_three_cycle():
-    G = zc.from_permutation_generators([(1, 2, 0)])
+    G = zc.from_permutation_generators(PERMUTATION_GENERATORS["C3"])
     assert G.order == 3
     assert zc.is_elementary_abelian(G) == 3
 
@@ -130,6 +132,20 @@ def test_permutation_invalid():
         zc.from_permutation_generators([(0, 0, 1)])
     with pytest.raises(InvalidPermutation):
         zc.from_permutation_generators([(0, 1), (0, 1, 2)])
+
+
+@pytest.mark.parametrize("gens", [
+    *PERMUTATION_GENERATORS.values(),
+    [(0, 1, 2), (1, 2, 0), (1, 2, 0)],              # the identity and a repeat
+    [(1, 0, 2, 3, 4), (0, 1, 2, 3, 4), (2, 3, 4, 0, 1), (0, 2, 1, 3, 4)],
+], ids=[*PERMUTATION_GENERATORS, "C3-repeats", "S5-four-gens"])
+def test_permutation_table_matches_naive_closure(gens):
+    """Row gathers along the breadth-first tree give, entry for entry, the
+    table of the closure composed pair by pair, and the same inverses."""
+    G = zc.from_permutation_generators(gens)
+    mult, inv = naive_permutation_table(gens)
+    assert G.mult.tolist() == mult
+    assert G.inv.tolist() == inv
 
 
 def test_permutation_mult_matches_composition():
@@ -164,7 +180,7 @@ def test_element_order_examples():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: zc.from_permutation_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+    lambda: zc.from_permutation_generators(PERMUTATION_GENERATORS["S5"]),
     lambda: zc.cyclic(720),
     lambda: zc.build_group("product(dihedral(12),cyclic(9))"),
     lambda: zc.central_quotient(zc.dihedral(2048)).table,
@@ -177,10 +193,21 @@ def test_element_orders_match_oracle(build):
 
 
 def test_power_map():
+    """Repeated squaring, and GroupTable.power through it, agree with k
+    multiplications off the table."""
     G = zc.build_group("product(dihedral(12),cyclic(9))")
+    m = G.mult.tolist()
     x = np.arange(G.order)
     for k in (0, 1, 2, 5, 36, 37):
-        assert zc.core.power_map(G, x, k).tolist() == [G.power(int(v), k) for v in x]
+        expected = []
+        for v in range(G.order):
+            acc = 0
+            for _ in range(k):
+                acc = m[acc][v]
+            expected.append(acc)
+        assert zc.core.power_map(G, x, k).tolist() == expected
+        assert [G.power(v, k) for v in range(G.order)] == expected
+        assert [G.power(G.inverse(v), -k) for v in range(G.order)] == expected
 
 
 def test_power():
@@ -326,7 +353,7 @@ def test_commutator_subgroup_examples(catalog):
 
 # A4 and S4: the commutators among their generators alone generate a
 # subgroup that is not normal, so it falls short of G'
-PERMUTATION_GROUPS = {"A4": [(1, 2, 0, 3), (1, 0, 3, 2)], "S4": [(1, 2, 3, 0), (1, 0, 2, 3)]}
+PERMUTATION_GROUPS = {name: PERMUTATION_GENERATORS[name] for name in ("A4", "S4")}
 
 
 @pytest.mark.parametrize("name", [entry.label for entry in zc.builtin_catalog()] + [

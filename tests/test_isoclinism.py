@@ -9,6 +9,8 @@ from zclasses.catalog import run_theorem
 from zclasses.core import commutator_values
 from zclasses.errors import NotAGroup, OrderExceedsCap, PreconditionViolated, QuotientExceedsCap
 
+from conftest import PERMUTATION_GENERATORS
+
 
 def cocycle_group(B1, B2, label):
     """Class-2 group on F2^4 x F2^2 from a bilinear cocycle whose alternating
@@ -175,10 +177,7 @@ def test_not_isoclinic_derived_structure():
     # D18 and the generalized dihedral group of C3 x C3: equal |G/Z| and
     # |G'|, but the derived subgroups are C9 vs C3 x C3
     D18 = zc.dihedral(18)
-    t1 = [3, 4, 5, 6, 7, 8, 0, 1, 2]
-    t2 = [1, 2, 0, 4, 5, 3, 7, 8, 6]
-    inv = [3 * ((-(i // 3)) % 3) + ((-(i % 3)) % 3) for i in range(9)]
-    GD = zc.from_permutation_generators([t1, t2, inv], label="GD(3,3)")
+    GD = zc.from_permutation_generators(PERMUTATION_GENERATORS["GD(3,3)"], label="GD(3,3)")
     assert GD.order == 18
     assert zc.commutator_subgroup(GD).size == zc.commutator_subgroup(D18).size == 9
     assert zc.are_isoclinic(D18, GD) is None

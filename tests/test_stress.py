@@ -10,16 +10,21 @@ import pytest
 
 import zclasses as zc
 
-from oracles import naive_z_partition
+from oracles import naive_permutation_table, naive_z_partition
+
+
+def random_generator_pairs(seed=20240817, tries=40):
+    """Seeded pairs of random permutations of degree 3 to 7."""
+    rng = np.random.default_rng(seed)
+    for _ in range(tries):
+        degree = int(rng.integers(3, 8))
+        yield [tuple(int(v) for v in rng.permutation(degree)) for _ in range(2)]
 
 
 def random_groups(seed=20240817, tries=40, max_order=120):
-    rng = np.random.default_rng(seed)
     seen = set()
     out = []
-    for _ in range(tries):
-        degree = int(rng.integers(3, 8))
-        gens = [tuple(int(v) for v in rng.permutation(degree)) for _ in range(2)]
+    for gens in random_generator_pairs(seed, tries):
         try:
             G = zc.from_permutation_generators(gens, cap=max_order,
                                                label=f"rnd{len(out)}")
@@ -34,6 +39,23 @@ def random_groups(seed=20240817, tries=40, max_order=120):
 
 
 GROUPS = random_groups()
+
+
+@pytest.mark.parametrize("seed", [20240817, 7, 11])
+def test_tables_match_naive_closure(seed):
+    """Every seeded random closure of order at most 360 has, entry for entry,
+    the table and inverses of the closure composed pair by pair."""
+    checked = 0
+    for gens in random_generator_pairs(seed):
+        try:
+            G = zc.from_permutation_generators(gens, cap=360)
+        except zc.errors.OrderExceedsCap:
+            continue
+        mult, inv = naive_permutation_table(gens)
+        assert G.mult.tolist() == mult
+        assert G.inv.tolist() == inv
+        checked += 1
+    assert checked >= 20
 
 
 def test_enough_variety():

@@ -3,7 +3,9 @@ analyse them.
 
 The SHA-256 digests below were taken from the tables as built before the
 constructors moved to int32 arithmetic and before central products were
-built on the quotient directly; element ids must not move.
+built on the quotient directly; those from ``quaternion(4096)`` on, before
+every table was filled in row blocks and permutation groups by row gathers.
+Element ids must not move.
 """
 
 import gc
@@ -15,8 +17,9 @@ import pytest
 
 import zclasses as zc
 from zclasses import catalog, cli
-from zclasses.specs import _amalgamation_pair
+from zclasses.specs import _KINDS, _amalgamation_pair
 
+from conftest import PERMUTATION_GENERATORS
 from oracles import naive_central_product
 
 FROZEN_DIGESTS = {
@@ -53,12 +56,49 @@ FROZEN_DIGESTS = {
     "centralproduct(dihedral(8),abelian(4))": (
         "d9a17240e5f57df9dd7e171312dc94cde3e4b994193f424d4ea7bb0590c1d27d",
         "45336485444963ee2f78e9b4794d4fe5952c4d883eef7feecad892ed995dd6b3"),
+    "quaternion(4096)": (
+        "bec3f1cf80f8d197ba23d3e386ffd724081648fe9d00d8e9283c64435dc0cd6e",
+        "af84d847ab56cecf6490c62fae4492fb08cf6e5d954f3701a5b00a2c4a99d3ce"),
+    "cyclic(4096)": (
+        "1aa0f9d00bae0fbfc834d104421d5be0e3b1cd4c00801bfe4ae8d0f2288f520a",
+        "32cc6327f116c6a5405aa741ed9659803b2ee93d684da01afb1ef1ee25a80e4a"),
+    "abelian(2,2048)": (
+        "5d18ce893ac74ef783bdbf55e5cff8f8e30252ecd23f5324a04945d93a185e0f",
+        "ffecfa79de85663497d6efd0b105ba980842d88b40f6f498c76e73264fd6ac5f"),
+    "heisenberg(13)": (
+        "e28e44921c12930ee59d428b681bac011d5d794052339f055792414ef8b3cd36",
+        "3d1f0b3fa42995111e6355fa5d1889e191dc9dd42f8c7fc3756f8a5732aec0d1"),
+    "modular_p3(13)": (
+        "114ca85a6dd2fd36b74803e6e6e085dbbb057cf1eae99b18e2f68b37fc213b8d",
+        "425e81d01b711a156249c70c15691b09a2f3209ad3a5868b426adcdb4813381a"),
+    "extraspecial(13,1,minus)": (
+        "114ca85a6dd2fd36b74803e6e6e085dbbb057cf1eae99b18e2f68b37fc213b8d",
+        "425e81d01b711a156249c70c15691b09a2f3209ad3a5868b426adcdb4813381a"),
+    # permutation groups, by their names in conftest.PERMUTATION_GENERATORS
+    "S4": (
+        "e8ee253f2f2f8f338c7d330f69386d5e4959c5566cc8fefe1dd7393f9942606b",
+        "3566d7348f102ffa7cc284b647da592dc218d4b87c70f8b10a737955ffd39501"),
+    "S5": (
+        "3e773e264839d379fff4e546ccfb41cbba575ab6823b54f37a07e428c4a406e4",
+        "259c858a54823c7d47fae7de479a74cd70fdee4421f1a1bf1e022c2a559fc7c3"),
+    "S6": (
+        "113fb7e5583cedaf2e0f77b240871c6c62b457e280d70fdcc632acd6d341951a",
+        "9b4fe9c300f8b5d7a303e161a0677c0ce9348cc19a7e46b7d1b467e21e36e2df"),
+    "A4": (
+        "4172c7ab6cbb15065b746cc6f729ecfa853adaf0ea71082afd33d52561719e54",
+        "a48ed9d05c64a04a4c7b9b97a1fd595a5466239972da9f80074d64edd4999e76"),
+    "GD(3,3)": (
+        "c2164703ba69e2f82c4221fc52683d830eff8846d94aeeddddf253ab69707ea0",
+        "8ba5d1224d1b7939d8d3271e512c92b5720bbf388ac51079575679bbf0dd2670"),
 }
 
 
 @pytest.mark.parametrize("spec", sorted(FROZEN_DIGESTS))
 def test_table_digest_frozen(spec):
-    G = zc.build_group(spec)
+    if spec in PERMUTATION_GENERATORS:
+        G = zc.from_permutation_generators(PERMUTATION_GENERATORS[spec])
+    else:
+        G = zc.build_group(spec)
     assert G.mult.dtype == G.inv.dtype == "int32"
     digests = (hashlib.sha256(G.mult.tobytes()).hexdigest(),
                hashlib.sha256(G.inv.tobytes()).hexdigest())
@@ -195,6 +235,34 @@ def test_construction_peaks_near_the_kept_table(spec):
     """Central products fill their table in blocks of rows, and GroupTable
     keeps an int32 table without copying it, so building a group allocates
     at most 16 MB beside the tables it keeps."""
+    G, peak = _traced_peak(zc.build_group, spec)
+    kept = G.mult.nbytes + G.inv.nbytes
+    assert peak - kept <= 16e6, f"{spec}: peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
+
+
+# Each constructor kind at its largest order within the default cap; for
+# extraspecial, the largest for each p and both variants.
+LARGEST_IN_CAP = {
+    "abelian": ["abelian(4096)"],
+    "cyclic": ["cyclic(4096)"],
+    "dihedral": ["dihedral(4096)"],
+    "quaternion": ["quaternion(4096)"],
+    "heisenberg": ["heisenberg(13)"],
+    "modular_p3": ["modular_p3(13)"],
+    "extraspecial": ["extraspecial(13,1,plus)", "extraspecial(13,1,minus)",
+                     "extraspecial(5,2,plus)", "extraspecial(5,2,minus)",
+                     "extraspecial(3,3,minus)", "extraspecial(2,5,plus)"],
+}
+
+
+def test_largest_in_cap_covers_every_kind():
+    assert set(LARGEST_IN_CAP) == set(_KINDS)
+
+
+@pytest.mark.parametrize("spec", [s for specs in LARGEST_IN_CAP.values() for s in specs])
+def test_every_constructor_peaks_near_its_kept_table(spec):
+    """Every table is filled in blocks of rows, so each constructor at the cap
+    allocates at most 16 MB beside the tables it keeps."""
     G, peak = _traced_peak(zc.build_group, spec)
     kept = G.mult.nbytes + G.inv.nbytes
     assert peak - kept <= 16e6, f"{spec}: peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"

@@ -7,7 +7,7 @@ import zclasses as zc
 from zclasses.errors import AbelianGroup, NotPGroup, NotPrimePowerIndex, PreconditionViolated
 from zclasses.zclass import _cell_centralizer_orders, _cells
 
-from conftest import CTV, ZCLASS_COUNTS
+from conftest import CTV, PERMUTATION_GENERATORS, ZCLASS_COUNTS
 from oracles import (naive_abelian_index_p, naive_frattini, naive_index_p_subgroups,
                      naive_local_center, naive_z_partition)
 
@@ -242,9 +242,9 @@ def test_condition_local_center_matches_oracle(catalog):
 # D16xD8 some such centralizer is a multiple of |C(x)| in order and still
 # does not contain C(x).
 LARGER_CENTRALIZERS = {
-    "A4": (lambda: zc.from_permutation_generators([(1, 2, 0, 3), (1, 0, 3, 2)]), False),
-    "S4": (lambda: zc.from_permutation_generators([(1, 2, 3, 0), (1, 0, 2, 3)]), True),
-    "S5": (lambda: zc.from_permutation_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]), True),
+    "A4": (lambda: zc.from_permutation_generators(PERMUTATION_GENERATORS["A4"]), False),
+    "S4": (lambda: zc.from_permutation_generators(PERMUTATION_GENERATORS["S4"]), True),
+    "S5": (lambda: zc.from_permutation_generators(PERMUTATION_GENERATORS["S5"]), True),
     "D12xD8": (lambda: zc.build_group("product(dihedral(12),dihedral(8))"), True),
     "D8xQ8": (lambda: zc.build_group("product(dihedral(8),quaternion(8))"), True),
     "D16xD8": (lambda: zc.build_group("product(dihedral(16),dihedral(8))"), True),
