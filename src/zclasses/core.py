@@ -6,6 +6,11 @@ set-level operations (subgroups, centralizers, quotients) reduce to numpy
 gathers over these tables and boolean membership masks, which keeps
 everything exact and brute-forceable at desk scale.
 
+Tables are read along their rows.  A block of columns is copied out by
+:func:`_columns` in cache-sized tiles, never read through a whole transpose,
+and conjugates are gathered as ``g^-1 * (h * g)``: the products ``h * g``
+are whole rows, and each output row reads the one row ``g^-1``.
+
 Conventions used consistently throughout the package:
 
 * conjugation is ``x^g = g^-1 * x * g``
@@ -35,6 +40,9 @@ DEFAULT_ISO_CAP = 64
 # Rows per block wherever an n x n table is built or checked: at the cap a
 # block is 4 MB, so no step needs an n x n temporary beside its result.
 _ROW_BLOCK = 256
+# Rows of a table per tile when a block of its columns is copied out: a tile
+# of _TILE x _ROW_BLOCK int32 entries stays in cache while it is transposed.
+_TILE = 64
 
 
 def _fill_rows(shape, block_of) -> np.ndarray:
@@ -44,6 +52,16 @@ def _fill_rows(shape, block_of) -> np.ndarray:
     for lo in range(0, shape[0], _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
         out[rows] = block_of(rows)
+    return out
+
+
+def _columns(m: np.ndarray, rows: slice) -> np.ndarray:
+    """``m[:, rows].T`` as a C-contiguous copy, transposed _TILE rows of m at a
+    time, so a column block is read along memory and not one entry per row."""
+    out = np.empty((m[0, rows].size, m.shape[0]), dtype=m.dtype)
+    for lo in range(0, m.shape[0], _TILE):
+        tile = slice(lo, lo + _TILE)
+        out[:, tile] = m[tile, rows].T
     return out
 
 
@@ -256,12 +274,13 @@ def validate_group_table(G: GroupTable) -> None:
     bad = np.flatnonzero(m[G.inv, ar] != 0)
     if bad.size:
         raise NotAGroup("left inverse fails", int(bad[0]))
-    for lines, what in ((m, "row"), (m.T, "column")):
-        lines = lines.copy()    # C order, so the sort runs along memory
-        lines.sort(axis=1)
-        bad = np.flatnonzero(~(lines == ar).all(axis=1))
-        if bad.size:
-            raise NotAGroup(f"{what} is not a permutation", int(bad[0]))
+    for what, lines_of in (("row", lambda rows: m[rows]),
+                           ("column", lambda rows: _columns(m, rows))):
+        for lo in range(0, n, _ROW_BLOCK):
+            lines = np.sort(lines_of(slice(lo, lo + _ROW_BLOCK)), axis=1)
+            bad = np.flatnonzero((lines != ar).any(axis=1))
+            if bad.size:
+                raise NotAGroup(f"{what} is not a permutation", lo + int(bad[0]))
     # A generator that passes lies in the middle nucleus, which is a group
     # for a Latin square with identity, so each one at least doubles the
     # closure: at most log2(n) pass, even on a non-associative table.
@@ -432,9 +451,17 @@ def greedy_generating_sequence(G: GroupTable) -> list[int]:
 def commuting_table(G: GroupTable) -> np.ndarray:
     """Boolean matrix with entry [x, g] true iff x*g = g*x.
 
-    Row x is exactly the membership mask of the centralizer of x.
+    Row x is exactly the membership mask of the centralizer of x.  Filled by
+    blocks of rows, each compared with the same block of columns.
     """
-    return G._memo("commuting", lambda: G.mult == G.mult.T)
+    def compute():
+        m = G.mult
+        out = np.empty(m.shape, dtype=bool)
+        for lo in range(0, G.order, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            np.equal(m[rows], _columns(m, rows), out=out[rows])
+        return out
+    return G._memo("commuting", compute)
 
 
 def center(G: GroupTable) -> SubgroupSet:
@@ -447,11 +474,11 @@ def centralizer(G: GroupTable, x: int) -> SubgroupSet:
 
 
 def _conjugates(G: GroupTable, H: SubgroupSet) -> np.ndarray:
-    """Every conjugate of H's members: entry [g, i] is g^-1 * m_i * g."""
+    """Every conjugate of H's members: entry [g, i] is g^-1 * (m_i * g), so the
+    products m_i * g are whole rows and each output row reads the one row g^-1."""
     if H.group is not G:
         raise ValueError("subgroup belongs to a different group")
-    ar = np.arange(G.order)
-    return G.mult[G.mult[np.ix_(G.inv, H.members())], ar[:, None]]
+    return G.mult[G.inv[:, None], G.mult[H.members()].T]
 
 
 def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
@@ -490,7 +517,7 @@ def quotient(G: GroupTable, N: SubgroupSet) -> QuotientGroup:
         g = int(np.argmin(inside))
         h = next(int(h) for h in mem if G.conjugate(int(h), g) not in N)
         raise NotNormal(f"not normal: {g}^-1 * {h} * {g} leaves the subgroup", (g, h))
-    coset_min = G.mult[:, mem].min(axis=1)
+    coset_min = G.mult[mem].min(axis=0)     # N*g = g*N, read along the rows h
     reps = np.unique(coset_min)
     proj = np.searchsorted(reps, coset_min).astype(np.int32)
     qmult = _fill_rows((reps.size,) * 2, lambda rows: proj[G.mult[reps[rows, None], reps]])

@@ -22,6 +22,7 @@ from .core import (
     DEFAULT_ISO_CAP,
     DEFAULT_ORDER_CAP,
     _ROW_BLOCK,
+    _columns,
     GroupTable,
     QuotientGroup,
     SubgroupSet,
@@ -67,7 +68,7 @@ def commutator_pairing(G: GroupTable) -> CommutatorPairing:
             if not all(np.array_equal(table[b], commutator_values(G, alt[b], alt))
                        for b in blocks):
                 raise NotAGroup("pairing depends on coset representatives")
-        if not all(np.array_equal(table[:, b].T, G.inv[table[b]]) for b in blocks):
+        if not all(np.array_equal(_columns(table, b), G.inv[table[b]]) for b in blocks):
             raise NotAGroup("pairing is not antisymmetric")
         if table.diagonal().any():
             raise NotAGroup("pairing is nonzero on the diagonal")

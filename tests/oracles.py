@@ -19,6 +19,12 @@ def naive_centralizer(G, x: int) -> frozenset[int]:
     return frozenset(g for g in range(G.order) if m[g][x] == m[x][g])
 
 
+def naive_commuting_table(G) -> list[list[bool]]:
+    """Entry [x][g] is whether x*g == g*x."""
+    m = table_of(G)
+    return [[m[x][g] == m[g][x] for g in range(G.order)] for x in range(G.order)]
+
+
 def naive_center(G) -> frozenset[int]:
     m = table_of(G)
     n = G.order

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import zclasses as zc
+from zclasses.core import _conjugates
 from zclasses.errors import (
     InvalidPermutation,
     NotAGroup,
@@ -17,6 +18,7 @@ from oracles import (
     naive_center,
     naive_centralizer,
     naive_commutator_subgroup,
+    naive_commuting_table,
     naive_element_order,
     naive_element_orders,
     naive_permutation_table,
@@ -305,6 +307,25 @@ def test_centralizer_examples():
     assert C == zc.subgroup_generated(H, np.append(zc.center(H).members(), y))
 
 
+def test_commuting_table_matches_naive(catalog):
+    groups = [G for G in catalog.values() if G.order <= 128]
+    groups += [zc.from_permutation_generators(gens) for gens in PERMUTATION_GENERATORS.values()]
+    for G in groups:
+        assert zc.commuting_table(G).tolist() == naive_commuting_table(G), G
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zc.from_permutation_generators(PERMUTATION_GENERATORS["S5"]),
+    lambda: zc.heisenberg(11),
+    lambda: zc.extraspecial(5, 2, "plus"),
+    lambda: zc.dihedral(4096),
+], ids=["S5", "heisenberg(11)", "extraspecial(5,2,plus)", "dihedral(4096)"])
+def test_commuting_table_matches_the_transpose(build):
+    """Orders that are not multiples of the tile or of the row block, and the cap."""
+    G = build()
+    assert np.array_equal(zc.commuting_table(G), G.mult == G.mult.T)
+
+
 def test_centralizer_matches_naive(catalog):
     for name in ("S3", "D8", "Q16", "Heis3", "M27"):
         G = catalog[name]
@@ -527,6 +548,39 @@ def test_subgroups_conjugate_reflections():
         frozenset(K.members().tolist())
 
 
+def _conjugate_set(G, H, g):
+    return frozenset(G.conjugate(int(h), g) for h in H.members())
+
+
+@pytest.mark.parametrize("build, x", [
+    (lambda: zc.from_permutation_generators(PERMUTATION_GENERATORS["S4"]), 1),
+    (lambda: zc.build_group("product(dihedral(8),quaternion(8))"), 8),
+], ids=["S4", "D8xQ8"])
+def test_conjugates_match_scalar_conjugation(build, x):
+    """_conjugates, normalizer and are_subgroups_conjugate against one
+    G.conjugate(h, g) call per pair, on the trivial subgroup, a subgroup
+    that is not normal, the whole group, and a conjugate of the middle one
+    that differs from it."""
+    G = build()
+    subgroups = [zc.subgroup_generated(G, []), zc.subgroup_generated(G, [x]),
+                 zc.SubgroupSet(G, np.ones(G.order, bool))]
+    assert zc.normalizer(G, subgroups[1]).size < G.order    # <x> is not normal
+    g0 = next(g for g in G.elements() if _conjugate_set(G, subgroups[1], g)
+              != frozenset(subgroups[1].members().tolist()))
+    subgroups.append(zc.SubgroupSet.from_members(G, _conjugate_set(G, subgroups[1], g0)))
+    for H in subgroups:
+        mem = H.members()
+        conj = _conjugates(G, H)
+        assert conj.tolist() == [[G.conjugate(int(h), g) for h in mem] for g in G.elements()]
+        sets = [_conjugate_set(G, H, g) for g in G.elements()]
+        own = frozenset(mem.tolist())
+        assert zc.normalizer(G, H).mask.tolist() == [s == own for s in sets]
+        for K in subgroups:
+            target = frozenset(K.members().tolist())
+            first = next((g for g, s in enumerate(sets) if s == target), None)
+            assert zc.are_subgroups_conjugate(G, H, K) == first
+
+
 # --------------------------------------------------------- equivariance
 
 def test_centralizer_conjugation_equivariance_small(catalog):
@@ -555,6 +609,24 @@ def test_centralizer_conjugation_equivariance_sampled(catalog):
 def test_catalog_passes_validator(catalog):
     for G in catalog.values():
         zc.validate_group_table(G)
+
+
+@pytest.mark.parametrize("what", ["row", "column"])
+def test_latin_witness_past_the_first_block(what):
+    """D1024 with two entries of one column swapped, so that row 700, in the
+    third block of 256 rows, repeats an entry while every axiom checked
+    before the Latin one still holds; in the transpose, which keeps those
+    axioms with the same inverses, column 700 repeats one."""
+    G = zc.dihedral(1024)
+    t = G.mult.copy()
+    j, k = next((j, k) for j in range(1, 1024) for k in range(701, 1024)
+                if 0 not in (t[700, j], t[k, j]))
+    t[[700, k], j] = t[[k, 700], j]
+    if what == "column":
+        t = t.T
+    with pytest.raises(NotAGroup, match=f"{what} is not a permutation") as err:
+        zc.validate_group_table(zc.GroupTable(t, G.inv))
+    assert err.value.witness == 700
 
 
 def test_turned_intercalate_above_256_refused():

@@ -23,3 +23,16 @@ def test_no_function_level_imports(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
     assert lines == [], f"{path.name}: import inside a block at line(s) {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_whole_table_transpose(path):
+    """`.T` of a whole table is a strided view, so reading it walks one entry
+    per row: tables are read along their rows, and a block of columns comes
+    from `core._columns`.  A transposed subscripted block, such as
+    `m[a:b, rows].T`, is allowed."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "T"
+             and isinstance(node.value, (ast.Name, ast.Attribute))]
+    assert lines == [], f"{path.name}: .T of a whole table at line(s) {lines}"

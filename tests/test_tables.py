@@ -295,3 +295,12 @@ def test_pairing_checks_in_row_blocks():
     zc.commutator_subgroup(G)
     _, peak = _traced_peak(zc.commutator_pairing, G)
     assert peak < 24e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_validation_checks_lines_in_row_blocks():
+    """The Latin check sorts blocks of rows, and blocks of columns copied by
+    tiles, never a whole copy or transpose of the table: validating
+    dihedral(4096) (a 67 MB table) allocates under 24 MB."""
+    G = zc.dihedral(4096)
+    _, peak = _traced_peak(zc.validate_group_table, G)
+    assert peak < 24e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
