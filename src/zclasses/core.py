@@ -284,11 +284,7 @@ def validate_group_table(G: GroupTable) -> None:
     # A generator that passes lies in the middle nucleus, which is a group
     # for a Latin square with identity, so each one at least doubles the
     # closure: at most log2(n) pass, even on a non-associative table.
-    closure = np.zeros(n, dtype=bool)
-    closure[0] = True
-    gens: list[int] = []
-    while not closure.all():
-        s = int(np.argmin(closure))
+    for s in _greedy_walk(G):
         for lo in range(0, n, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
             left = m[m[rows, s]]                     # [x, y] -> (x*s)*y
@@ -296,8 +292,6 @@ def validate_group_table(G: GroupTable) -> None:
             if not np.array_equal(left, right):
                 x, y = np.argwhere(left != right)[0]
                 raise NotAGroup("associativity fails", (lo + int(x), s, int(y)))
-        gens.append(s)
-        closure = subgroup_generated(G, gens).mask
 
 
 def from_multiplication_table(rows, label: str = "") -> GroupTable:
@@ -328,14 +322,7 @@ def from_multiplication_table(rows, label: str = "") -> GroupTable:
     arr = p[arr]                        # the one int32 copy: relabel the entries,
     arr[[0, e]] = arr[[e, 0]]           # then swap rows 0 and e
     arr[:, [0, e]] = arr[:, [e, 0]]     # and columns 0 and e
-    bad = np.flatnonzero((arr == 0).sum(axis=1) != 1)
-    if bad.size:
-        raise NotAGroup("row has no unique inverse", int(bad[0]))
-    inv = np.argmax(arr == 0, axis=1)
-    bad = np.flatnonzero(arr[inv, ar] != 0)
-    if bad.size:
-        raise NotAGroup("left and right inverses disagree", int(bad[0]))
-    G = GroupTable(arr, inv, label=label)
+    G = GroupTable(arr, np.argmax(arr == 0, axis=1), label=label)
     validate_group_table(G)
     return G
 
@@ -440,12 +427,19 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupSet:
 
 def greedy_generating_sequence(G: GroupTable) -> list[int]:
     """Repeatedly adjoin the smallest element outside the closure so far."""
+    return list(_greedy_walk(G))
+
+
+def _greedy_walk(G: GroupTable):
+    """Yield the smallest id outside the closure of the identity under right
+    multiplication by the ids yielded so far, until the closure is all of G.
+    The next closure is taken only when the caller asks for the next id."""
     gens: list[int] = []
-    closed = subgroup_generated(G, gens)
-    while closed.size < G.order:
-        gens.append(int(np.argmin(closed.mask)))
-        closed = subgroup_generated(G, gens)
-    return gens
+    closed = subgroup_generated(G, gens).mask
+    while not closed.all():
+        gens.append(int(np.argmin(closed)))
+        yield gens[-1]
+        closed = subgroup_generated(G, gens).mask
 
 
 def commuting_table(G: GroupTable) -> np.ndarray:
@@ -512,12 +506,20 @@ def commutator_subgroup(G: GroupTable) -> SubgroupSet:
 def quotient(G: GroupTable, N: SubgroupSet) -> QuotientGroup:
     """Coset group G/N; raises :class:`NotNormal` with a witness pair."""
     inside = normalizer(G, N).mask
-    mem = N.members()
     if not inside.all():
         g = int(np.argmin(inside))
-        h = next(int(h) for h in mem if G.conjugate(int(h), g) not in N)
+        h = next(int(h) for h in N.members() if G.conjugate(int(h), g) not in N)
         raise NotNormal(f"not normal: {g}^-1 * {h} * {g} leaves the subgroup", (g, h))
-    coset_min = G.mult[mem].min(axis=0)     # N*g = g*N, read along the rows h
+    return _cosets(G, N)
+
+
+def _cosets(G: GroupTable, N: SubgroupSet) -> QuotientGroup:
+    """G/N for a normal N: each coset is labelled by its smallest member, the
+    minimum of N*g = g*N read along the rows h of N, _ROW_BLOCK rows at a time."""
+    mem = N.members()
+    coset_min = np.arange(G.order, dtype=np.int32)        # the row of the identity
+    for lo in range(0, mem.size, _ROW_BLOCK):
+        np.minimum(coset_min, G.mult[mem[lo:lo + _ROW_BLOCK]].min(axis=0), out=coset_min)
     reps = np.unique(coset_min)
     proj = np.searchsorted(reps, coset_min).astype(np.int32)
     qmult = _fill_rows((reps.size,) * 2, lambda rows: proj[G.mult[reps[rows, None], reps]])
@@ -528,9 +530,9 @@ def quotient(G: GroupTable, N: SubgroupSet) -> QuotientGroup:
 
 
 def central_quotient(G: GroupTable) -> QuotientGroup:
-    """G/Z(G), memoised."""
+    """G/Z(G), memoised; Z(G) is normal, so no normality test runs."""
     def compute():
-        quo = quotient(G, center(G))
+        quo = _cosets(G, center(G))
         return quo.table, quo.projection, quo.coset_reps
     table, projection, reps = G._memo("central_quotient", compute)
     return QuotientGroup(table, projection, center(G), reps)

@@ -8,7 +8,10 @@ isoclinisms down: G and G x C_p by the natural map gZ -> (g, 1)Z, and a
 group with |G'| = p and [G : Z] = p^k onto ES(p, k/2, +) by matching
 symplectic bases of the pairing.  Only a pair a user supplies is searched:
 ``are_isoclinic`` runs a complete backtracking search, so a ``None`` answer
-is a proof of non-isoclinism at desk scale.
+is a proof of non-isoclinism at desk scale.  One helper, ``_close``, extends
+every map the search tries from generators to the subgroup they generate:
+the map of central quotients from the images chosen so far, and the map of
+commutator subgroups from the pairing values those images force.
 """
 
 from __future__ import annotations
@@ -139,83 +142,28 @@ def witness_from_json(G1: GroupTable, G2: GroupTable, payload: dict) -> Isoclini
     return IsoclinismWitness(G1, G2, phi, psi)
 
 
-def _extend_embedding(m1: np.ndarray, m2: np.ndarray, assign: list[tuple[int, int]]):
-    """Close a partial map under products, checking the homomorphism property
-    and injectivity along the way.
-
-    Returns (phi, domain) with phi = -1 off the generated subgroup, or None
-    on any conflict.
-    """
-    n = m1.shape[0]
-    phi = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(m2.shape[0], dtype=bool)
+def _close(m1: np.ndarray, m2: np.ndarray, gens, images) -> np.ndarray | None:
+    """Extend gens -> images to an embedding of <gens> in the group of table m1
+    into the group of table m2: walk right multiplication by the generators
+    from the identity, giving x*g the image phi(x)*image(g), the first image
+    found being kept.  Returns phi, -1 off <gens>, or None unless every
+    generator keeps its image (so one listed twice gets one image) and phi
+    is an injective homomorphism on <gens>."""
+    phi = np.full(m1.shape[0], -1, dtype=np.int64)
     phi[0] = 0
-    used[0] = True
-    queue = [0]
-    for e, im in assign:
-        if phi[e] == -1:
-            if used[im]:
-                return None
-            phi[e] = im
-            used[im] = True
-            queue.append(e)
-        elif phi[e] != im:
-            return None
-    domain: list[int] = []
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y in (*domain, x):
-            for u, v in ((x, y), (y, x)):
-                z = int(m1[u, v])
-                w = int(m2[phi[u], phi[v]])
-                if phi[z] == -1:
-                    if used[w]:
-                        return None
-                    phi[z] = w
-                    used[w] = True
-                    queue.append(z)
-                elif phi[z] != w:
-                    return None
-        domain.append(x)
-    return phi, domain
-
-
-def _forced_psi(G1: GroupTable, G2: GroupTable, W1: np.ndarray, W2: np.ndarray,
-                phi: np.ndarray, domain: list[int]):
-    """Propagate the pairing constraints to a partial map on G1'.
-
-    psi is pinned on every pairing value over the mapped domain, then closed
-    multiplicatively; any clash or injectivity failure returns None.
-    """
-    psi: dict[int, int] = {0: 0}
-    taken: set[int] = {0}
-
-    def put(d, e):
-        if d in psi:
-            return psi[d] == e
-        if e in taken:
-            return False
-        psi[d] = e
-        taken.add(e)
-        return True
-
-    for a in domain:
-        for b in domain:
-            if not put(int(W1[a, b]), int(W2[phi[a], phi[b]])):
-                return None
-    changed = True
-    while changed:
-        changed = False
-        items = list(psi.items())
-        for d1, e1 in items:
-            for d2, e2 in items:
-                d = G1.mul(d1, d2)
-                changed |= d not in psi
-                if not put(d, G2.mul(e1, e2)):
-                    return None
-    return psi
+    dom = [0]
+    for x in dom:                       # dom grows as it is read
+        for g, im in zip(gens, images):
+            y = m1[x, g]
+            if phi[y] < 0:
+                phi[y] = m2[phi[x], im]
+                dom.append(y)
+    dom = np.array(dom)
+    img = phi[dom]
+    if (phi[gens] != images).any() or np.unique(img).size < img.size \
+            or not np.array_equal(phi[m1[dom[:, None], dom]], m2[img[:, None], img]):
+        return None
+    return phi
 
 
 def are_isoclinic(G1: GroupTable, G2: GroupTable,
@@ -247,25 +195,27 @@ def are_isoclinic(G1: GroupTable, G2: GroupTable,
 
 def _search(G1: GroupTable, G2: GroupTable, P1: CommutatorPairing, P2: CommutatorPairing,
             gens: list[int], oq1: np.ndarray, oq2: np.ndarray,
-            assign: list[tuple[int, int]]) -> IsoclinismWitness | None:
-    """One node of the search of :func:`are_isoclinic`: ``assign`` holds the
+            images: list[int]) -> IsoclinismWitness | None:
+    """One node of the search of :func:`are_isoclinic`: ``images`` holds the
     images of the first generators, the rest of ``gens`` are still open."""
-    ext = _extend_embedding(P1.quotient.table.mult, P2.quotient.table.mult, assign)
-    if ext is None:
+    phi = _close(P1.quotient.table.mult, P2.quotient.table.mult, gens[:len(images)], images)
+    if phi is None:
         return None
-    phi, domain = ext
-    psi = _forced_psi(G1, G2, P1.table, P2.table, phi, domain)
+    dom = np.flatnonzero(phi >= 0)
+    forced = np.unique(P1.table[np.ix_(dom, dom)].astype(np.int64) * G2.order
+                       + P2.table[np.ix_(phi[dom], phi[dom])])
+    psi = _close(G1.mult, G2.mult, *np.divmod(forced, G2.order))
     if psi is None:
         return None
-    if len(assign) == len(gens):
-        if len(domain) != P1.quotient.table.order or len(psi) != P1.target.size:
-            return None
+    if len(images) == len(gens):
+        derived = np.flatnonzero(psi >= 0)
+        psi = dict(zip(derived.tolist(), psi[derived].tolist()))
         witness = IsoclinismWitness(G1, G2, phi, psi)
         witness.validate()
         return witness
-    g = gens[len(assign)]
+    g = gens[len(images)]
     for im in np.flatnonzero(oq2 == oq1[g]):
-        found = _search(G1, G2, P1, P2, gens, oq1, oq2, assign + [(g, int(im))])
+        found = _search(G1, G2, P1, P2, gens, oq1, oq2, images + [int(im)])
         if found is not None:
             return found
     return None

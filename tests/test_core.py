@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,8 +80,12 @@ def test_not_a_group_no_identity():
 
 
 def test_not_a_group_not_latin():
-    with pytest.raises(NotAGroup):
-        zc.from_multiplication_table([[0, 1], [1, 1]])
+    # a row with no identity entry, a row with two, and a unique right inverse
+    # that is not the left one (rows 1 and 2 both end in the identity)
+    for table in ([[0, 1], [1, 1]], [[0, 1, 2], [1, 2, 0], [2, 0, 0]],
+                  [[0, 1, 2], [1, 2, 0], [2, 1, 0]]):
+        with pytest.raises(NotAGroup):
+            zc.from_multiplication_table(table)
 
 
 def test_not_a_group_associativity_witness():
@@ -431,6 +437,20 @@ def test_quotient_not_normal_witness():
         zc.quotient(D8, refl)
     g, h = err.value.witness
     assert D8.conjugate(h, g) not in refl
+
+
+def test_central_quotient_allocates_blocks_not_a_table():
+    # |Z| = n for an abelian group: no n x |Z| gather may be taken at once
+    G = zc.cyclic(4096)
+    zc.center(G)
+    tracemalloc.start()
+    try:
+        quo = zc.central_quotient(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quo.table.order == 1 and not quo.projection.any()
+    assert peak < 16 * 2 ** 20
 
 
 def test_nilpotency_class_two_characterization(catalog):

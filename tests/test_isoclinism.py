@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,13 +39,17 @@ def form(i, j):
     return M
 
 
-@pytest.fixture(scope="module")
-def pencil_pair():
+def pencil_groups():
     # rank multisets of the two form pencils differ, so the groups share
     # |G| = 64, |Z| = |G'| = 4 and Q = C2^4 yet are not isoclinic
     Ga = cocycle_group(form(0, 1), form(2, 3), "pencilA")
     Gb = cocycle_group(form(0, 1) + form(2, 3), form(1, 2), "pencilB")
     return Ga, Gb
+
+
+@pytest.fixture(scope="module")
+def pencil_pair():
+    return pencil_groups()
 
 
 # -------------------------------------------------------------- pairing
@@ -191,6 +197,47 @@ def test_not_isoclinic_exhaustive_search(pencil_pair):
         assert zc.is_elementary_abelian(zc.central_quotient(G).table) == 2
     assert zc.are_isoclinic(Ga, Gb) is None    # defeats every prefilter
     assert zc.are_isoclinic(Ga, Ga) is not None
+
+
+SEARCH_DATA = Path(__file__).parent / "data" / "isoclinism_search.jsonl"
+
+
+def searched_pairs(catalog):
+    """(G1, G2, cap) for every ordered pair the suite and the demos search,
+    each catalog group against G x C_p at the CLI's cap of 96, and the two
+    extraspecial pairs of opposite type."""
+    c = catalog
+    GD = zc.from_permutation_generators(PERMUTATION_GENERATORS["GD(3,3)"], label="GD(3,3)")
+    Ga, Gb = pencil_groups()
+    M16, SD16 = _twisted_16(5, "M16"), _twisted_16(3, "SD16")
+    pairs = [(c[a], c[b]) for a, b in (
+        ("S3", "S3"), ("D8", "D8"), ("Heis3", "Heis3"), ("ES(2,2,+)", "ES(2,2,+)"),
+        ("D8", "Q8"), ("Heis3", "M27"), ("Heis3", "Heis3xC3"), ("C4", "C2xC2"),
+        ("D8", "D16"), ("D8", "C4"), ("D16", "Q16"), ("ES(3,2,+)", "ES(3,2,+)"))]
+    pairs += [(zc.dihedral(18), GD), (Ga, Gb), (Ga, Ga), (M16, c["D8"]), (SD16, c["D16"]),
+              (SD16, c["Q16"]), (M16, SD16), (M16, c["D16"])]
+    out = [(G1, G2, 64) for G1, G2 in pairs]
+    for G in catalog.values():
+        p = 2 if G.order == 1 else zc.core.smallest_prime_factor(G.order)
+        out.append((G, zc.direct_product(G, zc.cyclic(p)), 96))
+    for p, n in ((3, 2), (2, 3)):
+        out.append((zc.extraspecial(p, n, "plus"), zc.extraspecial(p, n, "minus"), 96))
+    return out
+
+
+def search_line(G1, G2, cap):
+    """One line of the frozen record: the witness's JSON, null, or the error."""
+    try:
+        w = zc.are_isoclinic(G1, G2, cap=cap)
+        found = None if w is None else w.to_json()
+    except QuotientExceedsCap:
+        found = "QuotientExceedsCap"
+    return json.dumps({"pair": f"{G1.label}~{G2.label}", "cap": cap, "found": found})
+
+
+def test_search_matches_the_frozen_record(catalog):
+    lines = [search_line(*pair) for pair in searched_pairs(catalog)]
+    assert "\n".join(lines) + "\n" == SEARCH_DATA.read_text()
 
 
 def test_quotient_cap(catalog):
