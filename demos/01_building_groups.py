@@ -19,7 +19,7 @@ H3 = zc.heisenberg(3)       # exponent-3 group of order 27
 M27 = zc.modular_p3(3)      # exponent-9 group of order 27
 
 for G in (D8, Q8, H3, M27):
-    zc.validate_group_table(G)   # identity, inverses, Latin square, associativity
+    zc.validate_group_table(G)   # identity, inverses, Light's associativity test
     print(f"{G.label:6s} order {G.order:3d}  |Z| = {zc.center(G).size}  "
           f"|G'| = {zc.commutator_subgroup(G).size}  abelian = {zc.is_abelian(G)}")
 

@@ -284,3 +284,20 @@ def naive_permutation_table(gens) -> tuple[list[list[int]], list[int]]:
             pinv[b] = a
         inv[i] = index[tuple(pinv)]
     return mult, inv
+
+
+def naive_is_group(table) -> bool:
+    """Whether a square table of ids is a group: entries in range, a two-sided
+    identity, a two-sided inverse for every element, and (a*b)*c == a*(b*c)
+    for all n^3 triples."""
+    m = [[int(v) for v in row] for row in table]
+    n = len(m)
+    if n == 0 or any(len(row) != n or not all(0 <= v < n for v in row) for row in m):
+        return False
+    e = next((e for e in range(n) if all(m[e][x] == x == m[x][e] for x in range(n))), None)
+    if e is None:
+        return False
+    if not all(any(m[x][y] == e == m[y][x] for y in range(n)) for x in range(n)):
+        return False
+    return all(m[m[a][b]][c] == m[a][m[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import zclasses as zc
-from zclasses.core import _conjugates
+from zclasses import core
+from zclasses.core import _conjugates, _greedy_walk
 from zclasses.errors import (
     InvalidPermutation,
     NotAGroup,
@@ -23,6 +24,7 @@ from oracles import (
     naive_commuting_table,
     naive_element_order,
     naive_element_orders,
+    naive_is_group,
     naive_permutation_table,
 )
 
@@ -370,6 +372,17 @@ def test_normalizer_size_arithmetic(catalog):
             assert G.order % N.size == 0
 
 
+@pytest.mark.parametrize("name", [entry.label for entry in zc.builtin_catalog()]
+                         + ["extraspecial(2,3,plus)", "extraspecial(2,3,minus)"])
+def test_normalizer_from_generators_matches_every_conjugate(name, catalog):
+    """On every distinct centralizer, the normalizer read off the conjugates
+    of a generating set is the one read off the conjugates of every member."""
+    G = catalog[name] if name in catalog else zc.build_group(name)
+    for row in np.unique(zc.commuting_table(G), axis=0):
+        H = zc.SubgroupSet(G, row)
+        assert np.array_equal(zc.normalizer(G, H).mask, H.mask[_conjugates(G, H)].all(axis=1))
+
+
 def test_commutator_subgroup_examples(catalog):
     assert zc.commutator_subgroup(catalog["C4"]).size == 1
     assert zc.commutator_subgroup(catalog["D8"]).size == 2
@@ -451,6 +464,20 @@ def test_central_quotient_allocates_blocks_not_a_table():
         tracemalloc.stop()
     assert quo.table.order == 1 and not quo.projection.any()
     assert peak < 16 * 2 ** 20
+
+
+def test_normality_test_conjugates_generators_not_members():
+    # with |N| = n, conjugating every member of N would gather n^2 ids
+    G = zc.cyclic(4096)
+    Z = zc.center(G)
+    tracemalloc.start()
+    try:
+        quo = zc.quotient(G, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quo.table.order == 1 and not quo.projection.any()
+    assert peak < 16 * 2 ** 20, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def test_nilpotency_class_two_characterization(catalog):
@@ -634,9 +661,10 @@ def test_catalog_passes_validator(catalog):
 @pytest.mark.parametrize("what", ["row", "column"])
 def test_latin_witness_past_the_first_block(what):
     """D1024 with two entries of one column swapped, so that row 700, in the
-    third block of 256 rows, repeats an entry while every axiom checked
-    before the Latin one still holds; in the transpose, which keeps those
-    axioms with the same inverses, column 700 repeats one."""
+    third block of 256 rows, repeats an entry while identity and inverses
+    still hold; in the transpose, which keeps them with the same inverses,
+    column 700 repeats one.  Light's test refuses both with an associativity
+    witness through 700, found past the first block of rows for the row."""
     G = zc.dihedral(1024)
     t = G.mult.copy()
     j, k = next((j, k) for j in range(1, 1024) for k in range(701, 1024)
@@ -644,9 +672,11 @@ def test_latin_witness_past_the_first_block(what):
     t[[700, k], j] = t[[k, 700], j]
     if what == "column":
         t = t.T
-    with pytest.raises(NotAGroup, match=f"{what} is not a permutation") as err:
+    with pytest.raises(NotAGroup, match="associativity fails") as err:
         zc.validate_group_table(zc.GroupTable(t, G.inv))
-    assert err.value.witness == 700
+    a, b, c = err.value.witness
+    assert t[t[a, b], c] != t[a, t[b, c]]
+    assert 700 in (a, b, c)
 
 
 def test_turned_intercalate_above_256_refused():
@@ -675,6 +705,82 @@ def test_turned_intercalate_above_256_refused():
     swap[[0, e]] = [e, 0]
     p, q, r = swap[list(info.value.witness)]
     assert t[t[p, q], r] != t[p, t[q, r]]
+
+
+# Groups of order at most 32 whose tables the loader test relabels and corrupts
+LOADER_SOURCES = ["cyclic(1)", "cyclic(2)", "cyclic(7)", "abelian(2,2,2)", "dihedral(12)",
+                  "quaternion(16)", "dihedral(32)", "abelian(2,4,4)", "heisenberg(3)",
+                  "modular_p3(3)", "product(quaternion(8),cyclic(2))"]
+
+
+def _corrupted(t, rng):
+    """t unchanged, or one of seven local changes: an entry overwritten, two
+    entries of a row or of a column swapped, two rows swapped, two symbols
+    swapped throughout, the transpose (a group's opposite, still a group), or
+    the two symbols of a 2x2 Latin subsquare swapped where one exists."""
+    t, n = t.copy(), t.shape[0]
+    a, b, c, d = (int(v) for v in rng.integers(0, n, size=4))
+    kind = int(rng.integers(0, 8))
+    if kind == 1:
+        t[a, b] = c
+    elif kind == 2:
+        t[a, [b, c]] = t[a, [c, b]]
+    elif kind == 3:
+        t[[b, c], a] = t[[c, b], a]
+    elif kind == 4:
+        t[[a, b]] = t[[b, a]]
+    elif kind == 5:
+        t = np.where(t == a, b, np.where(t == b, a, t))
+    elif kind == 6:
+        t = t.T.copy()
+    elif kind == 7:
+        for u in range(n):      # rows b, u and columns d, v with t[b,d] = t[u,v], t[b,v] = t[u,d]
+            for v in range(n):
+                if u != b and v != d and t[b, d] == t[u, v] and t[b, v] == t[u, d] \
+                        and t[b, d] != t[b, v]:
+                    t[b, d], t[b, v], t[u, d], t[u, v] = t[b, v], t[b, d], t[u, v], t[u, d]
+                    return t
+    return t
+
+
+def test_loader_accepts_exactly_the_oracle_groups(monkeypatch):
+    """Seeded relabelled and corrupted tables of order at most 32: the loader
+    accepts exactly the tables the plain-Python oracle calls groups, keeps
+    each accepted table with only the identity's label moved to 0, and
+    Light's loop checks at most floor(log2 n) + 1 generators on each, at
+    most floor(log2 n) on a group."""
+    walked = []
+
+    def counted(G, mask=None):
+        for s in _greedy_walk(G, mask):
+            walked.append(s)
+            yield s
+    monkeypatch.setattr(core, "_greedy_walk", counted)
+    rng = np.random.default_rng(20261018)
+    verdicts = set()
+    for spec in LOADER_SOURCES * 30:
+        G = zc.build_group(spec)
+        n = G.order
+        perm = rng.permutation(n)               # new label of each old id
+        t = np.empty_like(G.mult)
+        t[perm[:, None], perm[None, :]] = perm[G.mult]
+        t = _corrupted(t, rng)
+        walked.clear()
+        try:
+            loaded = zc.from_multiplication_table(t)
+        except NotAGroup:
+            loaded = None
+        assert (loaded is not None) == naive_is_group(t), spec
+        # each passing generator at least doubles the closure; a refused
+        # table may add the one generator that fails
+        assert len(walked) <= n.bit_length() - (loaded is not None), (spec, walked)
+        verdicts.add(loaded is not None)
+        if loaded is not None:
+            e = int(np.flatnonzero((t == np.arange(n)).all(axis=1))[0])
+            swap = np.arange(n)
+            swap[[0, e]] = [e, 0]
+            assert np.array_equal(loaded.mult, swap[t[swap[:, None], swap[None, :]]])
+    assert verdicts == {True, False}
 
 
 def test_subgroup_set_validate_and_lagrange(catalog):

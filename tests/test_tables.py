@@ -298,9 +298,18 @@ def test_pairing_checks_in_row_blocks():
 
 
 def test_validation_checks_lines_in_row_blocks():
-    """The Latin check sorts blocks of rows, and blocks of columns copied by
-    tiles, never a whole copy or transpose of the table: validating
-    dihedral(4096) (a 67 MB table) allocates under 24 MB."""
+    """Light's test compares blocks of rows, never a whole copy or transpose
+    of the table: validating dihedral(4096) (a 67 MB table) allocates under
+    24 MB."""
     G = zc.dihedral(4096)
     _, peak = _traced_peak(zc.validate_group_table, G)
+    assert peak < 24e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_cayley_writer_holds_one_row_of_strings(tmp_path):
+    """The writer turns one row at a time into text, not all n^2 ids at
+    once: writing dihedral(4096) (a 67 MB table, an 84 MB text) allocates
+    under 24 MB."""
+    G = zc.dihedral(4096)
+    _, peak = _traced_peak(zc.write_cayley_table, G, tmp_path / "d4096.cayley")
     assert peak < 24e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
