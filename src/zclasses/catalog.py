@@ -29,7 +29,6 @@ from .isoclinism import is_stem_group, verify_corollary_est, verify_direct_facto
 from .specs import build_group, parse_spec
 from .zclass import (
     TheoremReport,
-    _label,
     condition_central_quotient_elementary,
     condition_local_center,
     conjugate_type_vector,
@@ -173,7 +172,7 @@ def analyze_group(G: GroupTable, label: str | None = None) -> dict:
         cond1 = condition_central_quotient_elementary(G)
         cond2 = condition_local_center(G)[0]
     return {
-        "group": label if label is not None else _label(G),
+        "group": label if label is not None else G.label or f"order{G.order}",
         "order": G.order,
         "center": Z.size,
         "derived": D.size,
@@ -202,8 +201,8 @@ def run_theorem(G: GroupTable, theorem: str, *, iso_cap: int | None = None,
     if theorem == "est":
         try:
             return verify_corollary_est(G)
-        except PreconditionViolated as exc:
-            return TheoremReport(_label(G), "est", [("preconditions", False, str(exc))], None)
+        except PreconditionViolated:
+            return TheoremReport("est", None)
     if theorem == "kulkarni":
         return verify_kulkarni(G)
     if theorem == "bounds":

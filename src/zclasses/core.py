@@ -397,21 +397,30 @@ def write_cayley_table(G: GroupTable, path) -> None:
 
 
 def subgroup_generated(G: GroupTable, gens) -> SubgroupSet:
-    """Smallest subgroup containing ``gens`` (empty set gives the trivial one)."""
-    garr = np.unique(np.asarray(list(gens), dtype=np.int64))
+    """Smallest subgroup containing ``gens`` (empty set gives the trivial one).
+    Only ids outside the closure so far are adjoined, each at least doubling
+    it, so at most log2 n are adjoined however many ids are passed."""
+    garr = np.asarray(list(gens), dtype=np.int64)
+    if garr.size and (garr.min() < 0 or garr.max() >= G.order):
+        raise ValueError("generator id out of range")
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
-    if garr.size == 0:
-        return SubgroupSet(G, mask)
-    if garr.min() < 0 or garr.max() >= G.order:
-        raise ValueError("generator id out of range")
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        prods = np.unique(G.mult[np.ix_(frontier, garr)])
-        new = prods[~mask[prods]]
-        mask[new] = True
-        frontier = new
+    adjoined: list[int] = []
+    while not mask[garr].all():
+        adjoined.append(int(garr[np.argmin(mask[garr])]))
+        _adjoin(G, mask, adjoined)
     return SubgroupSet(G, mask)
+
+
+def _adjoin(G: GroupTable, mask: np.ndarray, gens: list[int]) -> None:
+    """Grow ``mask``, the subgroup generated by gens[:-1], in place to the one
+    generated by all of ``gens``: right products by the new generator from
+    every member, then by every generator from each new layer."""
+    frontier = G.mult[np.flatnonzero(mask), gens[-1]]
+    while frontier.size:
+        new = np.unique(frontier[~mask[frontier]])
+        mask[new] = True
+        frontier = G.mult[new[:, None], gens].ravel()
 
 
 def greedy_generating_sequence(G: GroupTable) -> list[int]:
@@ -423,14 +432,16 @@ def _greedy_walk(G: GroupTable, mask=None):
     """Yield the smallest id in ``mask`` (default: all of G) outside the closure
     of the identity under right multiplication by the ids yielded so far,
     until the closure holds the mask, at most log2 |mask| ids for a subgroup.
-    The next closure is taken only when the caller asks for the next id."""
+    One closure grows by :func:`_adjoin`, and only when the caller asks for
+    the next id."""
+    todo = np.ones(G.order, dtype=bool) if mask is None else mask
+    closure = np.zeros(G.order, dtype=bool)
+    closure[0] = True
     gens: list[int] = []
-    outside = np.ones(G.order, dtype=bool) if mask is None else mask.copy()
-    outside[0] = False                          # the closure of no ids
-    while outside.any():
-        gens.append(int(np.argmax(outside)))
+    while (todo & ~closure).any():
+        gens.append(int(np.argmax(todo & ~closure)))
         yield gens[-1]
-        outside &= ~subgroup_generated(G, gens).mask
+        _adjoin(G, closure, gens)
 
 
 def commuting_table(G: GroupTable) -> np.ndarray:
@@ -458,18 +469,18 @@ def centralizer(G: GroupTable, x: int) -> SubgroupSet:
     return SubgroupSet(G, commuting_table(G)[x])
 
 
-def _conjugates(G: GroupTable, H: SubgroupSet) -> np.ndarray:
-    """Every conjugate of H's members: entry [g, i] is g^-1 * (m_i * g), so the
-    products m_i * g are whole rows and each output row reads the one row g^-1."""
-    if H.group is not G:
-        raise ValueError("subgroup belongs to a different group")
-    return G.mult[G.inv[:, None], G.mult[H.members()].T]
+def _conjugates(G: GroupTable, ids) -> np.ndarray:
+    """Every conjugate of the ids h_i: entry [g, i] is g^-1 * (h_i * g), so the
+    products h_i * g are whole rows and each output row reads the one row g^-1."""
+    return G.mult[G.inv[:, None], G.mult[ids].T]
 
 
 def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
     """All g with g^-1 * H * g = H; contains H.  Only generators of H are
     conjugated: once theirs lie in H, g^-1 * H * g is H by its size."""
-    gens = SubgroupSet.from_members(H.group, _greedy_walk(H.group, H.mask))
+    if H.group is not G:
+        raise ValueError("subgroup belongs to a different group")
+    gens = list(_greedy_walk(G, H.mask))
     return SubgroupSet(G, H.mask[_conjugates(G, gens)].all(axis=1))
 
 
@@ -592,11 +603,6 @@ def direct_product(G: GroupTable, H: GroupTable, *, cap: int = DEFAULT_ORDER_CAP
     return GroupTable(_fill_rows((n, n), block_of), G.inv[g] * H.order + H.inv[h], label=label)
 
 
-def first_factor_ids(G: GroupTable, H: GroupTable) -> np.ndarray:
-    """Ids of the pairs (g, 1) in ``direct_product(G, H)``, indexed by g."""
-    return np.arange(G.order) * H.order
-
-
 def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
                     cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """(G x H) / <(zg, zh^-1)> for central zg, zh of one prime order p.
@@ -644,5 +650,5 @@ def are_subgroups_conjugate(G: GroupTable, H: SubgroupSet, K: SubgroupSet) -> in
         raise ValueError("subgroups belong to a different group")
     if H.size != K.size:
         return None
-    hits = np.flatnonzero(K.mask[_conjugates(G, H)].all(axis=1))
+    hits = np.flatnonzero(K.mask[_conjugates(G, H.members())].all(axis=1))
     return int(hits[0]) if hits.size else None

@@ -65,6 +65,10 @@ class PreconditionViolated(GroupError):
     """An operation's stated precondition does not hold for the input."""
 
 
+class NotAnIsoclinism(GroupError):
+    """A proposed isoclinism fails validation; names the first offending pair."""
+
+
 class QuotientExceedsCap(GroupError):
     """The central quotient is too large for the isoclinism search cap."""
 

@@ -35,14 +35,13 @@ from .core import (
     commutator_values,
     direct_product,
     element_orders,
-    first_factor_ids,
     greedy_generating_sequence,
     is_prime,
     prime_power,
     smallest_prime_factor,
 )
-from .errors import NotAGroup, PreconditionViolated, QuotientExceedsCap
-from .zclass import TheoremReport, _label, max_zclass_bound, z_class_count
+from .errors import NotAGroup, NotAnIsoclinism, PreconditionViolated, QuotientExceedsCap
+from .zclass import TheoremReport, max_zclass_bound, z_class_count
 
 
 @dataclass
@@ -95,17 +94,17 @@ class IsoclinismWitness:
 
     def validate(self) -> None:
         """Exhaustively re-check that (phi, psi) is an isoclinism; raises
-        AssertionError naming the first offending pair (a, b)."""
+        :class:`NotAnIsoclinism` naming the first offending pair (a, b)."""
         P1 = commutator_pairing(self.group1)
         P2 = commutator_pairing(self.group2)
         Q1, Q2 = P1.quotient.table, P2.quotient.table
         phi = self.phi
         if phi.shape != (Q1.order,) or not np.array_equal(np.sort(phi), np.arange(Q2.order)):
-            raise AssertionError("phi is not a bijection")
+            raise NotAnIsoclinism("phi is not a bijection")
         _require(phi[Q1.mult] == Q2.mult[np.ix_(phi, phi)], "phi is not a homomorphism")
         d1, d2 = P1.target.members(), P2.target.members()
         if set(self.psi) != set(d1.tolist()) or set(self.psi.values()) != set(d2.tolist()):
-            raise AssertionError("psi is not a bijection between the commutator subgroups")
+            raise NotAnIsoclinism("psi is not a bijection between the commutator subgroups")
         psi = np.zeros(self.group1.order, dtype=np.int64)
         psi[list(self.psi)] = list(self.psi.values())
         _require(psi[self.group1.mult[np.ix_(d1, d1)]]
@@ -127,12 +126,12 @@ class IsoclinismWitness:
 
 
 def _require(holds: np.ndarray, failure: str, ids=None) -> None:
-    """Raise AssertionError at the first pair (a, b) where ``holds`` is false;
+    """Raise NotAnIsoclinism at the first pair (a, b) where ``holds`` is false;
     ``ids`` maps row and column positions to element ids."""
     if not holds.all():
         i, j = np.argwhere(~holds)[0]
         a, b = (i, j) if ids is None else (ids[i], ids[j])
-        raise AssertionError(f"{failure} at ({a}, {b})")
+        raise NotAnIsoclinism(f"{failure} at ({a}, {b})")
 
 
 def witness_from_json(G1: GroupTable, G2: GroupTable, payload: dict) -> IsoclinismWitness:
@@ -238,8 +237,7 @@ def verify_isoclinism_invariance(G1: GroupTable, G2: GroupTable,
         witness.validate()
     elif are_isoclinic(G1, G2, cap=cap) is None:    # a found witness is validated
         raise PreconditionViolated("groups are not isoclinic")
-    return _invariance_report(f"{G1.label or 'G1'}~{G2.label or 'G2'}",
-                              ("isoclinic", True, None), G1, G2)
+    return _invariance_report(G1, G2)
 
 
 def verify_direct_factor_invariance(G: GroupTable, *,
@@ -252,11 +250,11 @@ def verify_direct_factor_invariance(G: GroupTable, *,
     """
     p = 2 if G.order == 1 else smallest_prime_factor(G.order)
     H = direct_product(G, cyclic(p), cap=order_cap)
-    embed = first_factor_ids(G, cyclic(p))
+    embed = np.arange(G.order) * p               # the pairs (g, 1) in G x C_p
     phi = central_quotient(H).projection[embed[central_quotient(G).coset_reps]]
     psi = {int(d): int(embed[d]) for d in commutator_subgroup(G).members()}
     IsoclinismWitness(G, H, phi, psi).validate()
-    return _invariance_report(_label(G), ("isoclinic_to_GxCp", True, f"p={p}"), G, H)
+    return _invariance_report(G, H)
 
 
 def verify_corollary_est(G: GroupTable) -> TheoremReport:
@@ -276,17 +274,12 @@ def verify_corollary_est(G: GroupTable) -> TheoremReport:
     p, k = pw
     if k < 2:
         raise PreconditionViolated(f"need [G : Z(G)] = p^k with k >= 2, got k={k}")
-    hyps = [
-        ("non_abelian", True, None),
-        ("derived_subgroup_prime", True, f"|G'|={p}"),
-        ("central_index_p^k", True, f"k={k}"),
-    ]
     iso = _extraspecial_witness(G, p, k)
     iso.validate()
     attains = z_class_count(G) == max_zclass_bound(G)
     witness = f"isoclinic to {iso.group2.label}" if attains else \
         "attains=False but isoclinic=True"
-    return TheoremReport(_label(G), "est", hyps, attains, witness)
+    return TheoremReport("est", attains, witness)
 
 
 def _extraspecial_witness(G: GroupTable, p: int, k: int) -> IsoclinismWitness:
@@ -326,9 +319,8 @@ def _extraspecial_witness(G: GroupTable, p: int, k: int) -> IsoclinismWitness:
     return IsoclinismWitness(*groups, phi, dict(zip(*powers)))
 
 
-def _invariance_report(label: str, hypothesis: tuple, G1: GroupTable,
-                       G2: GroupTable) -> TheoremReport:
+def _invariance_report(G1: GroupTable, G2: GroupTable) -> TheoremReport:
     """Compare the class counts of G1 and G2, once their isoclinism is proved."""
     c1, c2 = z_class_count(G1), z_class_count(G2)
-    return TheoremReport(label, "isoclinism-invariance", [hypothesis], c1 == c2,
+    return TheoremReport("isoclinism-invariance", c1 == c2,
                          None if c1 == c2 else f"counts differ: {c1} vs {c2}")

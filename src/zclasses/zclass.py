@@ -308,9 +308,7 @@ class TheoremReport:
     treats as a failure).
     """
 
-    group: str
     theorem: str
-    hypotheses: list[tuple[str, bool, str | None]]
     conclusion: bool | None
     witness: str | None = None
 
@@ -321,17 +319,10 @@ class TheoremReport:
         return "confirmed" if self.conclusion else "REFUTED"
 
 
-def _label(G: GroupTable) -> str:
-    return G.label or f"order{G.order}"
-
-
-def _p_group_hypotheses(G: GroupTable) -> tuple[list, int | None]:
-    """The hypotheses "non-abelian" and "p-group", and p when both hold."""
-    ab = is_abelian(G)
+def _p_group_prime(G: GroupTable) -> int | None:
+    """p when G is a non-abelian p-group, else None."""
     pw = prime_power(G.order)
-    hyps = [("non_abelian", not ab, None),
-            ("p_group", pw is not None, None if pw is None else f"p={pw[0]}")]
-    return hyps, None if ab or pw is None else pw[0]
+    return None if pw is None or is_abelian(G) else pw[0]
 
 
 def verify_theorem_mt(G: GroupTable) -> TheoremReport:
@@ -342,17 +333,9 @@ def verify_theorem_mt(G: GroupTable) -> TheoremReport:
     elementary abelian and Z(C_G(x)) = <x, Z(G)> for every noncentral x.
     Both directions of the equivalence are evaluated.
     """
-    ab = is_abelian(G)
-    ntype = None if ab else is_type_n_1(G)
-    hyps = [
-        ("non_abelian", not ab, None),
-        ("type_(n,1)", ntype is not None, None if ntype is None else f"n={ntype}"),
-    ]
-    if ab or ntype is None:
-        return TheoremReport(_label(G), "mt", hyps, None)
-    count = z_class_count(G)
-    bound = max_zclass_bound(G)
-    attains = count == bound
+    if is_type_n_1(G) is None:                  # abelian G has type (1)
+        return TheoremReport("mt", None)
+    attains = z_class_count(G) == max_zclass_bound(G)
     c1 = condition_central_quotient_elementary(G)
     c2, w2 = condition_local_center(G)
     ok = attains == (c1 and c2)
@@ -361,7 +344,7 @@ def verify_theorem_mt(G: GroupTable) -> TheoremReport:
         witness = f"attains={attains} but cond1={c1}, cond2={c2}"
         if w2 is not None:
             witness += f" (local center fails at x={w2})"
-    return TheoremReport(_label(G), "mt", hyps, ok, witness)
+    return TheoremReport("mt", ok, witness)
 
 
 def verify_theorem_A(G: GroupTable) -> TheoremReport:
@@ -371,15 +354,9 @@ def verify_theorem_A(G: GroupTable) -> TheoremReport:
     quotient of order p^2 (elementary abelian), or have no abelian subgroup
     of index p together with an elementary abelian central quotient.
     """
-    hyps, p = _p_group_hypotheses(G)
-    if p is None:
-        return TheoremReport(_label(G), "A", hyps, None)
-    count = z_class_count(G)
-    bound = max_zclass_bound(G)
-    attains = count == bound
-    hyps.append(("attains_bound", attains, f"{count}/{bound}"))
-    if not attains:
-        return TheoremReport(_label(G), "A", hyps, None)
+    p = _p_group_prime(G)
+    if p is None or z_class_count(G) != max_zclass_bound(G):
+        return TheoremReport("A", None)
     Q = central_quotient(G).table
     qp = is_elementary_abelian(Q)
     branch1 = qp == p and Q.order == p * p
@@ -388,7 +365,7 @@ def verify_theorem_A(G: GroupTable) -> TheoremReport:
     ok = branch1 or branch2
     witness = "central quotient CpxCp" if branch1 else (
         "no abelian index-p subgroup" if branch2 else "both branches fail")
-    return TheoremReport(_label(G), "A", hyps, ok, witness)
+    return TheoremReport("A", ok, witness)
 
 
 def verify_kulkarni(G: GroupTable) -> TheoremReport:
@@ -406,16 +383,16 @@ def verify_kulkarni(G: GroupTable) -> TheoremReport:
             break
     ok = mismatch is None
     witness = None if ok else f"x={mismatch[0]}: predicted {mismatch[1]}, actual {mismatch[2]}"
-    return TheoremReport(_label(G), "kulkarni", [], ok, witness)
+    return TheoremReport("kulkarni", ok, witness)
 
 
 def verify_bounds(G: GroupTable) -> TheoremReport:
     """Check p + 2 <= class count <= (p^k - 1)/(p - 1) + 1 on a p-group."""
-    hyps, p = _p_group_hypotheses(G)
+    p = _p_group_prime(G)
     if p is None:
-        return TheoremReport(_label(G), "bounds", hyps, None)
+        return TheoremReport("bounds", None)
     count = z_class_count(G)
     bound = max_zclass_bound(G)
     ok = p + 2 <= count <= bound
     witness = None if ok else f"count={count} outside [{p + 2}, {bound}]"
-    return TheoremReport(_label(G), "bounds", hyps, ok, witness)
+    return TheoremReport("bounds", ok, witness)

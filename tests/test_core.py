@@ -26,6 +26,7 @@ from oracles import (
     naive_element_orders,
     naive_is_group,
     naive_permutation_table,
+    naive_subgroup_closure,
 )
 
 # S3 written out by hand: elements e, (12), (13), (23), (123), (132)
@@ -294,6 +295,37 @@ def test_subgroup_generated_x_and_center_heisenberg():
     S.validate()
 
 
+def test_subgroup_generated_and_greedy_walk_match_the_closure_oracle(catalog):
+    """Closures of seeded id sets, and each id of the greedy walk the smallest
+    outside the closure of those before it, against the plain-Python closure."""
+    rng = np.random.default_rng(20261019)
+    for name in ("S3", "D16", "Q16", "Heis3", "ES(2,2,-)"):
+        G = catalog[name]
+        for size in (1, 2, 3, 8):
+            ids = rng.integers(0, G.order, size).tolist()
+            got = frozenset(zc.subgroup_generated(G, ids).members().tolist())
+            assert got == naive_subgroup_closure(G, ids), (name, ids)
+        gens = list(_greedy_walk(G))
+        for i, g in enumerate(gens):
+            outside = set(G.elements()) - naive_subgroup_closure(G, gens[:i])
+            assert g == min(outside), (name, gens)
+        assert naive_subgroup_closure(G, gens) == frozenset(G.elements())
+
+
+def test_subgroup_generated_adjoins_only_ids_outside_its_closure():
+    # every id of dihedral(4096) passed: products by all n ids from each
+    # layer would gather n^2 ids, more than one n x n table
+    G = zc.dihedral(4096)
+    tracemalloc.start()
+    try:
+        H = zc.subgroup_generated(G, range(G.order))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.size == G.order
+    assert peak < 16 * 2 ** 20, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
 def test_center_examples(catalog):
     assert zc.center(catalog["C4"]).size == 4
     assert zc.center(catalog["D8"]).size == 2
@@ -380,7 +412,8 @@ def test_normalizer_from_generators_matches_every_conjugate(name, catalog):
     G = catalog[name] if name in catalog else zc.build_group(name)
     for row in np.unique(zc.commuting_table(G), axis=0):
         H = zc.SubgroupSet(G, row)
-        assert np.array_equal(zc.normalizer(G, H).mask, H.mask[_conjugates(G, H)].all(axis=1))
+        every = H.mask[_conjugates(G, H.members())].all(axis=1)
+        assert np.array_equal(zc.normalizer(G, H).mask, every)
 
 
 def test_commutator_subgroup_examples(catalog):
@@ -617,7 +650,7 @@ def test_conjugates_match_scalar_conjugation(build, x):
     subgroups.append(zc.SubgroupSet.from_members(G, _conjugate_set(G, subgroups[1], g0)))
     for H in subgroups:
         mem = H.members()
-        conj = _conjugates(G, H)
+        conj = _conjugates(G, mem)
         assert conj.tolist() == [[G.conjugate(int(h), g) for h in mem] for g in G.elements()]
         sets = [_conjugate_set(G, H, g) for g in G.elements()]
         own = frozenset(mem.tolist())

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import zclasses as zc
-from zclasses import isoclinism
+from zclasses import cli, isoclinism
 from zclasses.catalog import run_theorem
 from zclasses.core import commutator_values
-from zclasses.errors import NotAGroup, OrderExceedsCap, PreconditionViolated, QuotientExceedsCap
+from zclasses.errors import (NotAGroup, NotAnIsoclinism, OrderExceedsCap, PreconditionViolated,
+                             QuotientExceedsCap)
 
 from conftest import PERMUTATION_GENERATORS
 
@@ -283,7 +284,7 @@ def test_witness_serialization_round_trip():
     back.validate()
     # a corrupted witness must fail re-verification
     bad = dict(payload, phi=list(reversed(payload["phi"])))
-    with pytest.raises(AssertionError):
+    with pytest.raises(NotAnIsoclinism):
         zc.witness_from_json(G1, G2, bad).validate()
 
 
@@ -343,7 +344,7 @@ def test_validate_matches_pairwise_loops():
         try:
             w.validate()
             got = None
-        except AssertionError as exc:
+        except NotAnIsoclinism as exc:
             got = str(exc)
         assert got == expected
         messages.add(expected and expected.split(" at ")[0])
@@ -481,7 +482,7 @@ def test_est_witness_refuses_squared_psi(build):
     w, p, _ = est_witness(build())
     c = min(d for d in w.psi if d)
     squared = {w.group1.power(c, i): w.group2.power(w.psi[c], 2 * i) for i in range(p)}
-    with pytest.raises(AssertionError, match="pairing compatibility fails"):
+    with pytest.raises(NotAnIsoclinism, match="pairing compatibility fails"):
         zc.IsoclinismWitness(w.group1, w.group2, w.phi, squared).validate()
 
 
@@ -493,8 +494,28 @@ def test_est_witness_refuses_swapped_phi(spec):
     w, _, _ = est_witness(zc.build_group(spec))
     phi = w.phi.copy()
     phi[[1, 2]] = phi[[2, 1]]
-    with pytest.raises(AssertionError, match="phi is not a homomorphism"):
+    with pytest.raises(NotAnIsoclinism, match="phi is not a homomorphism"):
         zc.IsoclinismWitness(w.group1, w.group2, phi, w.psi).validate()
+
+
+def test_failed_est_witness_is_an_error_record(monkeypatch):
+    """A witness that fails validation inside a check raises a GroupError: the
+    catalog writes an error record for it and `zclasses verify` exits 3."""
+    build = isoclinism._extraspecial_witness
+
+    def swapped(G, p, k):
+        w = build(G, p, k)
+        phi = w.phi.copy()
+        phi[[1, 2]] = phi[[2, 1]]
+        return zc.IsoclinismWitness(w.group1, w.group2, phi, w.psi)
+    monkeypatch.setattr(isoclinism, "_extraspecial_witness", swapped)
+    spec = "extraspecial(2,2,plus)"
+    result = zc.run_catalog([zc.CatalogEntry(spec)])
+    est = [r for r in result.records if r["theorem"] == "est"]
+    assert [r["verdict"] for r in est] == ["error"]
+    assert est[0]["witness"].startswith("phi is not a homomorphism at (")
+    assert result.errors == 1 and result.summary["confirmed"] == 5
+    assert cli.main(["verify", spec, "--theorem", "est"]) == 3
 
 
 def test_est_degenerate_pairing_raises(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -478,19 +479,17 @@ def test_bounds_report(catalog):
 
 
 def test_no_refutations_anywhere(catalog):
+    # every report over the catalog is vacuous exactly when it has no
+    # conclusion, and none is refuted
     from zclasses.catalog import THEOREMS, run_theorem
     for G in catalog.values():
         for theorem in THEOREMS:
-            assert run_theorem(G, theorem, iso_cap=96).verdict != "REFUTED"
-
-
-def test_report_invariant_refuted_requires_hypotheses():
-    # structural invariant of every report produced over the catalog
-    from zclasses.catalog import THEOREMS, run_theorem
-    for G in (zc.dihedral(8), zc.dihedral(16), zc.abelian([4])):
-        for theorem in THEOREMS:
             rep = run_theorem(G, theorem, iso_cap=96)
-            if rep.verdict == "vacuous":
-                assert rep.conclusion is None
-            else:
-                assert all(ok for _, ok, _ in rep.hypotheses)
+            assert rep.theorem == theorem
+            assert (rep.verdict == "vacuous") == (rep.conclusion is None)
+            assert rep.verdict != "REFUTED"
+
+
+def test_report_holds_only_what_a_record_prints():
+    fields = [f.name for f in dataclasses.fields(zc.TheoremReport)]
+    assert fields == ["theorem", "conclusion", "witness"]
