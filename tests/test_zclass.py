@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import zclasses as zc
+from zclasses.core import prime_power
 from zclasses.errors import AbelianGroup, NotPGroup, NotPrimePowerIndex, PreconditionViolated
 from zclasses.zclass import _cell_centralizer_orders, _cells
 
@@ -488,6 +489,24 @@ def test_no_refutations_anywhere(catalog):
             assert rep.theorem == theorem
             assert (rep.verdict == "vacuous") == (rep.conclusion is None)
             assert rep.verdict != "REFUTED"
+
+
+def test_report_invariant_refuted_requires_hypotheses():
+    # a report is vacuous exactly when it has no conclusion, and a statement
+    # concludes nothing on a group outside its hypotheses: type (n,1) for mt,
+    # a non-abelian p-group for A and the bounds
+    from zclasses.catalog import THEOREMS, run_theorem
+    for G in (zc.dihedral(8), zc.dihedral(16), zc.abelian([4])):
+        for theorem in THEOREMS:
+            rep = run_theorem(G, theorem, iso_cap=96)
+            assert (rep.verdict == "vacuous") == (rep.conclusion is None)
+            if rep.verdict == "vacuous":
+                continue
+            if theorem == "mt":
+                assert zc.is_type_n_1(G) is not None
+            if theorem in ("A", "bounds"):
+                assert not zc.is_abelian(G)
+                assert prime_power(G.order) is not None
 
 
 def test_report_holds_only_what_a_record_prints():
