@@ -24,7 +24,7 @@ from .catalog import (
     run_theorem,
     theorem_record,
 )
-from .core import DEFAULT_ORDER_CAP
+from .core import DEFAULT_ORDER_CAP, MAX_ORDER
 from .errors import GroupError, SpecSyntaxError, UnknownConstructor
 from .specs import build_group
 
@@ -35,7 +35,9 @@ CLI_ISO_CAP = 96
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP,
-                     help="maximum group order for constructions")
+                     help="maximum group order for constructions and loaded tables "
+                          f"(default {DEFAULT_ORDER_CAP}; never above {MAX_ORDER}, "
+                          "the largest order int16 element ids hold)")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="report format")
 

@@ -23,6 +23,7 @@ from .core import (
     _fill_rows,
     center,
     central_product,
+    check_order,
     commutator_subgroup,
     direct_product,
     is_abelian,
@@ -31,7 +32,7 @@ from .core import (
     prime_power,
     subgroup_generated,
 )
-from .errors import BadParameter, NotPGroup, NotPrime, OrderExceedsCap
+from .errors import BadParameter, NotPGroup, NotPrime
 
 
 def cyclic(n: int) -> GroupTable:
@@ -52,8 +53,7 @@ def abelian(orders, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     for k in orders:
         if k < 2:
             raise BadParameter(f"abelian factor orders must be >= 2, got {k}")
-    if math.prod(orders) > cap:
-        raise OrderExceedsCap(f"abelian order {math.prod(orders)} exceeds cap {cap}")
+    check_order("abelian", math.prod(orders), cap)
     G = cyclic(orders[0] if orders else 1)
     for k in orders[1:]:
         G = direct_product(G, cyclic(k), cap=cap)
@@ -160,9 +160,7 @@ def extraspecial(p: int, n: int, variant: str = "plus", *,
         raise NotPrime(f"p must be prime, got {p}")
     if n < 1:
         raise BadParameter(f"n must be >= 1, got {n}")
-    order = p ** (1 + 2 * n)
-    if order > cap:
-        raise OrderExceedsCap(f"extraspecial order {order} exceeds cap {cap}")
+    check_order("extraspecial", p ** (1 + 2 * n), cap)
     kinds, q = ((dihedral, quaternion), 8) if p == 2 else ((heisenberg, modular_p3), p)
     last = kinds[variant == "minus"](q)
     G = base = kinds[0](q) if variant == "minus" and n > 1 else last

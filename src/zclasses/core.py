@@ -37,18 +37,37 @@ from .errors import (
 DEFAULT_ORDER_CAP = 4096
 DEFAULT_ISO_CAP = 64
 
+# Element ids are int16, and no group is larger than its largest value: every
+# id and the order itself fit, so read_cayley_table can store n as the one
+# out-of-range id.  Arithmetic on ids widens first (n^2 and the ids of G x H
+# do not fit) and narrows only when ids are stored.
+ID_DTYPE = np.int16
+MAX_ORDER = int(np.iinfo(ID_DTYPE).max)    # 32767
+
 # Rows per block wherever an n x n table is built or checked: at the cap a
-# block is 4 MB, so no step needs an n x n temporary beside its result.
+# block of ids is 2 MB, so no step needs an n x n temporary beside its result.
 _ROW_BLOCK = 256
+# Bytes of whole lines read_cayley_table parses at a time.
+_LINE_BLOCK = 1 << 20
 # Rows of a table per tile when a block of its columns is copied out: a tile
-# of _TILE x _ROW_BLOCK int32 entries stays in cache while it is transposed.
+# of _TILE x _ROW_BLOCK entries stays in cache while it is transposed.
 _TILE = 64
 
 
+def check_order(what: str, order: int, cap: int = MAX_ORDER) -> None:
+    """Refuse an ``order`` above ``cap`` or MAX_ORDER before any table of it
+    is allocated."""
+    limit = min(cap, MAX_ORDER)
+    if order > limit:
+        raise OrderExceedsCap(f"{what} order {order} exceeds cap {limit}")
+
+
 def _fill_rows(shape, block_of) -> np.ndarray:
-    """A preallocated int32 table of ``shape``, filled _ROW_BLOCK rows at a
-    time: the rows in slice ``rows`` are ``block_of(rows)``."""
-    out = np.empty(shape, dtype=np.int32)
+    """A preallocated ID_DTYPE table of ``shape``, filled _ROW_BLOCK rows at a
+    time: the rows in slice ``rows`` are ``block_of(rows)``, ids computed in
+    any integer type, narrowed as they are stored."""
+    check_order("table", max(shape))
+    out = np.empty(shape, dtype=ID_DTYPE)
     for lo in range(0, shape[0], _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
         out[rows] = block_of(rows)
@@ -96,19 +115,22 @@ class GroupTable:
     Instances are immutable after construction; derived data (center,
     commutator subgroup, partitions) is memoised on the instance as plain
     arrays that hold no reference back to it, so no reference cycle keeps a
-    group alive once its last outside reference is gone.  An int32 table is
-    kept and frozen, not copied: the caller must not write to it afterwards.
+    group alive once its last outside reference is gone.  Ids are stored as
+    ID_DTYPE (int16), so the order is at most MAX_ORDER (32767).  An int16
+    table is kept and frozen, not copied: the caller must not write to it
+    afterwards.  A wider table is narrowed only when every entry is an id.
     """
 
     __slots__ = ("order", "mult", "inv", "label", "_cache")
 
     def __init__(self, mult, inv, label: str = ""):
-        mult = np.ascontiguousarray(mult, dtype=np.int32)
-        inv = np.ascontiguousarray(inv, dtype=np.int32)
+        mult, inv = np.asarray(mult), np.asarray(inv)
         if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
             raise NotAGroup("multiplication table is not square")
         if inv.shape != (mult.shape[0],):
             raise NotAGroup("inverse table length does not match the order")
+        check_order("table", mult.shape[0])
+        mult, inv = _as_ids(mult), _as_ids(inv)
         mult.setflags(write=False)
         inv.setflags(write=False)
         self.order = int(mult.shape[0])
@@ -156,6 +178,14 @@ class GroupTable:
     def __repr__(self) -> str:
         name = self.label or "unnamed"
         return f"GroupTable({name!r}, order={self.order})"
+
+
+def _as_ids(a: np.ndarray) -> np.ndarray:
+    """``a`` as a C-contiguous ID_DTYPE array, refused rather than wrapped
+    when an entry lies outside 0..MAX_ORDER."""
+    if a.dtype != ID_DTYPE and a.size and (a.min() < 0 or a.max() > MAX_ORDER):
+        raise NotAGroup(f"table entry outside the id range 0..{MAX_ORDER}")
+    return np.ascontiguousarray(a, dtype=ID_DTYPE)
 
 
 class SubgroupSet:
@@ -294,21 +324,22 @@ def from_multiplication_table(rows, label: str = "") -> GroupTable:
     failed axiom.
     """
     arr = np.asarray(rows)
-    if arr.dtype != np.int32:    # int32 input is not widened to an int64 copy
+    if arr.dtype not in (ID_DTYPE, np.int32):    # ids are not widened to an int64 copy
         arr = arr.astype(np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotAGroup("table is not square")
     n = arr.shape[0]
     if n == 0:
         raise NotAGroup("empty table")
+    check_order("table", n)
     if arr.min() < 0 or arr.max() >= n:
         raise NotAGroup("table entry out of range")
-    p = np.arange(n, dtype=np.int32)
+    p = np.arange(n, dtype=ID_DTYPE)
     e = int(np.argmax(arr[0] == 0))     # 0*e = 0: in a group, e is the identity
     if not (np.array_equal(arr[e], p) and np.array_equal(arr[:, e], p)):
         raise NotAGroup("no two-sided identity element", e)
     p[[0, e]] = [e, 0]
-    arr = p[arr]                        # the one int32 copy: relabel the entries,
+    arr = p[arr]                        # the one int16 copy: relabel the entries,
     arr[[0, e]] = arr[[e, 0]]           # then swap rows 0 and e
     arr[:, [0, e]] = arr[:, [e, 0]]     # and columns 0 and e
     G = GroupTable(arr, arr.argmin(axis=1), label=label)    # the 0 in each row
@@ -335,8 +366,7 @@ def from_permutation_generators(gens, label: str = "", *,
         for k, g in enumerate(perms):
             y = tuple(x[v] for v in g)
             if y not in index:
-                if len(elems) >= cap:
-                    raise OrderExceedsCap(f"permutation closure exceeds cap {cap}")
+                check_order("permutation closure", len(elems) + 1, cap)
                 index[y] = len(elems)
                 elems.append(y)
                 parent.append(i)
@@ -345,7 +375,7 @@ def from_permutation_generators(gens, label: str = "", *,
     # one gather per row once each generator's left multiplication is known.
     n = len(elems)
     left = np.array([[index[tuple(g[v] for v in q)] for q in elems] for g in perms])
-    mult = np.empty((n, n), dtype=np.int32)
+    mult = np.empty((n, n), dtype=ID_DTYPE)
     mult[0] = np.arange(n)
     for i in range(1, n):
         mult[i] = mult[parent[i], left[step[i]]]
@@ -361,30 +391,39 @@ def read_cayley_table(path, label: str | None = None, *,
     Tokens are unsigned decimal integers separated by whitespace; ``#``
     starts a comment that runs to the end of the line.  The identity may sit
     at any index in the file; the loaded group is relabeled so it lands at
-    id 0.  Raises :class:`OrderExceedsCap` when the declared order is above
-    ``cap``, and :class:`NotAGroup` naming the path for a malformed file.
+    id 0.  Blocks of whole lines are parsed straight into the int16 table, so
+    neither the whole text nor a wide parse of all n*n ids is ever held.
+    Raises :class:`OrderExceedsCap` when the declared order is above ``cap``
+    (or MAX_ORDER), before the table exists, and :class:`NotAGroup` naming
+    the path for a malformed file.
     """
     path = Path(path)
-    data = re.sub(rb"#[^\n]*", b"", path.read_bytes())
-    # numpy's parser reads a lone sign as 0 and, before numpy 2, stops at a
-    # bad token with only a warning, so any other byte is refused up front.
-    if data.translate(None, b"0123456789 \t\n\v\f\r"):
-        token = next(t for t in data.split() if not t.isdigit())
-        raise NotAGroup(f"{path}: malformed token {token.decode(errors='replace')!r}")
-    if not data or data.isspace():
+    n, table, count = None, None, 0    # the declared order, its flat table, ids read
+    with path.open("rb") as f:
+        for lines in iter(lambda: f.readlines(_LINE_BLOCK), []):
+            data = b"".join(lines)
+            if b"#" in data:
+                data = re.sub(rb"#[^\n]*", b"", data)
+            # numpy's parser reads a lone sign as 0 and, before numpy 2, stops at
+            # a bad token with only a warning, so any other byte is refused up front.
+            if data.translate(None, b"0123456789 \t\n\v\f\r"):
+                token = next(t for t in data.split() if not t.isdigit())
+                raise NotAGroup(f"{path}: malformed token {token.decode(errors='replace')!r}")
+            if not data or data.isspace():    # numpy reads blank text as one 0
+                continue
+            entries = np.fromstring(data, dtype=np.int64, sep=" ")    # saturates, never wraps
+            if n is None:
+                n, entries = int(entries[0]), entries[1:]
+                check_order(f"{path}:", n, cap)
+                table = np.empty(n * n, dtype=ID_DTYPE)
+            head = entries[:max(table.size - count, 0)]
+            np.minimum(head, n, out=table[count:count + head.size])    # ids above n stay out of range
+            count += entries.size
+    if n is None:
         raise NotAGroup(f"{path}: no data")
-    entries = np.fromstring(data, dtype=np.int64, sep=" ")    # saturates, never wraps
-    del data                                   # free the text before the table is built
-    n = int(entries[0])
-    if n > cap:
-        raise OrderExceedsCap(f"{path}: order {n} exceeds cap {cap}")
-    if n < 1 or entries.size != 1 + n * n:
-        raise NotAGroup(f"{path}: expected {n}*{n} entries after the order, "
-                        f"got {entries.size - 1}")
-    np.minimum(entries, n, out=entries)        # ids above n stay out of range in int32
-    table = entries[1:].astype(np.int32).reshape(n, n)
-    del entries                                # only the int32 table is relabelled and validated
-    return from_multiplication_table(table, label=label or path.name)
+    if n < 1 or count != n * n:
+        raise NotAGroup(f"{path}: expected {n}*{n} entries after the order, got {count}")
+    return from_multiplication_table(table.reshape(n, n), label=label or path.name)
 
 
 def write_cayley_table(G: GroupTable, path) -> None:
@@ -486,12 +525,12 @@ def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
 
 def commutator_values(G: GroupTable, rows, cols) -> np.ndarray:
     """Commutators of a block of pairs, not memoised: entry [i, j] is the id of
-    [rows[i], cols[j]], read at one int32 flat index (n^2 < 2^31), by rows."""
+    [rows[i], cols[j]], read at one flat index by rows.  The index is int32:
+    n^2 < 2^31, but from n = 182 on it does not fit the int16 ids."""
     rows, cols = np.asarray(rows), np.asarray(cols)
     def block_of(block):
-        a = rows[block, None]
-        flat = G.mult[G.inv[a], G.inv[cols]]    # the row of a^-1 * b^-1 ...
-        flat *= G.order
+        a = rows[block, None]                   # the row of a^-1 * b^-1 ...
+        flat = np.multiply(G.mult[G.inv[a], G.inv[cols]], G.order, dtype=np.int32)
         flat += G.mult[a, cols]                 # ... at the column of a * b
         return G.mult.ravel()[flat]
     return _fill_rows((rows.size, cols.size), block_of)
@@ -521,16 +560,16 @@ def _cosets(G: GroupTable, N: SubgroupSet) -> QuotientGroup:
     """G/N for a normal N: each coset is labelled by its smallest member, the
     minimum of N*g = g*N read along the rows h of N, _ROW_BLOCK rows at a time."""
     mem = N.members()
-    coset_min = np.arange(G.order, dtype=np.int32)        # the row of the identity
+    coset_min = np.arange(G.order, dtype=ID_DTYPE)        # the row of the identity
     for lo in range(0, mem.size, _ROW_BLOCK):
         np.minimum(coset_min, G.mult[mem[lo:lo + _ROW_BLOCK]].min(axis=0), out=coset_min)
     reps = np.unique(coset_min)
-    proj = np.searchsorted(reps, coset_min).astype(np.int32)
+    proj = np.searchsorted(reps, coset_min).astype(ID_DTYPE)
     qmult = _fill_rows((reps.size,) * 2, lambda rows: proj[G.mult[reps[rows, None], reps]])
     label = f"{G.label}/{N.size}" if G.label else f"G/{N.size}"
     table = GroupTable(qmult, proj[G.inv[reps]], label=label)
     return QuotientGroup(table=table, projection=proj, kernel=N,
-                         coset_reps=reps.astype(np.int32))
+                         coset_reps=reps)
 
 
 def central_quotient(G: GroupTable) -> QuotientGroup:
@@ -591,10 +630,10 @@ def is_elementary_abelian(G: GroupTable) -> int | None:
 
 
 def direct_product(G: GroupTable, H: GroupTable, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """Componentwise product; pair (g, h) gets id g*|H| + h."""
+    """Componentwise product; pair (g, h) gets id g*|H| + h.  Every id and
+    partial sum stays below n <= MAX_ORDER, so the blocks are int16."""
     n = G.order * H.order
-    if n > cap:
-        raise OrderExceedsCap(f"direct product order {n} exceeds cap {cap}")
+    check_order("direct product", n, cap)
     g, h = np.divmod(np.arange(n, dtype=np.int32), H.order)
     def block_of(rows):
         block = (G.mult[g[rows]] * H.order)[:, :, None] + H.mult[h[rows]][:, None, :]
@@ -611,7 +650,8 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
     subgroups.  It is built on the quotient directly, never on G x H: the
     coset of the pair (g, h), which has id g*|H| + h in G x H, is labelled
     by its smallest id ``(g * zg^i)*|H| + h * zh^-i`` over the p shifts i,
-    and the cosets are numbered in the order of those labels.
+    and the cosets are numbered in the order of those labels.  The G x H ids
+    reach p*n, past MAX_ORDER, so they are computed in int32.
     """
     if zg not in center(G):
         raise NotCentral(f"element {zg} is not central in {G.label or 'G'}")
@@ -623,25 +663,24 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
     if not is_prime(og):
         raise OrderMismatch(f"amalgamated order {og} is not prime")
     n = G.order * H.order // og
-    if n > cap:
-        raise OrderExceedsCap(f"central product order {n} exceeds cap {cap}")
+    check_order("central product", n, cap)
     coset_min = np.full((G.order, H.order), G.order * H.order, dtype=np.int32)
     gi, hi = 0, 0
     for _ in range(og):
-        shifted = (G.mult[:, gi] * H.order)[:, None] + H.mult[:, hi]
+        shifted = np.multiply(G.mult[:, gi], H.order, dtype=np.int32)[:, None] + H.mult[:, hi]
         np.minimum(coset_min, shifted, out=coset_min)
         gi, hi = G.mul(gi, zg), H.mul(hi, int(H.inv[zh]))
     reps = np.unique(coset_min)
-    proj = np.searchsorted(reps, coset_min.ravel()).astype(np.int32)
+    proj = np.searchsorted(reps, coset_min.ravel()).astype(ID_DTYPE)
     gr, hr = np.divmod(reps, H.order)
-    def block_of(rows):
-        block = G.mult[gr[rows, None], gr]      # the G x H id of the
-        block *= H.order                        # product of two reps
+    def block_of(rows):                         # the G x H id of the product of two reps
+        block = np.multiply(G.mult[gr[rows, None], gr], H.order, dtype=np.int32)
         block += H.mult[hr[rows, None], hr]
         return proj[block]
     mult = _fill_rows((n, n), block_of)
     label = f"{G.label}o{H.label}" if G.label and H.label else ""
-    return GroupTable(mult, proj[G.inv[gr] * H.order + H.inv[hr]], label=label)
+    inv = np.multiply(G.inv[gr], H.order, dtype=np.int32) + H.inv[hr]
+    return GroupTable(mult, proj[inv], label=label)
 
 
 def are_subgroups_conjugate(G: GroupTable, H: SubgroupSet, K: SubgroupSet) -> int | None:

@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import construct
-from .core import DEFAULT_ORDER_CAP, GroupTable, center, central_product, direct_product, \
-    element_orders, is_prime, read_cayley_table
-from .errors import BadParameter, OrderExceedsCap, SpecSyntaxError, UnknownConstructor
+from .core import DEFAULT_ORDER_CAP, GroupTable, center, central_product, check_order, \
+    direct_product, element_orders, is_prime, read_cayley_table
+from .errors import BadParameter, SpecSyntaxError, UnknownConstructor
 
 
 class _Kind(NamedTuple):
@@ -245,9 +245,7 @@ def _build_from_spec(spec: GroupSpec, *, cap: int, base_dir) -> GroupTable:
     if kind is None:
         raise UnknownConstructor(f"unknown construction kind {spec.kind!r}")
     values = _bind(spec, kind)
-    order = kind.order(*values)
-    if order > cap:
-        raise OrderExceedsCap(f"{spec.kind} order {order} exceeds cap {cap}")
+    check_order(spec.kind, kind.order(*values), cap)
     return kind.build(*values, cap=cap).relabeled(spec.text())
 
 

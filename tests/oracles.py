@@ -229,12 +229,16 @@ def naive_abelian_index_p(G, p: int) -> frozenset[int] | None:
                  if all(m[a][b] == m[b][a] for a in K for b in K)), None)
 
 
-def naive_central_product(G, H, zg: int, zh: int) -> tuple[list[list[int]], list[int]]:
+def naive_central_product(G, H, zg: int, zh: int,
+                          rows=None) -> tuple[list[list[int]], list[int]]:
     """(G x H)/<(zg, zh^-1)> by its definition: the pair (g, h) has id
     g*|H| + h, a coset is labelled by the smallest id in it, and the cosets
-    are numbered in the order of their labels.  Returns (mult, inv)."""
+    are numbered in the order of their labels.  Returns (mult, inv), mult
+    only at ``rows`` when they are given."""
     mg, mh, nh = table_of(G), table_of(H), H.order
-    zh_inv = naive_inverse(H, zh)
+    ginv = [next(x for x in range(G.order) if mg[g][x] == 0) for g in range(G.order)]
+    hinv = [next(x for x in range(nh) if mh[h][x] == 0) for h in range(nh)]
+    zh_inv = hinv[zh]
     kernel = [(0, 0)]
     while True:
         a, b = mg[kernel[-1][0]][zg], mh[kernel[-1][1]][zh_inv]
@@ -248,9 +252,8 @@ def naive_central_product(G, H, zg: int, zh: int) -> tuple[list[list[int]], list
     reps = sorted({label(g, h) for g in range(G.order) for h in range(nh)})
     index = {r: i for i, r in enumerate(reps)}
     pairs = [divmod(r, nh) for r in reps]
-    mult = [[index[label(mg[g1][g2], mh[h1][h2])] for g2, h2 in pairs] for g1, h1 in pairs]
-    ginv = [naive_inverse(G, g) for g in range(G.order)]
-    hinv = [naive_inverse(H, h) for h in range(nh)]
+    picked = pairs if rows is None else [pairs[i] for i in rows]
+    mult = [[index[label(mg[g1][g2], mh[h1][h2])] for g2, h2 in pairs] for g1, h1 in picked]
     return mult, [index[label(ginv[g], hinv[h])] for g, h in pairs]
 
 

@@ -1,11 +1,17 @@
 """The constructed tables themselves, and the memory it takes to build and
 analyse them.
 
+Element ids are int16, so every table holds ids below MAX_ORDER = 32767 and
+no order above it is admitted; arithmetic on ids that can pass 32767 (the
+commutator pairing's flat index, the G x H ids of a central product) is
+computed wider, each site gated by a test below that fails without it.
+
 The SHA-256 digests below were taken from the tables as built before the
 constructors moved to int32 arithmetic and before central products were
 built on the quotient directly; those from ``quaternion(4096)`` on, before
 every table was filled in row blocks and permutation groups by row gathers.
-Element ids must not move.
+They hash the ids as int32, as the tables were then stored: element ids
+must not move.
 """
 
 import gc
@@ -17,6 +23,7 @@ import pytest
 
 import zclasses as zc
 from zclasses import catalog, cli
+from zclasses.errors import NotAGroup, OrderExceedsCap
 from zclasses.specs import _KINDS, _amalgamation_pair
 
 from conftest import PERMUTATION_GENERATORS
@@ -99,9 +106,9 @@ def test_table_digest_frozen(spec):
         G = zc.from_permutation_generators(PERMUTATION_GENERATORS[spec])
     else:
         G = zc.build_group(spec)
-    assert G.mult.dtype == G.inv.dtype == "int32"
-    digests = (hashlib.sha256(G.mult.tobytes()).hexdigest(),
-               hashlib.sha256(G.inv.tobytes()).hexdigest())
+    assert G.mult.dtype == G.inv.dtype == "int16"
+    digests = (hashlib.sha256(G.mult.astype(np.int32).tobytes()).hexdigest(),
+               hashlib.sha256(G.inv.astype(np.int32).tobytes()).hexdigest())
     assert digests == FROZEN_DIGESTS[spec]
 
 
@@ -313,3 +320,119 @@ def test_cayley_writer_holds_one_row_of_strings(tmp_path):
     G = zc.dihedral(4096)
     _, peak = _traced_peak(zc.write_cayley_table, G, tmp_path / "d4096.cayley")
     assert peak < 24e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_cayley_load_parses_in_line_blocks(tmp_path):
+    """A load parses blocks of whole lines straight into the int16 table:
+    loading a canonical d2048 file (an 18 MB text) holds the 8.4 MB table,
+    its relabelled copy and blocks, under 32 MB, not the text beside an
+    int64 parse of every entry."""
+    path = tmp_path / "d2048.cayley"
+    zc.write_cayley_table(zc.dihedral(2048), path)
+    G, peak = _traced_peak(zc.read_cayley_table, path)
+    assert np.array_equal(G.mult, zc.dihedral(2048).mult)
+    assert peak < 32e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def _declared_32768(tmp_path):
+    path = tmp_path / "c32768.cayley"
+    path.write_text("# the order alone is read\n32768\n0 1\n")
+    return zc.read_cayley_table(path, cap=10**6)
+
+
+S8 = [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]
+# An order-32768 table of ids that takes no memory: every entry is one 0.
+UNALLOCATED = np.broadcast_to(np.int16(0), (2 ** 15,) * 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp: zc.build_group("cyclic(32768)", cap=10**6),
+    lambda tmp: zc.cyclic(32768),
+    lambda tmp: zc.build_group("extraspecial(2,8,plus)", cap=10**6),
+    lambda tmp: zc.direct_product(zc.cyclic(128), zc.cyclic(256), cap=10**6),
+    lambda tmp: zc.central_product(zc.cyclic(256), zc.cyclic(512), 128, 256, cap=10**6),
+    _declared_32768,
+    lambda tmp: zc.from_permutation_generators(S8, cap=10**6),
+    lambda tmp: zc.from_multiplication_table(UNALLOCATED),
+    lambda tmp: zc.GroupTable(UNALLOCATED, UNALLOCATED[0]),
+], ids=["spec", "constructor", "extraspecial", "direct-product", "central-product",
+        "cayley-file", "S8-closure", "raw-table", "GroupTable"])
+def test_order_ceiling_refused_before_allocation(tmp_path, build):
+    """Above 32767 no id fits int16, whatever the cap says: each way of
+    building a group refuses before it allocates (one table is 2.1 GB).
+    The ids g*|H| + h of a direct product stay below its order, so int16
+    arithmetic is exact up to the ceiling; only a product past it, refused
+    here, would wrap them."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderExceedsCap, match="exceeds cap 32767"):
+            build(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("entry", [-1, 2 ** 15, 2 ** 16, 2 ** 31 - 1])
+def test_wider_table_refused_not_wrapped(dtype, entry):
+    mult = np.array([[0, 1], [1, 0]], dtype=dtype)
+    mult[1, 1] = entry
+    with pytest.raises(NotAGroup, match="outside the id range"):
+        zc.GroupTable(mult, [0, 1])
+    with pytest.raises(NotAGroup, match="outside the id range"):
+        zc.GroupTable([[0, 1], [1, 0]], np.array([0, entry], dtype=dtype))
+
+
+def test_central_product_ids_past_int16():
+    """The G x H ids of C191 o C191 reach 191 * 191 - 1 = 36480."""
+    G = zc.cyclic(191)
+    mult, inv = naive_central_product(G, G, 1, 1)
+    P = zc.build_group("centralproduct(cyclic(191),cyclic(191))")
+    assert P.mult.tolist() == mult
+    assert P.inv.tolist() == inv
+
+
+def test_central_product_rep_products_past_int16():
+    """In (D26 x C37) o C37 the coset reps of D26 x C37 are 37*d, so the
+    product of two reaches id 925 and the G x H id 925*37 + 36 = 34261, as
+    does the inverse of the rep 925; rows 924 on hold such products."""
+    G = zc.build_group("product(dihedral(26),cyclic(37))")
+    rows = [0, 1, 480, 924, 960, 961]
+    mult, inv = naive_central_product(G, zc.cyclic(37), 1, 1, rows=rows)
+    P = zc.build_group("centralproduct(product(dihedral(26),cyclic(37)),cyclic(37))")
+    assert P.mult[rows].tolist() == mult
+    assert P.inv.tolist() == inv
+
+
+def test_pairing_flat_index_past_int16():
+    """The pairing of heisenberg(7) reads n^2 = 117649 flat indices."""
+    G = zc.heisenberg(7)
+    P = zc.commutator_pairing(G)
+    reps = P.quotient.coset_reps.tolist()
+    assert P.table.tolist() == [[G.commutator(a, b) for b in reps] for a in reps]
+
+
+def _library_tables(G):
+    quo = zc.central_quotient(G)
+    yield "mult", G.mult
+    yield "inv", G.inv
+    yield "G/Z mult", quo.table.mult
+    yield "G/Z inv", quo.table.inv
+    yield "projection", quo.projection
+    yield "coset reps", quo.coset_reps
+    yield "pairing", zc.commutator_pairing(G).table
+
+
+def test_every_library_table_is_int16(tmp_path):
+    """Group, quotient and pairing tables, from every way of building a group."""
+    groups = [zc.build_group(e.spec_text) for e in zc.builtin_catalog()]
+    groups.append(zc.from_permutation_generators(PERMUTATION_GENERATORS["S4"]))
+    groups.append(zc.from_multiplication_table(zc.heisenberg(3).mult.astype(np.int64)))
+    zc.write_cayley_table(zc.dihedral(12), tmp_path / "d12.cayley")
+    groups.append(zc.read_cayley_table(tmp_path / "d12.cayley"))
+    D8 = zc.dihedral(8)
+    groups.append(zc.quotient(D8, zc.commutator_subgroup(D8)).table)
+    wide = [(G.label, name, t.dtype.name) for G in groups
+            for name, t in _library_tables(G) if t.dtype != np.int16]
+    assert wide == []
