@@ -20,10 +20,9 @@ part = zc.z_class_partition(H3)
 print("\nfirst class of Heis3 is its center:",
       np.array_equal(part.classes[0].members, zc.center(H3).members()))
 
-# fixed sets: strict = same centralizer, loose = containing centralizer
+# the cell of a noncentral x: the elements with the same centralizer
 x = int(np.flatnonzero(~zc.center(H3).mask)[0])
 print("elements sharing x's centralizer:", zc.strict_fixed_set(H3, x).tolist())
-print("elements whose centralizer contains C(x):", zc.fixed_set(H3, x).tolist())
 
 # the orbit-size identity, checked on every element of the class-3 group D16
 D16 = zc.dihedral(16)

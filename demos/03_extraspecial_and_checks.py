@@ -30,8 +30,6 @@ print("\nHeis3 central quotient elementary abelian:",
       zc.condition_central_quotient_elementary(H3))
 print("Heis3 local-center condition (Z(C(x)) = <x,Z> for all x):",
       zc.condition_local_center(H3))
-print("Heis3 abelian subgroup exceeding p|Z|:",
-      zc.has_abelian_subgroup_exceeding(H3))
 print("D8 abelian subgroup of index 2:",
       zc.has_abelian_subgroup_of_index_p(zc.dihedral(8), 2).members().tolist())
 print("ES(2,2,+) abelian subgroup of index 2:",

@@ -51,8 +51,6 @@ from .zclass import (
     condition_central_quotient_elementary,
     condition_local_center,
     conjugate_type_vector,
-    fixed_set,
-    has_abelian_subgroup_exceeding,
     has_abelian_subgroup_of_index_p,
     is_type_n_1,
     kulkarni_size_check,
@@ -64,7 +62,6 @@ from .zclass import (
     verify_theorem_mt,
     z_class_count,
     z_class_partition,
-    zclass_size_lower_bound_check,
 )
 from .isoclinism import (
     CommutatorPairing,
@@ -75,7 +72,6 @@ from .isoclinism import (
     verify_corollary_est,
     verify_direct_factor_invariance,
     verify_isoclinism_invariance,
-    witness_from_json,
 )
 from .specs import GroupSpec, build_group, parse_spec
 from .catalog import (

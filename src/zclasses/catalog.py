@@ -226,13 +226,10 @@ def theorem_record(label: str, analysis: dict, report: TheoremReport) -> dict:
 class CatalogResult:
     records: list[dict]
     summary: dict
-    refuted: int
-    golden_mismatches: int
-    errors: int
 
     @property
     def exit_code(self) -> int:
-        return 1 if (self.refuted or self.golden_mismatches) else 0
+        return 1 if (self.summary["refuted"] or self.summary["golden_mismatches"]) else 0
 
 
 def run_catalog(entries, *, cap: int = DEFAULT_ORDER_CAP) -> CatalogResult:
@@ -270,8 +267,7 @@ def run_catalog(entries, *, cap: int = DEFAULT_ORDER_CAP) -> CatalogResult:
             counts[report.verdict.lower()] += 1
             records.append(theorem_record(entry.label, analysis, report))
     summary = {**counts, "errors": errors, "golden_mismatches": mismatches}
-    return CatalogResult(records=records, summary=summary, refuted=counts["refuted"],
-                         golden_mismatches=mismatches, errors=errors)
+    return CatalogResult(records=records, summary=summary)
 
 
 def _fmt_expect(value) -> str:

@@ -134,13 +134,6 @@ def _require(holds: np.ndarray, failure: str, ids=None) -> None:
         raise NotAnIsoclinism(f"{failure} at ({a}, {b})")
 
 
-def witness_from_json(G1: GroupTable, G2: GroupTable, payload: dict) -> IsoclinismWitness:
-    """Rebuild a witness from its serialized form; call validate() to check it."""
-    phi = np.asarray(payload["phi"], dtype=np.int64)
-    psi = {int(k): int(v) for k, v in payload["psi"]}
-    return IsoclinismWitness(G1, G2, phi, psi)
-
-
 def _close(m1: np.ndarray, m2: np.ndarray, gens, images) -> np.ndarray | None:
     """Extend gens -> images to an embedding of <gens> in the group of table m1
     into the group of table m2: walk right multiplication by the generators

@@ -31,7 +31,7 @@ from .core import (
     prime_power,
     subgroup_generated,
 )
-from .errors import AbelianGroup, NotPGroup, NotPrimePowerIndex, PreconditionViolated
+from .errors import AbelianGroup, NotPGroup, NotPrimePowerIndex
 
 
 @dataclass
@@ -105,14 +105,6 @@ def strict_fixed_set(G: GroupTable, x: int) -> np.ndarray:
     """All y whose centralizer equals that of x, as a sorted id array."""
     cell = _cells(G)[1]
     return np.flatnonzero(cell == cell[x])
-
-
-def fixed_set(G: GroupTable, x: int) -> np.ndarray:
-    """All y whose centralizer contains that of x (non-strict containment);
-    each commutes with x, so the set is Z(C_G(x))."""
-    cm = commuting_table(G)
-    cx = np.flatnonzero(cm[x])
-    return cx[(cm[cx] | ~cm[x]).all(axis=1)]
 
 
 def z_class_partition(G: GroupTable) -> ZClassPartition:
@@ -249,53 +241,6 @@ def has_abelian_subgroup_of_index_p(G: GroupTable, p: int) -> SubgroupSet | None
     cent, local = _cell_centralizer_orders(G)
     hits = _cells(G)[0][(G.order == p * cent) & (cent == local)]
     return SubgroupSet(G, commuting_table(G)[hits[0]]) if hits.size else None
-
-
-def has_abelian_subgroup_exceeding(G: GroupTable) -> SubgroupSet | None:
-    """Find an abelian subgroup of order exceeding p * |Z(G)|, if any.
-
-    Requires a non-abelian p-group whose central quotient is elementary
-    abelian.  Under that hypothesis it suffices to search the subgroups
-    <x, y, Z(G)> over commuting noncentral pairs with y outside <x, Z(G)>:
-    any larger abelian subgroup A yields such a pair inside A*Z(G).
-    """
-    if is_abelian(G):
-        raise PreconditionViolated("group is abelian")
-    if prime_power(G.order) is None:
-        raise PreconditionViolated(f"order {G.order} is not a prime power")
-    if not condition_central_quotient_elementary(G):
-        raise PreconditionViolated("central quotient is not elementary abelian")
-    cm = commuting_table(G)
-    zmask = center(G).mask
-    zmem = np.flatnonzero(zmask)
-    for x in np.flatnonzero(~zmask):
-        xz = subgroup_generated(G, np.append(zmem, x))
-        candidates = np.flatnonzero(cm[x] & ~zmask & ~xz.mask)
-        if candidates.size:
-            y = int(candidates[0])
-            return subgroup_generated(G, np.append(zmem, [x, y]))
-    return None
-
-
-def zclass_size_lower_bound_check(G: GroupTable) -> tuple[bool, int | None]:
-    """Every class except the center has size >= (p-1)*|Z(G)|.
-
-    Requires a non-abelian p-group whose central quotient has exponent p.
-    Returns (True, None) or (False, representative of an offending class).
-    """
-    if is_abelian(G):
-        raise PreconditionViolated("group is abelian")
-    pw = prime_power(G.order)
-    if pw is None:
-        raise PreconditionViolated(f"order {G.order} is not a prime power")
-    p = pw[0]
-    if not np.isin(element_orders(central_quotient(G).table), (1, p)).all():
-        raise PreconditionViolated("central quotient does not have exponent p")
-    floor = (p - 1) * center(G).size
-    for cls in z_class_partition(G).classes[1:]:     # class 0 is the center
-        if cls.size < floor:
-            return False, cls.representative
-    return True, None
 
 
 @dataclass

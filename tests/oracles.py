@@ -31,28 +31,17 @@ def naive_center(G) -> frozenset[int]:
     return frozenset(z for z in range(n) if all(m[z][a] == m[a][z] for a in range(n)))
 
 
-def naive_inverse(G, g: int) -> int:
-    m = table_of(G)
-    return next(h for h in range(G.order) if m[g][h] == 0 and m[h][g] == 0)
-
-
 def conjugation_maps(G) -> list[list[int]]:
     """For each g the full map a -> g^-1 * a * g, as plain lists."""
     m = table_of(G)
-    inv = [naive_inverse(G, g) for g in range(G.order)]
+    inv = [_inverse_in(m, g) for g in range(G.order)]
     return [[m[m[inv[g]][a]][g] for a in range(G.order)] for g in range(G.order)]
 
 
 def conj_subset(G, S: frozenset[int], g: int) -> frozenset[int]:
     m = table_of(G)
-    gi = naive_inverse(G, g)
+    gi = _inverse_in(m, g)
     return frozenset(m[m[gi][s]][g] for s in S)
-
-
-def subsets_conjugate(G, A: frozenset[int], B: frozenset[int]) -> bool:
-    if len(A) != len(B):
-        return False
-    return any(conj_subset(G, A, g) == B for g in range(G.order))
 
 
 def naive_element_order(G, x: int) -> int:
@@ -71,6 +60,10 @@ def _order_in(m: list[list[int]], x: int) -> int:
         y = m[y][x]
         k += 1
     return k
+
+
+def _inverse_in(m: list[list[int]], g: int) -> int:
+    return next(h for h in range(len(m)) if m[g][h] == 0 and m[h][g] == 0)
 
 
 def naive_z_partition(G) -> list[frozenset[int]]:
@@ -142,17 +135,20 @@ def naive_commutator_subgroup(G) -> frozenset[int]:
     return naive_subgroup_closure(G, values)
 
 
+def naive_fixed_set(G, x: int) -> frozenset[int]:
+    """Z(C_G(x)): the members of C_G(x) that commute with all of it, which
+    are exactly the y whose centralizer contains C_G(x)."""
+    m = table_of(G)
+    C = naive_centralizer(G, x)
+    return frozenset(y for y in C if all(m[y][c] == m[c][y] for c in C))
+
+
 def naive_local_center(G) -> tuple[bool, int | None]:
     """Z(C_G(x)) = <x, Z(G)> for every noncentral x, by comparing the sets;
     (True, None) or (False, smallest offending x)."""
-    m = table_of(G)
     Z = naive_center(G)
     for x in range(G.order):
-        if x in Z:
-            continue
-        C = naive_centralizer(G, x)
-        local = frozenset(y for y in C if all(m[y][c] == m[c][y] for c in C))
-        if local != naive_subgroup_closure(G, Z | {x}):
+        if x not in Z and naive_fixed_set(G, x) != naive_subgroup_closure(G, Z | {x}):
             return False, x
     return True, None
 
