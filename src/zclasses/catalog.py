@@ -24,7 +24,7 @@ from .core import (
     prime_power,
 )
 from .construct import is_extraspecial
-from .errors import GroupError, PreconditionViolated, SpecSyntaxError
+from .errors import GroupError, SpecSyntaxError
 from .isoclinism import is_stem_group, verify_corollary_est, verify_direct_factor_invariance
 from .specs import build_group, parse_spec
 from .zclass import (
@@ -159,16 +159,12 @@ def analyze_group(G: GroupTable, label: str | None = None) -> dict:
     """One summary record of the structural facts for a group."""
     Z = center(G)
     D = commutator_subgroup(G)
-    abelian = is_abelian(G)
     pw = prime_power(G.order // Z.size)
     p, k = pw if pw else (None, None)
-    bound = attains = None
-    zclasses = z_class_count(G)
-    if not abelian and pw is not None:
-        bound = max_zclass_bound(G)
-        attains = zclasses == bound
+    zclasses, bound = z_class_count(G), max_zclass_bound(G)
+    attains = None if bound is None else zclasses == bound
     cond1 = cond2 = None
-    if not abelian:
+    if not is_abelian(G):
         cond1 = condition_central_quotient_elementary(G)
         cond2 = condition_local_center(G)[0]
     return {
@@ -192,17 +188,14 @@ def analyze_group(G: GroupTable, label: str | None = None) -> dict:
 
 def run_theorem(G: GroupTable, theorem: str, *, iso_cap: int | None = None,
                 order_cap: int = DEFAULT_ORDER_CAP) -> TheoremReport:
-    """Dispatch one named check; unmet preconditions come back as vacuous.
-    No check searches, so ``iso_cap`` is ignored (perfbench still passes it)."""
+    """Dispatch one named check.  No check searches, so ``iso_cap`` is
+    ignored (perfbench still passes it)."""
     if theorem == "mt":
         return verify_theorem_mt(G)
     if theorem == "A":
         return verify_theorem_A(G)
     if theorem == "est":
-        try:
-            return verify_corollary_est(G)
-        except PreconditionViolated:
-            return TheoremReport("est", None)
+        return verify_corollary_est(G)
     if theorem == "kulkarni":
         return verify_kulkarni(G)
     if theorem == "bounds":

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_ORDER_CAP,
+    MAX_ORDER,
     GroupTable,
     SubgroupSet,
     _fill_rows,
@@ -32,13 +33,14 @@ from .core import (
     prime_power,
     subgroup_generated,
 )
-from .errors import BadParameter, NotPGroup, NotPrime
+from .errors import BadParameter, OrderExceedsCap
 
 
 def cyclic(n: int) -> GroupTable:
     """C_n with addition mod n (n = 1 gives the trivial group)."""
     if n < 1:
         raise BadParameter(f"cyclic order must be >= 1, got {n}")
+    check_order("cyclic", n)            # before its ids are allocated
     ids = np.arange(n, dtype=np.int32)
     return GroupTable(_fill_rows((n, n), lambda rows: (ids[rows, None] + ids) % n),
                       (-ids) % n, label=f"C{n}")
@@ -105,8 +107,9 @@ def heisenberg(p: int) -> GroupTable:
     Matrix with entries (a, b, c) (superdiagonal a, b and corner c) gets id
     a*p^2 + b*p + c; the group has order p^3 and exponent p.
     """
+    check_order("heisenberg", p ** 3)   # before the trial division of is_prime
     if not is_prime(p) or p == 2:
-        raise NotPrime(f"p must be an odd prime, got {p}")
+        raise BadParameter(f"p must be an odd prime, got {p}")
     ids = np.arange(p ** 3, dtype=np.int32)
     a, b, c = ids // (p * p), (ids // p) % p, ids % p
     def block_of(rows):
@@ -125,8 +128,9 @@ def modular_p3(p: int) -> GroupTable:
 
     Element a^i b^j gets id i*p + j.
     """
+    check_order("modular_p3", p ** 3)
     if not is_prime(p) or p == 2:
-        raise NotPrime(f"p must be an odd prime, got {p}")
+        raise BadParameter(f"p must be an odd prime, got {p}")
     psq, n = p * p, p ** 3
     ids = np.arange(n, dtype=np.int32)
     i, j = ids // p, ids % p
@@ -157,9 +161,12 @@ def extraspecial(p: int, n: int, variant: str = "plus", *,
     if variant not in ("plus", "minus"):
         raise BadParameter(f"variant must be 'plus' or 'minus', got {variant!r}")
     if not is_prime(p):
-        raise NotPrime(f"p must be prime, got {p}")
+        raise BadParameter(f"p must be prime, got {p}")
     if n < 1:
         raise BadParameter(f"n must be >= 1, got {n}")
+    limit = min(cap, MAX_ORDER)
+    if 2 * n >= limit.bit_length():     # p^(1+2n) >= 2^(1+2n) > limit: not computed
+        raise OrderExceedsCap(f"extraspecial order {p}^{1 + 2 * n} exceeds cap {limit}")
     check_order("extraspecial", p ** (1 + 2 * n), cap)
     kinds, q = ((dihedral, quaternion), 8) if p == 2 else ((heisenberg, modular_p3), p)
     last = kinds[variant == "minus"](q)
@@ -180,7 +187,7 @@ def frattini_subgroup(G: GroupTable, p: int) -> SubgroupSet:
     if G.order > 1:
         pw = prime_power(G.order)
         if pw is None or pw[0] != p:
-            raise NotPGroup(f"order {G.order} is not a power of {p}")
+            raise BadParameter(f"order {G.order} is not a power of {p}")
     gens = commutator_subgroup(G).mask.copy()    # <G', x^p> = <[a, b], x^p>
     gens[power_map(G, np.arange(G.order), p)] = True
     return subgroup_generated(G, np.flatnonzero(gens))

@@ -25,14 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InvalidPermutation,
-    NotAGroup,
-    NotCentral,
-    NotNormal,
-    OrderExceedsCap,
-    OrderMismatch,
-)
+from .errors import BadParameter, NotAGroup, NotNormal, OrderExceedsCap
 
 DEFAULT_ORDER_CAP = 4096
 DEFAULT_ISO_CAP = 64
@@ -56,10 +49,11 @@ _TILE = 64
 
 def check_order(what: str, order: int, cap: int = MAX_ORDER) -> None:
     """Refuse an ``order`` above ``cap`` or MAX_ORDER before any table of it
-    is allocated."""
+    is allocated; an order too long to print in decimal is named by its bits."""
     limit = min(cap, MAX_ORDER)
     if order > limit:
-        raise OrderExceedsCap(f"{what} order {order} exceeds cap {limit}")
+        shown = order if order.bit_length() <= 64 else f"of {order.bit_length()} bits"
+        raise OrderExceedsCap(f"{what} order {shown} exceeds cap {limit}")
 
 
 def _fill_rows(shape, block_of) -> np.ndarray:
@@ -181,8 +175,10 @@ class GroupTable:
 
 
 def _as_ids(a: np.ndarray) -> np.ndarray:
-    """``a`` as a C-contiguous ID_DTYPE array, refused rather than wrapped
-    when an entry lies outside 0..MAX_ORDER."""
+    """``a`` as a C-contiguous ID_DTYPE array, refused rather than truncated
+    or wrapped when its entries are not integers or lie outside 0..MAX_ORDER."""
+    if a.dtype.kind not in "iu":
+        raise NotAGroup(f"table entries are {a.dtype}, not integer ids")
     if a.dtype != ID_DTYPE and a.size and (a.min() < 0 or a.max() > MAX_ORDER):
         raise NotAGroup(f"table entry outside the id range 0..{MAX_ORDER}")
     return np.ascontiguousarray(a, dtype=ID_DTYPE)
@@ -324,25 +320,36 @@ def from_multiplication_table(rows, label: str = "") -> GroupTable:
     failed axiom.
     """
     arr = np.asarray(rows)
-    if arr.dtype not in (ID_DTYPE, np.int32):    # ids are not widened to an int64 copy
-        arr = arr.astype(np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotAGroup("table is not square")
     n = arr.shape[0]
     if n == 0:
         raise NotAGroup("empty table")
     check_order("table", n)
+    if arr.dtype.kind not in "iu":
+        raise NotAGroup(f"table entries are {arr.dtype}, not integer ids")
     if arr.min() < 0 or arr.max() >= n:
         raise NotAGroup("table entry out of range")
+    return _identity_first(arr.astype(ID_DTYPE), label)    # the one copy
+
+
+def _identity_first(mult: np.ndarray, label: str) -> GroupTable:
+    """The validated group of ``mult``, an int16 table of ids in 0..n-1 owned
+    by the caller, relabelled in place so that its identity e is id 0: the
+    entries by blocks of rows, then rows 0 and e, then columns 0 and e."""
+    n = mult.shape[0]
     p = np.arange(n, dtype=ID_DTYPE)
-    e = int(np.argmax(arr[0] == 0))     # 0*e = 0: in a group, e is the identity
-    if not (np.array_equal(arr[e], p) and np.array_equal(arr[:, e], p)):
+    e = int(np.argmax(mult[0] == 0))    # 0*e = 0: in a group, e is the identity
+    if not (np.array_equal(mult[e], p) and np.array_equal(mult[:, e], p)):
         raise NotAGroup("no two-sided identity element", e)
-    p[[0, e]] = [e, 0]
-    arr = p[arr]                        # the one int16 copy: relabel the entries,
-    arr[[0, e]] = arr[[e, 0]]           # then swap rows 0 and e
-    arr[:, [0, e]] = arr[:, [e, 0]]     # and columns 0 and e
-    G = GroupTable(arr, arr.argmin(axis=1), label=label)    # the 0 in each row
+    if e:
+        p[[0, e]] = [e, 0]
+        for lo in range(0, n, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            mult[rows] = p[mult[rows]]
+        mult[[0, e]] = mult[[e, 0]]
+        mult[:, [0, e]] = mult[:, [e, 0]]
+    G = GroupTable(mult, mult.argmin(axis=1), label=label)    # the 0 in each row
     validate_group_table(G)
     return G
 
@@ -359,7 +366,7 @@ def from_permutation_generators(gens, label: str = "", *,
     degree = len(perms[0]) if perms else 0
     for t in perms:
         if sorted(t) != list(range(degree)):
-            raise InvalidPermutation(f"not a bijection of 0..{degree - 1}: {t}")
+            raise BadParameter(f"not a bijection of 0..{degree - 1}: {t}")
     elems, parent, step = [tuple(range(degree))], [0], [0]
     index = {elems[0]: 0}
     for i, x in enumerate(elems):          # breadth first: elems grows as it is read
@@ -379,9 +386,7 @@ def from_permutation_generators(gens, label: str = "", *,
     mult[0] = np.arange(n)
     for i in range(1, n):
         mult[i] = mult[parent[i], left[step[i]]]
-    G = GroupTable(mult, mult.argmin(axis=1), label=label)    # the 0 in each row
-    validate_group_table(G)
-    return G
+    return _identity_first(mult, label)
 
 
 def read_cayley_table(path, label: str | None = None, *,
@@ -423,7 +428,9 @@ def read_cayley_table(path, label: str | None = None, *,
         raise NotAGroup(f"{path}: no data")
     if n < 1 or count != n * n:
         raise NotAGroup(f"{path}: expected {n}*{n} entries after the order, got {count}")
-    return from_multiplication_table(table.reshape(n, n), label=label or path.name)
+    if table.max() >= n:                # an id above n was stored as n
+        raise NotAGroup("table entry out of range")
+    return _identity_first(table.reshape(n, n), label or path.name)
 
 
 def write_cayley_table(G: GroupTable, path) -> None:
@@ -654,14 +661,14 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
     reach p*n, past MAX_ORDER, so they are computed in int32.
     """
     if zg not in center(G):
-        raise NotCentral(f"element {zg} is not central in {G.label or 'G'}")
+        raise BadParameter(f"element {zg} is not central in {G.label or 'G'}")
     if zh not in center(H):
-        raise NotCentral(f"element {zh} is not central in {H.label or 'H'}")
+        raise BadParameter(f"element {zh} is not central in {H.label or 'H'}")
     og, oh = G.element_order(zg), H.element_order(zh)
     if og != oh:
-        raise OrderMismatch(f"central element orders differ: {og} vs {oh}")
+        raise BadParameter(f"central element orders differ: {og} vs {oh}")
     if not is_prime(og):
-        raise OrderMismatch(f"amalgamated order {og} is not prime")
+        raise BadParameter(f"amalgamated order {og} is not prime")
     n = G.order * H.order // og
     check_order("central product", n, cap)
     coset_min = np.full((G.order, H.order), G.order * H.order, dtype=np.int32)

@@ -17,10 +17,6 @@ class NotAGroup(GroupError):
         super().__init__(msg)
 
 
-class InvalidPermutation(GroupError):
-    """A generator is not a bijection of the stated points."""
-
-
 class OrderExceedsCap(GroupError):
     """A construction would produce a group larger than the order cap."""
 
@@ -33,36 +29,8 @@ class NotNormal(GroupError):
         super().__init__(msg)
 
 
-class NotCentral(GroupError):
-    """An element required to be central is not."""
-
-
-class OrderMismatch(GroupError):
-    """Amalgamated central elements must share one prime order."""
-
-
-class NotPrime(GroupError):
-    """A parameter required to be (an odd) prime is not."""
-
-
-class NotPGroup(GroupError):
-    """The group order is not a power of the stated prime."""
-
-
 class BadParameter(GroupError):
-    """A constructor parameter is out of its legal range."""
-
-
-class NotPrimePowerIndex(GroupError):
-    """[G : Z(G)] is not a prime power, so the class-count bound is undefined."""
-
-
-class AbelianGroup(GroupError):
-    """Raised where a non-abelian group is required."""
-
-
-class PreconditionViolated(GroupError):
-    """An operation's stated precondition does not hold for the input."""
+    """A parameter is out of range, or not the prime, bijection or central element asked for."""
 
 
 class NotAnIsoclinism(GroupError):

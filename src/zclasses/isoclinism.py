@@ -36,11 +36,10 @@ from .core import (
     direct_product,
     element_orders,
     greedy_generating_sequence,
-    is_prime,
     prime_power,
     smallest_prime_factor,
 )
-from .errors import NotAGroup, NotAnIsoclinism, PreconditionViolated, QuotientExceedsCap
+from .errors import NotAGroup, NotAnIsoclinism, QuotientExceedsCap
 from .zclass import TheoremReport, max_zclass_bound, z_class_count
 
 
@@ -223,14 +222,16 @@ def verify_isoclinism_invariance(G1: GroupTable, G2: GroupTable,
                                  cap: int = DEFAULT_ISO_CAP) -> TheoremReport:
     """Given isoclinic groups, assert their class counts agree.
 
-    Searches for a witness when none is supplied and raises
-    :class:`PreconditionViolated` if the groups are not isoclinic.
+    Searches for a witness when none is supplied; the report is vacuous when
+    the search proves the groups are not isoclinic.
     """
     if witness is not None:
         witness.validate()
     elif are_isoclinic(G1, G2, cap=cap) is None:    # a found witness is validated
-        raise PreconditionViolated("groups are not isoclinic")
-    return _invariance_report(G1, G2)
+        return TheoremReport("isoclinism-invariance", None)
+    c1, c2 = z_class_count(G1), z_class_count(G2)
+    return TheoremReport("isoclinism-invariance", c1 == c2,
+                         None if c1 == c2 else f"counts differ: {c1} vs {c2}")
 
 
 def verify_direct_factor_invariance(G: GroupTable, *,
@@ -246,27 +247,20 @@ def verify_direct_factor_invariance(G: GroupTable, *,
     embed = np.arange(G.order) * p               # the pairs (g, 1) in G x C_p
     phi = central_quotient(H).projection[embed[central_quotient(G).coset_reps]]
     psi = {int(d): int(embed[d]) for d in commutator_subgroup(G).members()}
-    IsoclinismWitness(G, H, phi, psi).validate()
-    return _invariance_report(G, H)
+    return verify_isoclinism_invariance(G, H, IsoclinismWitness(G, H, phi, psi))
 
 
 def verify_corollary_est(G: GroupTable) -> TheoremReport:
     """Check: with |G'| = p and [G : Z(G)] = p^k (k >= 2), the class count
     attains the bound exactly when G is isoclinic to an extraspecial group.
     The isoclinism onto ES(p, k/2, +) is constructed and validated, so only
-    attainment is left to check.  Raises :class:`PreconditionViolated` when
-    the hypotheses on G', the central index, or k fail."""
+    attainment is left to check.  The report is vacuous when |G'| is not
+    prime (abelian G has |G'| = 1), [G : Z(G)] is not a power of it, or k < 2."""
     D = commutator_subgroup(G)
-    if not is_prime(D.size):                  # abelian G has |G'| = 1
-        raise PreconditionViolated(f"|G'| = {D.size} is not prime")
-    index = G.order // center(G).size
-    pw = prime_power(index)
-    if pw is None or pw[0] != D.size:
-        raise PreconditionViolated(
-            f"[G : Z(G)] = {index} is not a power of |G'| = {D.size}")
+    pw = prime_power(G.order // center(G).size)
+    if pw is None or pw[0] != D.size or pw[1] < 2:
+        return TheoremReport("est", None)
     p, k = pw
-    if k < 2:
-        raise PreconditionViolated(f"need [G : Z(G)] = p^k with k >= 2, got k={k}")
     iso = _extraspecial_witness(G, p, k)
     iso.validate()
     attains = z_class_count(G) == max_zclass_bound(G)
@@ -310,10 +304,3 @@ def _extraspecial_witness(G: GroupTable, p: int, k: int) -> IsoclinismWitness:
     phi = np.empty(spans[0].size, dtype=np.int64)
     phi[spans[0]] = spans[1]
     return IsoclinismWitness(*groups, phi, dict(zip(*powers)))
-
-
-def _invariance_report(G1: GroupTable, G2: GroupTable) -> TheoremReport:
-    """Compare the class counts of G1 and G2, once their isoclinism is proved."""
-    c1, c2 = z_class_count(G1), z_class_count(G2)
-    return TheoremReport("isoclinism-invariance", c1 == c2,
-                         None if c1 == c2 else f"counts differ: {c1} vs {c2}")

@@ -164,8 +164,12 @@ class _Parser:
         self.skip_ws()
         m = re.match(r"-?[0-9]+", self.text[self.pos:])
         if m:
+            try:
+                value = int(m.group(0))
+            except ValueError:          # past the interpreter's limit on digits
+                self.error(f"integer literal of {m.end()} characters is too long")
             self.pos += m.end()
-            return int(m.group(0))
+            return value
         m = re.match(r"[A-Za-z_][A-Za-z_0-9]*", self.text[self.pos:])
         if m:
             self.pos += m.end()

@@ -31,7 +31,7 @@ from .core import (
     prime_power,
     subgroup_generated,
 )
-from .errors import AbelianGroup, NotPGroup, NotPrimePowerIndex
+from .errors import BadParameter
 
 
 @dataclass
@@ -168,14 +168,13 @@ def is_type_n_1(G: GroupTable) -> int | None:
     return None
 
 
-def max_zclass_bound(G: GroupTable) -> int:
-    """(p^k - 1)/(p - 1) + 1 where [G : Z(G)] = p^k, in exact arithmetic."""
-    if is_abelian(G):
-        raise AbelianGroup("the class-count bound is for non-abelian groups")
-    index = G.order // center(G).size
-    pw = prime_power(index)
+def max_zclass_bound(G: GroupTable) -> int | None:
+    """(p^k - 1)/(p - 1) + 1 where [G : Z(G)] = p^k, in exact arithmetic, or
+    None where it is undefined: G abelian (index 1) or the index not a prime
+    power."""
+    pw = prime_power(G.order // center(G).size)
     if pw is None:
-        raise NotPrimePowerIndex(f"[G : Z(G)] = {index} is not a prime power")
+        return None
     p, k = pw
     return (p ** k - 1) // (p - 1) + 1
 
@@ -228,13 +227,13 @@ def has_abelian_subgroup_of_index_p(G: GroupTable, p: int) -> SubgroupSet | None
     C_G(x) abelian, that is |Z(C_G(x))| = |C_G(x)|.  Abelian G returns
     <Phi(G), g_1 .. g_(r-1)> for its greedy generating sequence g_1 .. g_r,
     a proper subgroup since Phi(G) consists of non-generators.  Raises
-    :class:`NotPGroup` unless |G| is a power of p.
+    :class:`BadParameter` unless |G| is a power of p.
     """
     if G.order == 1:
         return None
     pw = prime_power(G.order)
     if pw is None or pw[0] != p:
-        raise NotPGroup(f"order {G.order} is not a power of {p}")
+        raise BadParameter(f"order {G.order} is not a power of {p}")
     if is_abelian(G):
         gens = greedy_generating_sequence(G)
         return subgroup_generated(G, np.append(frattini_subgroup(G, p).members(), gens[:-1]))

@@ -103,6 +103,20 @@ def test_exit_code_construction_error():
     assert run_cli("analyze", "heisenberg(4)").returncode == 3
 
 
+def test_order_too_long_to_print_exit_3():
+    """2^15000 has more digits than Python prints; the order is named by its bits."""
+    res = run_cli("analyze", f"abelian({','.join(['2'] * 15000)})")
+    assert res.returncode == 3
+    assert res.stderr == "zclasses: error: abelian order of 15001 bits exceeds cap 4096\n"
+
+
+def test_literal_too_long_to_parse_exit_2():
+    res = run_cli("analyze", f"heisenberg({'9' * 5000})")
+    assert res.returncode == 2
+    assert res.stderr == ("zclasses: parse error: at position 11: "
+                          "integer literal of 5000 characters is too long\n")
+
+
 def test_exit_code_usage_error():
     assert run_cli("verify", "dihedral(8)", "--theorem", "nope").returncode == 2
     assert run_cli().returncode == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import zclasses as zc
-from zclasses.errors import BadParameter, NotPGroup, NotPrime, OrderExceedsCap
+from zclasses.errors import BadParameter, OrderExceedsCap
 
 from conftest import PERMUTATION_GENERATORS
 from oracles import naive_element_order, naive_frattini
@@ -92,7 +92,7 @@ def test_heisenberg_5_extraspecial():
 
 def test_heisenberg_rejects_non_odd_prime():
     for bad in (2, 4, 9):
-        with pytest.raises(NotPrime):
+        with pytest.raises(BadParameter, match=f"p must be an odd prime, got {bad}$"):
             zc.heisenberg(bad)
 
 
@@ -111,7 +111,7 @@ def test_modular_vs_heisenberg_not_isomorphic_same_count():
 
 
 def test_modular_rejects_non_odd_prime():
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadParameter, match="p must be an odd prime, got 2$"):
         zc.modular_p3(2)
 
 
@@ -159,12 +159,14 @@ def test_extraspecial_noncentral_centralizers_have_index_p(p, n, variant):
 def test_extraspecial_errors():
     with pytest.raises(BadParameter):
         zc.extraspecial(2, 1, "both")
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadParameter, match="p must be prime, got 6$"):
         zc.extraspecial(6, 1, "plus")
     with pytest.raises(BadParameter):
         zc.extraspecial(2, 0, "plus")
     with pytest.raises(OrderExceedsCap):
         zc.extraspecial(5, 3, "plus", cap=4096)
+    with pytest.raises(OrderExceedsCap, match=r"extraspecial order 3\^2000001 exceeds cap 4096"):
+        zc.extraspecial(3, 10 ** 6)         # refused before p^(1+2n) is computed
 
 
 def test_frattini_examples():
@@ -177,9 +179,9 @@ def test_frattini_examples():
 
 
 def test_frattini_rejects_non_p_group():
-    with pytest.raises(NotPGroup):
+    with pytest.raises(BadParameter, match="order 6 is not a power of 2$"):
         zc.frattini_subgroup(zc.cyclic(6), 2)
-    with pytest.raises(NotPGroup):
+    with pytest.raises(BadParameter, match="order 8 is not a power of 3$"):
         zc.frattini_subgroup(zc.dihedral(8), 3)
 
 

@@ -9,8 +9,7 @@ import zclasses as zc
 from zclasses import cli, isoclinism
 from zclasses.catalog import run_theorem
 from zclasses.core import commutator_values
-from zclasses.errors import (NotAGroup, NotAnIsoclinism, OrderExceedsCap, PreconditionViolated,
-                             QuotientExceedsCap)
+from zclasses.errors import NotAGroup, NotAnIsoclinism, OrderExceedsCap, QuotientExceedsCap
 
 from conftest import PERMUTATION_GENERATORS
 
@@ -391,8 +390,8 @@ def test_invariance_heisenberg_modular(catalog):
 
 
 def test_invariance_requires_isoclinic(pencil_pair):
-    with pytest.raises(PreconditionViolated):
-        zc.verify_isoclinism_invariance(*pencil_pair)
+    rep = zc.verify_isoclinism_invariance(*pencil_pair)
+    assert (rep.theorem, rep.verdict, rep.witness) == ("isoclinism-invariance", "vacuous", None)
 
 
 def test_direct_factor_invariance_catalog(catalog, monkeypatch):

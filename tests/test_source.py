@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,27 @@ def test_no_whole_table_transpose(path):
              if isinstance(node, ast.Attribute) and node.attr == "T"
              and isinstance(node.value, (ast.Name, ast.Attribute))]
     assert lines == [], f"{path.name}: .T of a whole table at line(s) {lines}"
+
+
+REMOVED_ERRORS = {"PreconditionViolated", "AbelianGroup", "NotPrimePowerIndex", "NotPrime",
+                  "NotPGroup", "NotCentral", "OrderMismatch", "InvalidPermutation"}
+
+
+def test_every_error_class_is_raised():
+    """Each class errors.py defines, but for the GroupError base, is raised by
+    name somewhere in the library.  A failed hypothesis is a vacuous report,
+    an undefined bound is None and a bad parameter is BadParameter, so no
+    class in REMOVED_ERRORS is named anywhere in the library."""
+    defined = {node.name for node in ast.parse((ROOT / "src/zclasses/errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    raised, words = set(), set()
+    for text in (path.read_text() for path in SOURCES):
+        words.update(re.findall(r"\w+", text))
+        raised.update(node.exc.func.id for node in ast.walk(ast.parse(text))
+                      if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                      and isinstance(node.exc.func, ast.Name))
+    assert defined - {"GroupError"} <= raised, f"never raised: {defined - raised}"
+    assert len(defined) == 9 and not words & REMOVED_ERRORS, words & REMOVED_ERRORS
 
 
 def _library_uses(path):

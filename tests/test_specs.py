@@ -164,9 +164,9 @@ def test_build_honours_cap_before_constructing(kind, monkeypatch):
 
 
 def test_build_order_formula_on_refused_parameters():
-    with pytest.raises(zc.errors.NotPrime):
+    with pytest.raises(BadParameter, match="p must be prime, got 0$"):
         build_group("extraspecial(0,-1)")
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="n must be >= 1, got -3$"):
         build_group("extraspecial(2,-3)")
     with pytest.raises(OrderExceedsCap):
         build_group("extraspecial(3,1000000000)")

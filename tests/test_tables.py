@@ -275,17 +275,6 @@ def test_every_constructor_peaks_near_its_kept_table(spec):
     assert peak - kept <= 16e6, f"{spec}: peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
 
 
-def test_cayley_load_holds_one_int32_table(tmp_path):
-    """While a loaded table is relabelled and validated, neither the file's
-    text nor its int64 parse is alive: a canonical d2048 file (an 18 MB text,
-    a 33.5 MB parse, a 16.8 MB table) loads under 64 MB."""
-    path = tmp_path / "d2048.cayley"
-    zc.write_cayley_table(zc.dihedral(2048), path)
-    G, peak = _traced_peak(zc.read_cayley_table, path)
-    assert np.array_equal(G.mult, zc.dihedral(2048).mult)
-    assert peak < 64e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
-
-
 def test_relabeled_shares_the_tables():
     G = zc.dihedral(16)
     H = G.relabeled("x")
@@ -295,7 +284,7 @@ def test_relabeled_shares_the_tables():
 
 def test_pairing_checks_in_row_blocks():
     """With the central quotient and G' at hand, the pairing of dihedral(4096)
-    allocates its 2048 x 2048 int32 table (16.8 MB) and blocks of rows for
+    allocates its 2048 x 2048 int16 table (8.4 MB) and blocks of rows for
     its checks: under 24 MB in all."""
     G = zc.dihedral(4096)
     zc.central_quotient(G)
@@ -323,15 +312,23 @@ def test_cayley_writer_holds_one_row_of_strings(tmp_path):
 
 
 def test_cayley_load_parses_in_line_blocks(tmp_path):
-    """A load parses blocks of whole lines straight into the int16 table:
-    loading a canonical d2048 file (an 18 MB text) holds the 8.4 MB table,
-    its relabelled copy and blocks, under 32 MB, not the text beside an
-    int64 parse of every entry."""
+    """A load parses blocks of whole lines straight into the int16 table and
+    relabels and validates that one table in place: loading a d2048 file
+    (an 18 MB text), canonical or with its identity at id 5, holds the
+    8.4 MB table and blocks, under 20 MB, neither the text, an int64 parse
+    of every entry, nor a second table."""
+    D = zc.dihedral(2048)
     path = tmp_path / "d2048.cayley"
-    zc.write_cayley_table(zc.dihedral(2048), path)
-    G, peak = _traced_peak(zc.read_cayley_table, path)
-    assert np.array_equal(G.mult, zc.dihedral(2048).mult)
-    assert peak < 32e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+    zc.write_cayley_table(D, path)
+    swap = np.arange(D.order)
+    swap[[0, 5]] = [5, 0]
+    with (tmp_path / "d2048-swapped.cayley").open("w") as f:
+        f.write(f"{D.order}\n")
+        np.savetxt(f, swap[D.mult][np.ix_(swap, swap)], fmt="%d")
+    for name in ("d2048.cayley", "d2048-swapped.cayley"):
+        G, peak = _traced_peak(zc.read_cayley_table, tmp_path / name)
+        assert np.array_equal(G.mult, D.mult), name
+        assert peak < 20e6, f"{name}: tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def _declared_32768(tmp_path):
@@ -355,8 +352,12 @@ UNALLOCATED = np.broadcast_to(np.int16(0), (2 ** 15,) * 2)
     lambda tmp: zc.from_permutation_generators(S8, cap=10**6),
     lambda tmp: zc.from_multiplication_table(UNALLOCATED),
     lambda tmp: zc.GroupTable(UNALLOCATED, UNALLOCATED[0]),
+    lambda tmp: zc.cyclic(2 ** 40),
+    lambda tmp: zc.heisenberg(10 ** 12 + 39),
+    lambda tmp: zc.modular_p3(10 ** 12 + 39),
 ], ids=["spec", "constructor", "extraspecial", "direct-product", "central-product",
-        "cayley-file", "S8-closure", "raw-table", "GroupTable"])
+        "cayley-file", "S8-closure", "raw-table", "GroupTable", "cyclic-ids",
+        "heisenberg-ids", "modular-ids"])
 def test_order_ceiling_refused_before_allocation(tmp_path, build):
     """Above 32767 no id fits int16, whatever the cap says: each way of
     building a group refuses before it allocates (one table is 2.1 GB).
@@ -382,6 +383,22 @@ def test_wider_table_refused_not_wrapped(dtype, entry):
         zc.GroupTable(mult, [0, 1])
     with pytest.raises(NotAGroup, match="outside the id range"):
         zc.GroupTable([[0, 1], [1, 0]], np.array([0, entry], dtype=dtype))
+
+
+@pytest.mark.parametrize("mult", [[[0, 1], [1, 0.5]], [[0., 1.], [1., 0.7]], [[0., 1.], [1., 0.]],
+                                  [[False, True], [True, False]]],
+                         ids=["mixed", "float", "integral-float", "bool"])
+def test_non_integer_table_refused_not_truncated(mult):
+    """0.5 would truncate to the id 0 and False to 0: C2 from a table that
+    holds no ids.  Floats and bools are refused even where every entry is
+    integral, by every way in."""
+    dtype = np.asarray(mult).dtype.name
+    with pytest.raises(NotAGroup, match=f"table entries are {dtype}, not integer ids"):
+        zc.from_multiplication_table(mult)
+    with pytest.raises(NotAGroup, match=f"table entries are {dtype}, not integer ids"):
+        zc.GroupTable(np.array(mult), [0, 1])
+    with pytest.raises(NotAGroup, match=f"table entries are {dtype}, not integer ids"):
+        zc.GroupTable([[0, 1], [1, 0]], np.array(mult)[1])
 
 
 def test_central_product_ids_past_int16():
