@@ -11,12 +11,11 @@ import zclasses as zc
 # ---- the pairing table -------------------------------------------------------
 
 D8 = zc.dihedral(8)
-P = zc.commutator_pairing(D8)
 print("D8 pairing over G/Z = C2 x C2 (0 = identity of G):")
-print(P.table)
+print(zc.commutator_pairing(D8))
 
 H3 = zc.heisenberg(3)
-W = zc.commutator_pairing(H3).table
+W = zc.commutator_pairing(H3)
 print("\nHeis3 pairing is nondegenerate:",
       all(any(W[a, b] != 0 for b in range(9)) for a in range(1, 9)))
 

@@ -8,7 +8,6 @@ pair a user supplies), and sweep every statement over a catalog of groups.
 """
 
 from .core import (
-    DEFAULT_ISO_CAP,
     DEFAULT_ORDER_CAP,
     GroupTable,
     QuotientGroup,
@@ -64,7 +63,7 @@ from .zclass import (
     z_class_partition,
 )
 from .isoclinism import (
-    CommutatorPairing,
+    DEFAULT_ISO_CAP,
     IsoclinismWitness,
     are_isoclinic,
     commutator_pairing,

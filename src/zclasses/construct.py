@@ -66,6 +66,7 @@ def _dicyclic(order: int, twist: int, label: str) -> GroupTable:
     """<r, s | r^(order/2) = 1, s^2 = r^twist, s^-1 r s = r^-1> for twist 0 or
     order/4.  Element (r^i, s^e) gets id 2*i + e, and r^i s has inverse
     r^(i+twist) s."""
+    check_order("quaternion" if twist else "dihedral", order)    # before its ids
     half = order // 2
     ids = np.arange(order, dtype=np.int32)
     rot, ref = ids // 2, ids % 2
@@ -96,7 +97,7 @@ def dihedral(order: int) -> GroupTable:
 def quaternion(order: int) -> GroupTable:
     """Generalized quaternion Q_order: r^(order/2) = 1, s^2 = r^(order/4),
     s^-1 r s = r^-1.  Element (r^i, s^e) gets id 2*i + e."""
-    if order < 8 or prime_power(order) != (2, order.bit_length() - 1):
+    if order < 8 or order & (order - 1):     # not a power of 2, by no trial division
         raise BadParameter(f"quaternion order must be a power of 2 and >= 8, got {order}")
     return _dicyclic(order, order // 4, f"Q{order}")
 
@@ -160,14 +161,11 @@ def extraspecial(p: int, n: int, variant: str = "plus", *,
     """
     if variant not in ("plus", "minus"):
         raise BadParameter(f"variant must be 'plus' or 'minus', got {variant!r}")
+    check_order("extraspecial", _extraspecial_order(p, n, cap), cap)    # before is_prime
     if not is_prime(p):
         raise BadParameter(f"p must be prime, got {p}")
     if n < 1:
         raise BadParameter(f"n must be >= 1, got {n}")
-    limit = min(cap, MAX_ORDER)
-    if 2 * n >= limit.bit_length():     # p^(1+2n) >= 2^(1+2n) > limit: not computed
-        raise OrderExceedsCap(f"extraspecial order {p}^{1 + 2 * n} exceeds cap {limit}")
-    check_order("extraspecial", p ** (1 + 2 * n), cap)
     kinds, q = ((dihedral, quaternion), 8) if p == 2 else ((heisenberg, modular_p3), p)
     last = kinds[variant == "minus"](q)
     G = base = kinds[0](q) if variant == "minus" and n > 1 else last
@@ -176,6 +174,17 @@ def extraspecial(p: int, n: int, variant: str = "plus", *,
         G = central_product(G, F, int(center(G).members()[1]), int(center(F).members()[1]),
                             cap=cap)
     return G.relabeled(f"ES({p},{n},{'+' if variant == 'plus' else '-'})")
+
+
+def _extraspecial_order(p: int, n: int, cap: int) -> int:
+    """p^(1+2n), refused by name, never computed, once 2n reaches the cap's bit
+    length; 1 for a p below 2 or an n below 1, which extraspecial refuses."""
+    if p < 2 or n < 1:
+        return 1
+    limit = min(cap, MAX_ORDER)
+    if 2 * n >= limit.bit_length():     # p^(1+2n) >= 2^(1+2n) > limit
+        raise OrderExceedsCap(f"extraspecial order {p}^{1 + 2 * n} exceeds cap {limit}")
+    return p ** (1 + 2 * n)
 
 
 def frattini_subgroup(G: GroupTable, p: int) -> SubgroupSet:

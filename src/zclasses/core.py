@@ -28,7 +28,6 @@ import numpy as np
 from .errors import BadParameter, NotAGroup, NotNormal, OrderExceedsCap
 
 DEFAULT_ORDER_CAP = 4096
-DEFAULT_ISO_CAP = 64
 
 # Element ids are int16, and no group is larger than its largest value: every
 # id and the order itself fit, so read_cayley_table can store n as the one

@@ -3,15 +3,16 @@
 The pairing G/Z x G/Z -> G' (send a coset pair to the commutator of any
 representatives) determines a group up to isoclinism: two groups are
 isoclinic when isomorphisms between their central quotients and their
-commutator subgroups intertwine the pairings.  The checks write their
-isoclinisms down: G and G x C_p by the natural map gZ -> (g, 1)Z, and a
-group with |G'| = p and [G : Z] = p^k onto ES(p, k/2, +) by matching
-symplectic bases of the pairing.  Only a pair a user supplies is searched:
-``are_isoclinic`` runs a complete backtracking search, so a ``None`` answer
-is a proof of non-isoclinism at desk scale.  One helper, ``_close``, extends
-every map the search tries from generators to the subgroup they generate:
-the map of central quotients from the images chosen so far, and the map of
-commutator subgroups from the pairing values those images force.
+commutator subgroups intertwine the pairings.  ``commutator_pairing`` is its
+memoised table of ids; G/Z and G' are read from their own memos.  The
+checks write their isoclinisms down: G and G x C_p by the natural map
+gZ -> (g, 1)Z, and a group with |G'| = p and [G : Z] = p^k onto
+ES(p, k/2, +) by matching symplectic bases of the pairing.  Only a pair a
+user supplies is searched: ``are_isoclinic`` runs a complete backtracking
+search, so a ``None`` answer is a proof of non-isoclinism at desk scale.
+One helper, ``_close``, extends every map the search tries from generators
+to the subgroup they generate: the map of central quotients from the images
+chosen so far, and of commutator subgroups from the pairing values forced.
 """
 
 from __future__ import annotations
@@ -22,13 +23,8 @@ import numpy as np
 
 from .construct import cyclic, extraspecial
 from .core import (
-    DEFAULT_ISO_CAP,
     DEFAULT_ORDER_CAP,
-    _ROW_BLOCK,
-    _columns,
     GroupTable,
-    QuotientGroup,
-    SubgroupSet,
     center,
     central_quotient,
     commutator_subgroup,
@@ -42,43 +38,19 @@ from .core import (
 from .errors import NotAGroup, NotAnIsoclinism, QuotientExceedsCap
 from .zclass import TheoremReport, max_zclass_bound, z_class_count
 
-
-@dataclass
-class CommutatorPairing:
-    """The pairing table of a group: entry [aZ, bZ] is the commutator of any
-    representatives, as an element id of the parent group (lying in G')."""
-
-    quotient: QuotientGroup
-    target: SubgroupSet
-    table: np.ndarray
+DEFAULT_ISO_CAP = 64        # the largest |G/Z| are_isoclinic searches
 
 
-def commutator_pairing(G: GroupTable) -> CommutatorPairing:
-    """Build the pairing from the commutators of the coset representatives and
-    verify it is representative-independent (unchanged on the representatives
-    times the smallest nontrivial central element), antisymmetric
-    (w(a,b) = w(b,a)^-1), trivial on the diagonal and valued in G'; raises
-    :class:`NotAGroup` if not, which no group table can.  Checks run by rows."""
+def commutator_pairing(G: GroupTable) -> np.ndarray:
+    """The pairing table, memoised: entry [aZ, bZ] is the commutator of the
+    coset representatives, an id of G.  One gather, re-checked nowhere: in a
+    group [a, b] depends only on aZ and bZ, is [b, a]^-1, is trivial on the
+    diagonal and lies in G', and every table here is a group, proved by
+    Light's test on load or by construction."""
     def compute():
-        quo = central_quotient(G)
-        reps = quo.coset_reps
-        table = commutator_values(G, reps, reps)
-        blocks = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, reps.size, _ROW_BLOCK)]
-        if quo.kernel.size > 1:
-            alt = G.mult[reps, quo.kernel.members()[1]]
-            if not all(np.array_equal(table[b], commutator_values(G, alt[b], alt))
-                       for b in blocks):
-                raise NotAGroup("pairing depends on coset representatives")
-        if not all(np.array_equal(_columns(table, b), G.inv[table[b]]) for b in blocks):
-            raise NotAGroup("pairing is not antisymmetric")
-        if table.diagonal().any():
-            raise NotAGroup("pairing is nonzero on the diagonal")
-        if not commutator_subgroup(G).mask[table].all():
-            raise NotAGroup("pairing value outside the commutator subgroup")
-        return table
-
-    table = G._memo("commutator_pairing", compute)
-    return CommutatorPairing(central_quotient(G), commutator_subgroup(G), table)
+        reps = central_quotient(G).coset_reps
+        return commutator_values(G, reps, reps)
+    return G._memo("commutator_pairing", compute)
 
 
 @dataclass
@@ -94,22 +66,21 @@ class IsoclinismWitness:
     def validate(self) -> None:
         """Exhaustively re-check that (phi, psi) is an isoclinism; raises
         :class:`NotAnIsoclinism` naming the first offending pair (a, b)."""
-        P1 = commutator_pairing(self.group1)
-        P2 = commutator_pairing(self.group2)
-        Q1, Q2 = P1.quotient.table, P2.quotient.table
+        G1, G2 = self.group1, self.group2
+        Q1, Q2 = central_quotient(G1).table, central_quotient(G2).table
         phi = self.phi
         if phi.shape != (Q1.order,) or not np.array_equal(np.sort(phi), np.arange(Q2.order)):
             raise NotAnIsoclinism("phi is not a bijection")
         _require(phi[Q1.mult] == Q2.mult[np.ix_(phi, phi)], "phi is not a homomorphism")
-        d1, d2 = P1.target.members(), P2.target.members()
+        d1, d2 = commutator_subgroup(G1).members(), commutator_subgroup(G2).members()
         if set(self.psi) != set(d1.tolist()) or set(self.psi.values()) != set(d2.tolist()):
             raise NotAnIsoclinism("psi is not a bijection between the commutator subgroups")
-        psi = np.zeros(self.group1.order, dtype=np.int64)
+        psi = np.zeros(G1.order, dtype=np.int64)
         psi[list(self.psi)] = list(self.psi.values())
-        _require(psi[self.group1.mult[np.ix_(d1, d1)]]
-                 == self.group2.mult[np.ix_(psi[d1], psi[d1])],
+        _require(psi[G1.mult[np.ix_(d1, d1)]] == G2.mult[np.ix_(psi[d1], psi[d1])],
                  "psi is not a homomorphism", d1)
-        _require(psi[P1.table] == P2.table[np.ix_(phi, phi)], "pairing compatibility fails")
+        _require(psi[commutator_pairing(G1)] == commutator_pairing(G2)[np.ix_(phi, phi)],
+                 "pairing compatibility fails")
 
     def inverse(self) -> "IsoclinismWitness":
         inv_phi = np.empty_like(self.phi)
@@ -167,9 +138,9 @@ def are_isoclinic(G1: GroupTable, G2: GroupTable,
     forces it, and any clash prunes the branch.  Returned witnesses are
     validated exhaustively; ``None`` means the search space was exhausted.
     """
-    P1, P2 = commutator_pairing(G1), commutator_pairing(G2)
-    Q1, Q2 = P1.quotient.table, P2.quotient.table
-    if Q1.order != Q2.order or P1.target.size != P2.target.size:
+    Q1, Q2 = central_quotient(G1).table, central_quotient(G2).table
+    D1, D2 = commutator_subgroup(G1), commutator_subgroup(G2)
+    if Q1.order != Q2.order or D1.size != D2.size:
         return None
     if Q1.order > cap:
         raise QuotientExceedsCap(
@@ -177,24 +148,24 @@ def are_isoclinic(G1: GroupTable, G2: GroupTable,
     oq1, oq2 = element_orders(Q1), element_orders(Q2)
     if sorted(oq1.tolist()) != sorted(oq2.tolist()):
         return None
-    od1 = np.sort(element_orders(G1)[P1.target.members()])
-    od2 = np.sort(element_orders(G2)[P2.target.members()])
+    od1 = np.sort(element_orders(G1)[D1.members()])
+    od2 = np.sort(element_orders(G2)[D2.members()])
     if not np.array_equal(od1, od2):
         return None
-    return _search(G1, G2, P1, P2, greedy_generating_sequence(Q1), oq1, oq2, [])
+    return _search(G1, G2, greedy_generating_sequence(Q1), oq1, oq2, [])
 
 
-def _search(G1: GroupTable, G2: GroupTable, P1: CommutatorPairing, P2: CommutatorPairing,
-            gens: list[int], oq1: np.ndarray, oq2: np.ndarray,
-            images: list[int]) -> IsoclinismWitness | None:
+def _search(G1: GroupTable, G2: GroupTable, gens: list[int], oq1: np.ndarray,
+            oq2: np.ndarray, images: list[int]) -> IsoclinismWitness | None:
     """One node of the search of :func:`are_isoclinic`: ``images`` holds the
     images of the first generators, the rest of ``gens`` are still open."""
-    phi = _close(P1.quotient.table.mult, P2.quotient.table.mult, gens[:len(images)], images)
+    phi = _close(central_quotient(G1).table.mult, central_quotient(G2).table.mult,
+                 gens[:len(images)], images)
     if phi is None:
         return None
     dom = np.flatnonzero(phi >= 0)
-    forced = np.unique(P1.table[np.ix_(dom, dom)].astype(np.int64) * G2.order
-                       + P2.table[np.ix_(phi[dom], phi[dom])])
+    forced = np.unique(commutator_pairing(G1)[np.ix_(dom, dom)].astype(np.int64) * G2.order
+                       + commutator_pairing(G2)[np.ix_(phi[dom], phi[dom])])
     psi = _close(G1.mult, G2.mult, *np.divmod(forced, G2.order))
     if psi is None:
         return None
@@ -206,7 +177,7 @@ def _search(G1: GroupTable, G2: GroupTable, P1: CommutatorPairing, P2: Commutato
         return witness
     g = gens[len(images)]
     for im in np.flatnonzero(oq2 == oq1[g]):
-        found = _search(G1, G2, P1, P2, gens, oq1, oq2, images + [int(im)])
+        found = _search(G1, G2, gens, oq1, oq2, images + [int(im)])
         if found is not None:
             return found
     return None
@@ -282,12 +253,11 @@ def _extraspecial_witness(G: GroupTable, p: int, k: int) -> IsoclinismWitness:
     groups = (G, extraspecial(p, k // 2, "plus", cap=G.order))
     spans, powers = [], []
     for H in groups:
-        P = commutator_pairing(H)
-        Q, c = P.quotient.table, int(P.target.members()[1])
+        Q, c = central_quotient(H).table, int(commutator_subgroup(H).members()[1])
         powers.append([H.power(c, i) for i in range(p)])
         log = np.zeros(H.order, dtype=np.int32)
         log[powers[-1]] = np.arange(p)
-        w = log[P.table]                  # w[x, y] = i where [x, y] = c^i
+        w = log[commutator_pairing(H)]    # w[x, y] = i where [x, y] = c^i
         rest, span = greedy_generating_sequence(Q), np.zeros(1, dtype=np.int64)
         while rest:
             e = rest.pop(0)

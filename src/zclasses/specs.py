@@ -28,26 +28,26 @@ from .errors import BadParameter, SpecSyntaxError, UnknownConstructor
 class _Kind(NamedTuple):
     build: Callable               # (*values, cap) -> GroupTable
     params: tuple | None          # parameter names; None takes any number of integers
-    order: Callable               # (*values) -> order of the group built
+    order: Callable               # (*values, cap) -> order of the group built
     defaults: dict = {}
 
 
 # Every named constructor.  The order formula is checked against the cap
 # before the constructor runs, so it must not fail or stall on parameters
-# the constructor refuses: n is clamped to 0..32, as any p the constructor
-# accepts makes p^65 exceed every cap a dense table can reach.
+# the constructor refuses; _extraspecial_order refuses p^(1+2n) above the cap
+# itself, by name, before it is computed for a large n.
 _KINDS = {
     "abelian": _Kind(lambda *orders, cap: construct.abelian(orders, cap=cap), None,
-                     lambda *orders: math.prod(orders)),
-    "cyclic": _Kind(lambda n, cap: construct.cyclic(n), ("n",), lambda n: n),
+                     lambda *orders, cap: math.prod(orders)),
+    "cyclic": _Kind(lambda n, cap: construct.cyclic(n), ("n",), lambda n, cap: n),
     "dihedral": _Kind(lambda order, cap: construct.dihedral(order), ("order",),
-                      lambda order: order),
+                      lambda order, cap: order),
     "quaternion": _Kind(lambda order, cap: construct.quaternion(order), ("order",),
-                        lambda order: order),
-    "heisenberg": _Kind(lambda p, cap: construct.heisenberg(p), ("p",), lambda p: p ** 3),
-    "modular_p3": _Kind(lambda p, cap: construct.modular_p3(p), ("p",), lambda p: p ** 3),
+                        lambda order, cap: order),
+    "heisenberg": _Kind(lambda p, cap: construct.heisenberg(p), ("p",), lambda p, cap: p ** 3),
+    "modular_p3": _Kind(lambda p, cap: construct.modular_p3(p), ("p",), lambda p, cap: p ** 3),
     "extraspecial": _Kind(construct.extraspecial, ("p", "n", "variant"),
-                          lambda p, n, variant: p ** (1 + 2 * min(max(n, 0), 32)),
+                          lambda p, n, variant, cap: construct._extraspecial_order(p, n, cap),
                           {"variant": "plus"}),
 }
 _PRODUCT_KINDS = {"product": "direct_product", "centralproduct": "central_product"}
@@ -249,7 +249,7 @@ def _build_from_spec(spec: GroupSpec, *, cap: int, base_dir) -> GroupTable:
     if kind is None:
         raise UnknownConstructor(f"unknown construction kind {spec.kind!r}")
     values = _bind(spec, kind)
-    check_order(spec.kind, kind.order(*values), cap)
+    check_order(spec.kind, kind.order(*values, cap=cap), cap)
     return kind.build(*values, cap=cap).relabeled(spec.text())
 
 

@@ -10,7 +10,7 @@ cell, and an abelian subgroup of index p is read off the cells.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +40,10 @@ class ZClass:
 
     members: np.ndarray
     representative: int
-    group: GroupTable = field(repr=False)
 
     @property
     def size(self) -> int:
         return int(self.members.size)
-
-    @property
-    def centralizer(self) -> SubgroupSet:
-        """The centralizer of the representative; every member's is conjugate to it."""
-        return centralizer(self.group, self.representative)
 
 
 class ZClassPartition:
@@ -79,7 +73,7 @@ class ZClassPartition:
 
     def class_of(self, x: int) -> ZClass:
         mem = self._members[self.class_index_of(x)]
-        return ZClass(mem, int(mem[0]), self.group)
+        return ZClass(mem, int(mem[0]))
 
     def sizes(self) -> list[int]:
         return [int(mem.size) for mem in self._members]

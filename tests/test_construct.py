@@ -67,8 +67,8 @@ def test_quaternion_16():
 
 
 def test_quaternion_bad_order():
-    for bad in (4, 12, 24):
-        with pytest.raises(BadParameter):
+    for bad in (4, 12, 24, 2 ** 61 - 1):    # the last a prime: refused without trial division
+        with pytest.raises(BadParameter, match=f"got {bad}$"):
             zc.quaternion(bad)
 
 
@@ -167,6 +167,8 @@ def test_extraspecial_errors():
         zc.extraspecial(5, 3, "plus", cap=4096)
     with pytest.raises(OrderExceedsCap, match=r"extraspecial order 3\^2000001 exceeds cap 4096"):
         zc.extraspecial(3, 10 ** 6)         # refused before p^(1+2n) is computed
+    with pytest.raises(OrderExceedsCap, match="extraspecial order of 183 bits exceeds cap 4096"):
+        zc.extraspecial(2 ** 61 - 1, 1)     # a prime, refused before its trial division
 
 
 def test_frattini_examples():

@@ -64,6 +64,25 @@ def test_every_error_class_is_raised():
     assert len(defined) == 9 and not words & REMOVED_ERRORS, words & REMOVED_ERRORS
 
 
+def test_each_memo_key_has_one_producer():
+    """Each ``G._memo("<key>", compute)`` key is a string literal named at
+    exactly one call site in the library, so a memoised fact that several
+    callers read (the central quotient, G', the pairing table) has one
+    function that computes it."""
+    sites = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "_memo":
+                key = node.args[0]
+                assert isinstance(key, ast.Constant) and isinstance(key.value, str), \
+                    f"{path.name}:{node.lineno}: memo key is not a string literal"
+                sites.setdefault(key.value, []).append(f"{path.name}:{node.lineno}")
+    assert {"central_quotient", "derived", "commutator_pairing"} <= set(sites)
+    shared = {key: where for key, where in sites.items() if len(where) > 1}
+    assert shared == {}, f"memo keys with more than one producer: {shared}"
+
+
 def _library_uses(path):
     """The library names a script reads, as (line, module, name, call): every
     ``module.name`` of a module it imports from zclasses, with ``call`` the

@@ -170,6 +170,10 @@ def test_build_order_formula_on_refused_parameters():
         build_group("extraspecial(2,-3)")
     with pytest.raises(OrderExceedsCap):
         build_group("extraspecial(3,1000000000)")
+    with pytest.raises(OrderExceedsCap, match=r"extraspecial order 3\^81 exceeds cap 4096$"):
+        build_group("extraspecial(3,40)")
+    with pytest.raises(OrderExceedsCap, match=r"extraspecial order 3\^2000001 exceeds cap 4096$"):
+        build_group("extraspecial(3,1000000)")
     with pytest.raises(BadParameter):
         build_group("abelian(-2,3)")
     with pytest.raises(BadParameter):

@@ -283,14 +283,13 @@ def test_relabeled_shares_the_tables():
 
 
 def test_pairing_checks_in_row_blocks():
-    """With the central quotient and G' at hand, the pairing of dihedral(4096)
-    allocates its 2048 x 2048 int16 table (8.4 MB) and blocks of rows for
-    its checks: under 24 MB in all."""
+    """With the central quotient at hand, the pairing of dihedral(4096) is one
+    gather of its 2048 x 2048 int16 table (8.4 MB), with no re-check beside
+    it: under 16 MB in all."""
     G = zc.dihedral(4096)
     zc.central_quotient(G)
-    zc.commutator_subgroup(G)
     _, peak = _traced_peak(zc.commutator_pairing, G)
-    assert peak < 24e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+    assert peak < 16e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def test_validation_checks_lines_in_row_blocks():
@@ -365,9 +364,11 @@ UNALLOCATED = np.broadcast_to(np.int16(0), (2 ** 15,) * 2)
     lambda tmp: zc.cyclic(2 ** 40),
     lambda tmp: zc.heisenberg(10 ** 12 + 39),
     lambda tmp: zc.modular_p3(10 ** 12 + 39),
+    lambda tmp: zc.dihedral(2 ** 40),
+    lambda tmp: zc.quaternion(2 ** 40),
 ], ids=["spec", "constructor", "extraspecial", "direct-product", "central-product",
         "cayley-file", "S8-closure", "raw-table", "GroupTable", "cyclic-ids",
-        "heisenberg-ids", "modular-ids"])
+        "heisenberg-ids", "modular-ids", "dihedral-ids", "quaternion-ids"])
 def test_order_ceiling_refused_before_allocation(tmp_path, build):
     """Above 32767 no id fits int16, whatever the cap says: each way of
     building a group refuses before it allocates (one table is 2.1 GB).
@@ -435,9 +436,8 @@ def test_central_product_rep_products_past_int16():
 def test_pairing_flat_index_past_int16():
     """The pairing of heisenberg(7) reads n^2 = 117649 flat indices."""
     G = zc.heisenberg(7)
-    P = zc.commutator_pairing(G)
-    reps = P.quotient.coset_reps.tolist()
-    assert P.table.tolist() == [[G.commutator(a, b) for b in reps] for a in reps]
+    reps = zc.central_quotient(G).coset_reps.tolist()
+    assert zc.commutator_pairing(G).tolist() == [[G.commutator(a, b) for b in reps] for a in reps]
 
 
 def _library_tables(G):
@@ -448,7 +448,7 @@ def _library_tables(G):
     yield "G/Z inv", quo.table.inv
     yield "projection", quo.projection
     yield "coset reps", quo.coset_reps
-    yield "pairing", zc.commutator_pairing(G).table
+    yield "pairing", zc.commutator_pairing(G)
 
 
 def test_every_library_table_is_int16(tmp_path):
