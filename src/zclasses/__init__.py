@@ -17,6 +17,7 @@ from .core import (
     central_product,
     central_quotient,
     centralizer,
+    commutator_pairing,
     commutator_subgroup,
     commuting_table,
     direct_product,
@@ -66,7 +67,6 @@ from .isoclinism import (
     DEFAULT_ISO_CAP,
     IsoclinismWitness,
     are_isoclinic,
-    commutator_pairing,
     is_stem_group,
     verify_corollary_est,
     verify_direct_factor_invariance,

@@ -6,10 +6,13 @@ set-level operations (subgroups, centralizers, quotients) reduce to numpy
 gathers over these tables and boolean membership masks, which keeps
 everything exact and brute-forceable at desk scale.
 
-Tables are read along their rows.  A block of columns is copied out by
-:func:`_columns` in cache-sized tiles, never read through a whole transpose,
-and conjugates are gathered as ``g^-1 * (h * g)``: the products ``h * g``
-are whole rows, and each output row reads the one row ``g^-1``.
+Tables are read along their rows, never through a whole transpose, and
+conjugates are gathered as ``g^-1 * (h * g)``: the products ``h * g`` are
+whole rows, and each output row reads the one row ``g^-1``.
+
+Commutation is read off one table, the commutator pairing on G/Z, since
+[x, y] depends only on xZ and yZ; the center it is built on comes from
+generators.
 
 Conventions used consistently throughout the package:
 
@@ -41,9 +44,6 @@ MAX_ORDER = int(np.iinfo(ID_DTYPE).max)    # 32767
 _ROW_BLOCK = 256
 # Bytes of whole lines read_cayley_table parses at a time.
 _LINE_BLOCK = 1 << 20
-# Rows of a table per tile when a block of its columns is copied out: a tile
-# of _TILE x _ROW_BLOCK entries stays in cache while it is transposed.
-_TILE = 64
 
 
 def check_order(what: str, order: int, cap: int = MAX_ORDER) -> None:
@@ -64,16 +64,6 @@ def _fill_rows(shape, block_of) -> np.ndarray:
     for lo in range(0, shape[0], _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
         out[rows] = block_of(rows)
-    return out
-
-
-def _columns(m: np.ndarray, rows: slice) -> np.ndarray:
-    """``m[:, rows].T`` as a C-contiguous copy, transposed _TILE rows of m at a
-    time, so a column block is read along memory and not one entry per row."""
-    out = np.empty((m[0, rows].size, m.shape[0]), dtype=m.dtype)
-    for lo in range(0, m.shape[0], _TILE):
-        tile = slice(lo, lo + _TILE)
-        out[:, tile] = m[tile, rows].T
     return out
 
 
@@ -137,28 +127,28 @@ class GroupTable:
         return GroupTable(self.mult, self.inv, label=label)
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mult[a, b])
+        return int(self.mult[_ids(self, a), _ids(self, b)])
 
     def inverse(self, a: int) -> int:
-        return int(self.inv[a])
+        return int(self.inv[_ids(self, a)])
 
     def conjugate(self, x: int, g: int) -> int:
         """x^g = g^-1 * x * g."""
         m = self.mult
-        return int(m[m[self.inv[g], x], g])
+        return int(m[m[self.inverse(g), _ids(self, x)], g])
 
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 * b^-1 * a * b."""
         m = self.mult
-        return int(m[m[m[self.inv[a], self.inv[b]], a], b])
+        return int(m[m[m[self.inverse(a), self.inverse(b)], a], b])
 
     def power(self, x: int, k: int) -> int:
         """x^k for any integer k, read off :func:`power_map`."""
-        return int(power_map(self, self.inverse(x) if k < 0 else x, abs(int(k))))
+        return int(power_map(self, self.inverse(x) if k < 0 else _ids(self, x), abs(int(k))))
 
     def element_order(self, x: int) -> int:
         """Smallest k >= 1 with x^k = identity, read off :func:`element_orders`."""
-        return int(element_orders(self)[x])
+        return int(element_orders(self)[_ids(self, x)])
 
     def elements(self) -> range:
         return range(self.order)
@@ -181,6 +171,15 @@ def _as_ids(a: np.ndarray) -> np.ndarray:
     if a.dtype != ID_DTYPE and a.size and (a.min() < 0 or a.max() > MAX_ORDER):
         raise NotAGroup(f"table entry outside the id range 0..{MAX_ORDER}")
     return np.ascontiguousarray(a, dtype=ID_DTYPE)
+
+
+def _ids(G: GroupTable, ids):
+    """``ids``, one element id of G or an array of them, once each lies in
+    0..n-1: numpy would read a negative id from the end of a table."""
+    arr = np.asarray(ids)
+    if arr.size and (arr.min() < 0 or arr.max() >= G.order):
+        raise ValueError("element id out of range")
+    return ids
 
 
 class SubgroupSet:
@@ -216,7 +215,7 @@ class SubgroupSet:
         return np.flatnonzero(self.mask)
 
     def __contains__(self, x: int) -> bool:
-        return bool(self.mask[x])
+        return bool(self.mask[_ids(self.group, x)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -445,9 +444,7 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupSet:
     """Smallest subgroup containing ``gens`` (empty set gives the trivial one).
     Only ids outside the closure so far are adjoined, each at least doubling
     it, so at most log2 n are adjoined however many ids are passed."""
-    garr = np.asarray(list(gens), dtype=np.int64)
-    if garr.size and (garr.min() < 0 or garr.max() >= G.order):
-        raise ValueError("generator id out of range")
+    garr = _ids(G, np.asarray(list(gens), dtype=np.int64))
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
     adjoined: list[int] = []
@@ -489,29 +486,29 @@ def _greedy_walk(G: GroupTable, mask=None):
         _adjoin(G, closure, gens)
 
 
-def commuting_table(G: GroupTable) -> np.ndarray:
-    """Boolean matrix with entry [x, g] true iff x*g = g*x.
-
-    Row x is exactly the membership mask of the centralizer of x.  Filled by
-    blocks of rows, each compared with the same block of columns.
-    """
-    def compute():
-        m = G.mult
-        out = np.empty(m.shape, dtype=bool)
-        for lo in range(0, G.order, _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
-            np.equal(m[rows], _columns(m, rows), out=out[rows])
-        return out
-    return G._memo("commuting", compute)
-
-
 def center(G: GroupTable) -> SubgroupSet:
-    return SubgroupSet(G, G._memo("center", lambda: commuting_table(G).all(axis=1)))
+    """The x commuting with each generator of greedy_generating_sequence(G):
+    n * |S| comparisons, and no pairing, which is built on the center."""
+    def compute():
+        gens = greedy_generating_sequence(G)
+        return (G.mult[:, gens] == G.mult[gens].T).all(axis=1)
+    return SubgroupSet(G, G._memo("center", compute))
 
 
 def centralizer(G: GroupTable, x: int) -> SubgroupSet:
-    """All elements commuting with x; contains <x> and the center."""
-    return SubgroupSet(G, commuting_table(G)[x])
+    """All elements commuting with x; contains <x> and the center: the
+    pairing row of xZ read back through the projection."""
+    proj = central_quotient(G).projection
+    return SubgroupSet(G, commutator_pairing(G)[proj[_ids(G, x)]][proj] == 0)
+
+
+def commuting_table(G: GroupTable) -> np.ndarray:
+    """[x, g] true iff x*g = g*x: an unmemoised view of the pairing no check reads."""
+    proj, commutes = central_quotient(G).projection, commutator_pairing(G) == 0
+    out = np.empty((G.order, G.order), dtype=bool)
+    for lo in range(0, G.order, _ROW_BLOCK):
+        np.take(commutes[proj[lo:lo + _ROW_BLOCK]], proj, axis=1, out=out[lo:lo + _ROW_BLOCK])
+    return out
 
 
 def _conjugates(G: GroupTable, ids) -> np.ndarray:
@@ -585,6 +582,18 @@ def central_quotient(G: GroupTable) -> QuotientGroup:
         return quo.table, quo.projection, quo.coset_reps
     table, projection, reps = G._memo("central_quotient", compute)
     return QuotientGroup(table, projection, center(G), reps)
+
+
+def commutator_pairing(G: GroupTable) -> np.ndarray:
+    """The pairing table, memoised: entry [aZ, bZ] is the commutator of the
+    coset representatives, an id of G.  One gather, re-checked nowhere: in a
+    group [a, b] depends only on aZ and bZ, is [b, a]^-1, is trivial on the
+    diagonal and lies in G', and every table here is a group, proved by
+    Light's test on load or by construction."""
+    def compute():
+        reps = central_quotient(G).coset_reps
+        return commutator_values(G, reps, reps)
+    return G._memo("commutator_pairing", compute)
 
 
 def is_abelian(G: GroupTable) -> bool:

@@ -3,16 +3,17 @@
 The pairing G/Z x G/Z -> G' (send a coset pair to the commutator of any
 representatives) determines a group up to isoclinism: two groups are
 isoclinic when isomorphisms between their central quotients and their
-commutator subgroups intertwine the pairings.  ``commutator_pairing`` is its
-memoised table of ids; G/Z and G' are read from their own memos.  The
-checks write their isoclinisms down: G and G x C_p by the natural map
-gZ -> (g, 1)Z, and a group with |G'| = p and [G : Z] = p^k onto
-ES(p, k/2, +) by matching symplectic bases of the pairing.  Only a pair a
-user supplies is searched: ``are_isoclinic`` runs a complete backtracking
-search, so a ``None`` answer is a proof of non-isoclinism at desk scale.
-One helper, ``_close``, extends every map the search tries from generators
-to the subgroup they generate: the map of central quotients from the images
-chosen so far, and of commutator subgroups from the pairing values forced.
+commutator subgroups intertwine the pairings.  ``core.commutator_pairing``,
+re-exported here, is its memoised table of ids and the library's one table
+of commutation; G/Z and G' are read from their own memos.  The checks write
+their isoclinisms down: G and G x C_p by the natural map gZ -> (g, 1)Z, and
+a group with |G'| = p and [G : Z] = p^k onto ES(p, k/2, +) by matching
+symplectic bases of the pairing.  Only a pair a user supplies is searched:
+``are_isoclinic`` runs a complete backtracking search, so a ``None`` answer
+is a proof of non-isoclinism at desk scale.  One helper, ``_close``, extends
+every map the search tries from generators to the subgroup they generate:
+the map of central quotients from the images chosen so far, and of
+commutator subgroups from the pairing values forced.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .core import (
     GroupTable,
     center,
     central_quotient,
+    commutator_pairing,
     commutator_subgroup,
-    commutator_values,
     direct_product,
     element_orders,
     greedy_generating_sequence,
@@ -39,18 +40,6 @@ from .errors import NotAGroup, NotAnIsoclinism, QuotientExceedsCap
 from .zclass import TheoremReport, max_zclass_bound, z_class_count
 
 DEFAULT_ISO_CAP = 64        # the largest |G/Z| are_isoclinic searches
-
-
-def commutator_pairing(G: GroupTable) -> np.ndarray:
-    """The pairing table, memoised: entry [aZ, bZ] is the commutator of the
-    coset representatives, an id of G.  One gather, re-checked nowhere: in a
-    group [a, b] depends only on aZ and bZ, is [b, a]^-1, is trivial on the
-    diagonal and lies in G', and every table here is a group, proved by
-    Light's test on load or by construction."""
-    def compute():
-        reps = central_quotient(G).coset_reps
-        return commutator_values(G, reps, reps)
-    return G._memo("commutator_pairing", compute)
 
 
 @dataclass

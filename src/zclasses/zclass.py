@@ -18,11 +18,12 @@ from .construct import frattini_subgroup
 from .core import (
     GroupTable,
     SubgroupSet,
+    _ids,
     are_subgroups_conjugate,
     center,
     central_quotient,
     centralizer,
-    commuting_table,
+    commutator_pairing,
     element_orders,
     greedy_generating_sequence,
     is_abelian,
@@ -69,7 +70,7 @@ class ZClassPartition:
         return len(self._members)
 
     def class_index_of(self, x: int) -> int:
-        return int(self._lookup[x])
+        return int(self._lookup[_ids(self.group, x)])
 
     def class_of(self, x: int) -> ZClass:
         mem = self._members[self.class_index_of(x)]
@@ -84,21 +85,21 @@ class ZClassPartition:
 
 def _cells(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """Cells of equal centralizers, memoised: the smallest member of each in
-    ascending order (cell 0 is the center), and the cell index of each element."""
+    ascending order (cell 0 is the center), and the cell index of each element.
+    Cells key the pairing's rows: cosets of Z, numbered by smallest member."""
     def compute():
-        cm = commuting_table(G)
+        quo = central_quotient(G)
         index: dict[bytes, int] = {}
-        cell = np.empty(G.order, dtype=np.int32)
-        for x in range(G.order):
-            cell[x] = index.setdefault(cm[x].tobytes(), len(index))
-        return np.unique(cell, return_index=True)[1], cell
+        cell = np.array([index.setdefault(row.tobytes(), len(index))
+                         for row in commutator_pairing(G) == 0], dtype=np.int32)
+        return quo.coset_reps[np.unique(cell, return_index=True)[1]], cell[quo.projection]
     return G._memo("cells", compute)
 
 
 def strict_fixed_set(G: GroupTable, x: int) -> np.ndarray:
     """All y whose centralizer equals that of x, as a sorted id array."""
     cell = _cells(G)[1]
-    return np.flatnonzero(cell == cell[x])
+    return np.flatnonzero(cell == cell[_ids(G, x)])
 
 
 def z_class_partition(G: GroupTable) -> ZClassPartition:
@@ -109,12 +110,11 @@ def z_class_partition(G: GroupTable) -> ZClassPartition:
     the conjugacy test short-circuits on subgroup size.
     """
     def compute():
-        cm = commuting_table(G)
         reps, cell = _cells(G)
         merged: list[SubgroupSet] = []
         class_of_cell = np.empty(reps.size, dtype=np.int32)
         for i, r in enumerate(reps):
-            C = SubgroupSet(G, cm[r])
+            C = centralizer(G, r)
             for j, cent in enumerate(merged):
                 if cent.size == C.size and are_subgroups_conjugate(G, cent, C) is not None:
                     class_of_cell[i] = j
@@ -148,9 +148,9 @@ def kulkarni_size_check(G: GroupTable, x: int) -> tuple[int, int]:
 
 
 def conjugate_type_vector(G: GroupTable) -> tuple[int, ...]:
-    """Distinct centralizer indices [G : C(x)], sorted descending (ends in 1)."""
-    sizes = commuting_table(G).sum(axis=1)
-    indices = np.unique(G.order // sizes)
+    """Distinct indices [G : C(x)] = [G/Z : C(xZ)], sorted descending (ends in 1)."""
+    commutes = commutator_pairing(G) == 0
+    indices = np.unique(commutes.shape[0] // commutes.sum(axis=1))
     return tuple(int(v) for v in indices[::-1])
 
 
@@ -181,19 +181,20 @@ def condition_central_quotient_elementary(G: GroupTable) -> bool:
 def _cell_centralizer_orders(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """|C_G(r)| and |Z(C_G(r))| for the smallest member r of each cell.
     Z(C_G(r)) is r's cell, the center, and each cell in C_G(r) whose proper
-    centralizer contains C_G(r); only a proper multiple of |C_G(r)| can."""
-    cm = commuting_table(G)
-    reps, cell = _cells(G)
-    counts, cent = np.bincount(cell), cm[reps].sum(axis=1)
+    centralizer contains C_G(r); only a proper multiple of |C_G(r)| can.
+    All contain Z, so ``cm`` relates the cosets ``q`` of the cell members."""
+    quo, (reps, cell) = central_quotient(G), _cells(G)
+    q, cm = quo.projection[reps], commutator_pairing(G) == 0
+    counts, cent = np.bincount(cell), quo.kernel.size * cm[q].sum(axis=1)
     local = counts + np.where(cent < G.order, counts[0], 0)
     for s in np.unique(cent[1:]):
         small = np.flatnonzero(cent == s)
         large = np.flatnonzero((cent > s) & (cent < G.order) & (cent % s == 0))
-        inside = cm[np.ix_(reps[small], reps[large])]
+        inside = cm[np.ix_(q[small], q[large])]
         hit = inside.any(axis=1)
         for i, row in zip(small[hit], inside[hit]):
             js = large[row]
-            holds = cm[np.ix_(reps[js], np.flatnonzero(cm[reps[i]]))].all(axis=1)
+            holds = cm[np.ix_(q[js], np.flatnonzero(cm[q[i]]))].all(axis=1)
             local[i] += counts[js[holds]].sum()
     return cent, local
 
@@ -233,7 +234,7 @@ def has_abelian_subgroup_of_index_p(G: GroupTable, p: int) -> SubgroupSet | None
         return subgroup_generated(G, np.append(frattini_subgroup(G, p).members(), gens[:-1]))
     cent, local = _cell_centralizer_orders(G)
     hits = _cells(G)[0][(G.order == p * cent) & (cent == local)]
-    return SubgroupSet(G, commuting_table(G)[hits[0]]) if hits.size else None
+    return centralizer(G, hits[0]) if hits.size else None
 
 
 @dataclass

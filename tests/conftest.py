@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -18,6 +19,17 @@ def _build_catalog() -> dict:
 def catalog() -> dict:
     """All groups of the builtin catalog, built once per test session."""
     return _build_catalog()
+
+
+def shuffled(spec, seed):
+    """The group of ``spec`` with its non-identity ids shuffled, loaded through
+    from_multiplication_table, so coset representatives are not its natural ids."""
+    G = zc.build_group(spec)
+    rng = np.random.default_rng(seed)
+    new = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])    # new id of each old id
+    mult = np.empty_like(G.mult)
+    mult[np.ix_(new, new)] = new[G.mult]
+    return zc.from_multiplication_table(mult, label=spec)
 
 
 # Every permutation group the suite builds, by the generators it is built from

@@ -7,8 +7,9 @@ import zclasses as zc
 from zclasses import core
 from zclasses.core import _conjugates, _greedy_walk
 from zclasses.errors import BadParameter, NotAGroup, NotNormal, OrderExceedsCap
+from zclasses.zclass import _cells
 
-from conftest import PERMUTATION_GENERATORS
+from conftest import PERMUTATION_GENERATORS, shuffled
 from oracles import (
     conj_subset,
     naive_center,
@@ -319,6 +320,36 @@ def test_subgroup_generated_adjoins_only_ids_outside_its_closure():
     assert peak < 16 * 2 ** 20, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
+ID_READERS = {
+    "mul-left": lambda G, x: G.mul(x, 1),
+    "mul-right": lambda G, x: G.mul(1, x),
+    "inverse": lambda G, x: G.inverse(x),
+    "conjugate-x": lambda G, x: G.conjugate(x, 1),
+    "conjugate-g": lambda G, x: G.conjugate(1, x),
+    "commutator-a": lambda G, x: G.commutator(x, 1),
+    "commutator-b": lambda G, x: G.commutator(1, x),
+    "power": lambda G, x: G.power(x, 3),
+    "power-negative": lambda G, x: G.power(x, -1),
+    "element_order": lambda G, x: G.element_order(x),
+    "contains": lambda G, x: x in zc.center(G),
+    "centralizer": zc.centralizer,
+    "strict_fixed_set": zc.strict_fixed_set,
+    "kulkarni_size_check": zc.kulkarni_size_check,
+    "class_index_of": lambda G, x: zc.z_class_partition(G).class_index_of(x),
+    "class_of": lambda G, x: zc.z_class_partition(G).class_of(x),
+    "subgroup_generated": lambda G, x: zc.subgroup_generated(G, [1, x]),
+}
+
+
+@pytest.mark.parametrize("x", [-1, 8])
+@pytest.mark.parametrize("reader", list(ID_READERS))
+def test_id_readers_refuse_ids_out_of_range(reader, x):
+    """numpy reads id -1 as the last element, and 8 past dihedral(8)'s
+    tables, so every public reader of one id refuses both."""
+    with pytest.raises(ValueError, match="element id out of range"):
+        ID_READERS[reader](zc.dihedral(8), x)
+
+
 def test_center_examples(catalog):
     assert zc.center(catalog["C4"]).size == 4
     assert zc.center(catalog["D8"]).size == 2
@@ -354,9 +385,41 @@ def test_commuting_table_matches_naive(catalog):
     lambda: zc.dihedral(4096),
 ], ids=["S5", "heisenberg(11)", "extraspecial(5,2,plus)", "dihedral(4096)"])
 def test_commuting_table_matches_the_transpose(build):
-    """Orders that are not multiples of the tile or of the row block, and the cap."""
+    """Orders that are not multiples of the row block, and the cap: the table
+    is the pairing's rows read back through the projection."""
     G = build()
     assert np.array_equal(zc.commuting_table(G), G.mult == G.mult.T)
+
+
+COMMUTATION_GROUPS = {
+    "C4096": lambda: zc.cyclic(4096),
+    "D4096": lambda: zc.dihedral(4096),
+    **{f"ES(2,2,+)-shuffled-{seed}": lambda seed=seed: shuffled("extraspecial(2,2,plus)", seed)
+       for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", [e.label for e in zc.builtin_catalog()]
+                         + [f"perm-{p}" for p in PERMUTATION_GENERATORS] + list(COMMUTATION_GROUPS))
+def test_commutation_readers_match_the_transpose(name, catalog):
+    """center, centralizer and the cells of equal centralizers read the
+    commutator pairing on G/Z; each matches x*y = y*x read off the table.
+    In the shuffled groups coset representatives are not the natural ids."""
+    if name in catalog:
+        G = catalog[name]
+    elif name.startswith("perm-"):
+        G = zc.from_permutation_generators(PERMUTATION_GENERATORS[name[5:]])
+    else:
+        G = COMMUTATION_GROUPS[name]()
+    cm = G.mult == G.mult.T
+    assert np.array_equal(zc.center(G).mask, cm.all(axis=1))
+    for x in range(G.order):
+        assert np.array_equal(zc.centralizer(G, x).mask, cm[x]), x
+    index = {}
+    cell = np.array([index.setdefault(row.tobytes(), len(index)) for row in cm])
+    reps, got = _cells(G)
+    assert np.array_equal(got, cell)
+    assert np.array_equal(reps, np.unique(cell, return_index=True)[1])
 
 
 def test_centralizer_matches_naive(catalog):
@@ -403,7 +466,7 @@ def test_normalizer_from_generators_matches_every_conjugate(name, catalog):
     """On every distinct centralizer, the normalizer read off the conjugates
     of a generating set is the one read off the conjugates of every member."""
     G = catalog[name] if name in catalog else zc.build_group(name)
-    for row in np.unique(zc.commuting_table(G), axis=0):
+    for row in np.unique(G.mult == G.mult.T, axis=0):
         H = zc.SubgroupSet(G, row)
         every = H.mask[_conjugates(G, H.members())].all(axis=1)
         assert np.array_equal(zc.normalizer(G, H).mask, every)
@@ -667,10 +730,10 @@ def test_centralizer_conjugation_equivariance_small(catalog):
 
 def test_centralizer_conjugation_equivariance_sampled(catalog):
     # every (x, g): C(x^g) = C(x)^g says y^g commutes with x^g exactly when
-    # y commutes with x, so the commuting table is invariant under each
-    # conjugation map
+    # y commutes with x, so the relation x*y = y*x, read off the table, is
+    # invariant under each conjugation map
     G = catalog["ES(3,2,+)"]
-    cm = zc.commuting_table(G)
+    cm = G.mult == G.mult.T
     ar = np.arange(G.order)
     for g in G.elements():
         conj = G.mult[G.mult[G.inv[g], ar], g]

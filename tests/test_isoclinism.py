@@ -11,7 +11,7 @@ from zclasses.catalog import run_theorem
 from zclasses.core import commutator_values
 from zclasses.errors import NotAGroup, NotAnIsoclinism, OrderExceedsCap, QuotientExceedsCap
 
-from conftest import PERMUTATION_GENERATORS
+from conftest import PERMUTATION_GENERATORS, shuffled
 
 
 def cocycle_group(B1, B2, label):
@@ -53,17 +53,6 @@ def pencil_pair():
 
 
 # -------------------------------------------------------------- pairing
-
-def shuffled(spec, seed):
-    """The group of ``spec`` with its non-identity ids shuffled, loaded through
-    from_multiplication_table, so coset representatives are not its natural ids."""
-    G = zc.build_group(spec)
-    rng = np.random.default_rng(seed)
-    new = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])    # new id of each old id
-    mult = np.empty_like(G.mult)
-    mult[np.ix_(new, new)] = new[G.mult]
-    return zc.from_multiplication_table(mult, label=spec)
-
 
 def test_pairing_abelian_trivial():
     W = zc.commutator_pairing(zc.abelian([4, 2]))
@@ -502,7 +491,7 @@ def test_est_degenerate_pairing_raises(monkeypatch):
     pi = np.where(zc.subgroup_generated(Q, gens[:-1]).mask, ar, Q.mult[ar, gens[-1]])
     moved = quo.coset_reps[pi[quo.projection]]
     cv = commutator_values(G, moved, moved)
-    monkeypatch.setattr(isoclinism, "commutator_values",
+    monkeypatch.setattr(zc.core, "commutator_values",
                         lambda H, rows, cols: cv[np.ix_(rows, cols)])
     zc.commutator_pairing(G)     # memoises the forged table, which nothing re-checks
     with pytest.raises(NotAGroup, match="commutator pairing is degenerate"):

@@ -33,9 +33,8 @@ def test_no_function_level_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_whole_table_transpose(path):
     """`.T` of a whole table is a strided view, so reading it walks one entry
-    per row: tables are read along their rows, and a block of columns comes
-    from `core._columns`.  A transposed subscripted block, such as
-    `m[a:b, rows].T`, is allowed."""
+    per row: tables are read along their rows.  A transposed subscripted
+    block, such as `m[a:b, rows].T`, is allowed."""
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "T"
@@ -81,6 +80,26 @@ def test_each_memo_key_has_one_producer():
     assert {"central_quotient", "derived", "commutator_pairing"} <= set(sites)
     shared = {key: where for key, where in sites.items() if len(where) > 1}
     assert shared == {}, f"memo keys with more than one producer: {shared}"
+
+
+def test_commutation_has_one_table():
+    """The commutator pairing on G/Z is the one table that says which
+    elements commute: no module calls `commuting_table`, its n x n view kept
+    for outside readers, and no memo key is "commuting"."""
+    calls, keys = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name == "commuting_table":
+                    calls.append(f"{path.name}:{node.lineno}")
+                if name == "_memo" and isinstance(node.args[0], ast.Constant):
+                    keys.append(node.args[0].value)
+    assert calls == [], f"commuting_table called at {calls}"
+    assert keys and "commuting" not in keys
+    zc = importlib.import_module("zclasses")
+    assert zc.commutator_pairing is zc.isoclinism.commutator_pairing is zc.core.commutator_pairing
 
 
 def _library_uses(path):

@@ -25,6 +25,7 @@ import zclasses as zc
 from zclasses import catalog, cli
 from zclasses.errors import NotAGroup, OrderExceedsCap
 from zclasses.specs import _KINDS, _amalgamation_pair
+from zclasses.zclass import _cells
 
 from conftest import PERMUTATION_GENERATORS
 from oracles import naive_central_product
@@ -208,22 +209,28 @@ def _memo_arrays(value, key=None):
 
 
 @pytest.mark.parametrize("spec", ["dihedral(4096)", "extraspecial(5,2,plus)"])
-def test_commutators_keep_no_n_by_n_integer_table(spec):
-    """G' gathers |S| * n commutators and the pairing |G/Z|^2, so neither
-    leaves an n x n table behind beside the boolean commuting table, and the
-    two calls peak below 96 MB (an n x n int32 table is 64 MB at order 4096)."""
+def test_analysis_keeps_no_n_by_n_memo(spec):
+    """The center comes from generators, G' from |S| * n commutators, and
+    commutation, the type vector, both conditions and the cells from the
+    |G/Z|^2 pairing, so no memo holds n^2 entries after the analysis, and it
+    peaks below 32 MB (an n x n boolean table is 16.8 MB at order 4096)."""
     G = zc.build_group(spec)
     tracemalloc.start()
     try:
+        zc.center(G)
         zc.commutator_subgroup(G)
+        zc.conjugate_type_vector(G)
+        zc.condition_central_quotient_elementary(G)
+        zc.condition_local_center(G)
         zc.commutator_pairing(G)
+        _cells(G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     big = [(key, arr.dtype.name) for key, arr in _memo_arrays(G._cache)
            if arr.size >= G.order ** 2]
-    assert big == [("commuting", "bool")]
-    assert peak < 96e6, f"{spec}: tracemalloc peak {peak / 1e6:.0f} MB"
+    assert big == []
+    assert peak < 32e6, f"{spec}: tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def _traced_peak(fn, *args):
