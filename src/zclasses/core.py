@@ -204,7 +204,7 @@ class SubgroupSet:
     @classmethod
     def from_members(cls, group: GroupTable, members) -> "SubgroupSet":
         mask = np.zeros(group.order, dtype=bool)
-        mask[np.asarray(list(members), dtype=np.int64)] = True
+        mask[_ids(group, np.asarray(list(members), dtype=np.int64))] = True
         return cls(group, mask)
 
     @property
@@ -233,7 +233,7 @@ class SubgroupSet:
     def conjugate_by(self, g: int) -> "SubgroupSet":
         """g^-1 * H * g as a new SubgroupSet."""
         m = self.group.mult
-        moved = m[m[self.group.inv[g], self.members()], g]
+        moved = m[m[self.group.inv[_ids(self.group, g)], self.members()], g]
         return SubgroupSet.from_members(self.group, moved)
 
     def validate(self) -> None:

@@ -1,10 +1,10 @@
 """Partitions of a group by conjugacy of centralizers.
 
 Two elements are equivalent when their centralizers are conjugate.  The
-checks share one table, the cells of equal centralizers: the partition merges
-cells, the orbit-size identity and the local-center condition run once per
-cell, and an abelian subgroup of index p is read off the cells.  The
-``verify_*`` functions turn each statement under test into a checkable
+checks share one memoised table on G/Z, the cells of equal centralizers and
+their orders: the partition merges cells, the type vector, the local centers
+and theorem A read the orders, and the orbit-size identity runs once per cell.
+The ``verify_*`` functions turn each statement under test into a checkable
 :class:`TheoremReport` on one concrete group.
 """
 
@@ -83,16 +83,31 @@ class ZClassPartition:
         return f"ZClassPartition({self.group!r}, {self.num_classes} classes)"
 
 
-def _cells(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """Cells of equal centralizers, memoised: the smallest member of each in
-    ascending order (cell 0 is the center), and the cell index of each element.
-    Cells key the pairing's rows: cosets of Z, numbered by smallest member."""
+def _cells(G: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of equal centralizers, memoised: the smallest member r of each in
+    ascending order (cell 0 is the center), the cell of each element, |C_G(r)|
+    and |Z(C_G(r))|.  Cells key the pairing's rows ``cm``, cosets of Z numbered
+    by smallest member, so the coset ``q`` of a cell's first row holds r.
+    Z(C_G(r)) is r's cell, the center, and each cell in C_G(r) whose proper
+    centralizer contains C_G(r); only a proper multiple of |C_G(r)| can."""
     def compute():
-        quo = central_quotient(G)
+        quo, cm = central_quotient(G), commutator_pairing(G) == 0
         index: dict[bytes, int] = {}
-        cell = np.array([index.setdefault(row.tobytes(), len(index))
-                         for row in commutator_pairing(G) == 0], dtype=np.int32)
-        return quo.coset_reps[np.unique(cell, return_index=True)[1]], cell[quo.projection]
+        qcell = np.array([index.setdefault(row.tobytes(), len(index)) for row in cm], np.int32)
+        q = np.unique(qcell, return_index=True)[1]
+        cell = qcell[quo.projection]
+        counts, cent = np.bincount(cell), quo.kernel.size * cm[q].sum(axis=1)
+        local = counts + np.where(cent < G.order, counts[0], 0)
+        for s in np.unique(cent[1:]):
+            small = np.flatnonzero(cent == s)
+            large = np.flatnonzero((cent > s) & (cent < G.order) & (cent % s == 0))
+            inside = cm[np.ix_(q[small], q[large])]
+            hit = inside.any(axis=1)
+            for i, row in zip(small[hit], inside[hit]):
+                js = large[row]
+                holds = cm[np.ix_(q[js], np.flatnonzero(cm[q[i]]))].all(axis=1)
+                local[i] += counts[js[holds]].sum()
+        return quo.coset_reps[q], cell, cent, local
     return G._memo("cells", compute)
 
 
@@ -110,7 +125,7 @@ def z_class_partition(G: GroupTable) -> ZClassPartition:
     the conjugacy test short-circuits on subgroup size.
     """
     def compute():
-        reps, cell = _cells(G)
+        reps, cell = _cells(G)[:2]
         merged: list[SubgroupSet] = []
         class_of_cell = np.empty(reps.size, dtype=np.int32)
         for i, r in enumerate(reps):
@@ -138,19 +153,21 @@ def kulkarni_size_check(G: GroupTable, x: int) -> tuple[int, int]:
     """(predicted, actual) size of the class of x.
 
     The prediction is the orbit-size identity
-    ``[G : N_G(C_G(x))] * |{y : C(y) = C(x)}|``; the actual size comes from
-    the computed partition.  The two must agree for every element.
+    ``[G : N_G(C_G(x))] * |{y : C(y) = C(x)}|``; C_G(x) is the preimage of
+    the pairing row of xZ, so N_G(C_G(x)) is that of its normalizer in G/Z,
+    of the same index.  The actual size comes from the computed partition.
+    The two must agree for every element.
     """
-    NC = normalizer(G, centralizer(G, x))
-    predicted = (G.order // NC.size) * int(strict_fixed_set(G, x).size)
+    quo = central_quotient(G)
+    row = SubgroupSet(quo.table, commutator_pairing(G)[quo.projection[_ids(G, x)]] == 0)
+    predicted = normalizer(quo.table, row).index * int(strict_fixed_set(G, x).size)
     actual = z_class_partition(G).class_of(x).size
     return predicted, actual
 
 
 def conjugate_type_vector(G: GroupTable) -> tuple[int, ...]:
-    """Distinct indices [G : C(x)] = [G/Z : C(xZ)], sorted descending (ends in 1)."""
-    commutes = commutator_pairing(G) == 0
-    indices = np.unique(commutes.shape[0] // commutes.sum(axis=1))
+    """Distinct indices [G : C(x)], one per cell, sorted descending (ends in 1)."""
+    indices = np.unique(G.order // _cells(G)[2])
     return tuple(int(v) for v in indices[::-1])
 
 
@@ -178,39 +195,18 @@ def condition_central_quotient_elementary(G: GroupTable) -> bool:
     return is_elementary_abelian(central_quotient(G).table) is not None
 
 
-def _cell_centralizer_orders(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """|C_G(r)| and |Z(C_G(r))| for the smallest member r of each cell.
-    Z(C_G(r)) is r's cell, the center, and each cell in C_G(r) whose proper
-    centralizer contains C_G(r); only a proper multiple of |C_G(r)| can.
-    All contain Z, so ``cm`` relates the cosets ``q`` of the cell members."""
-    quo, (reps, cell) = central_quotient(G), _cells(G)
-    q, cm = quo.projection[reps], commutator_pairing(G) == 0
-    counts, cent = np.bincount(cell), quo.kernel.size * cm[q].sum(axis=1)
-    local = counts + np.where(cent < G.order, counts[0], 0)
-    for s in np.unique(cent[1:]):
-        small = np.flatnonzero(cent == s)
-        large = np.flatnonzero((cent > s) & (cent < G.order) & (cent % s == 0))
-        inside = cm[np.ix_(q[small], q[large])]
-        hit = inside.any(axis=1)
-        for i, row in zip(small[hit], inside[hit]):
-            js = large[row]
-            holds = cm[np.ix_(q[js], np.flatnonzero(cm[q[i]]))].all(axis=1)
-            local[i] += counts[js[holds]].sum()
-    return cent, local
-
-
 def condition_local_center(G: GroupTable) -> tuple[bool, int | None]:
     """Check Z(C_G(x)) = <x, Z(G)> for every noncentral x.
 
     <x, Z(G)> always lies in Z(C_G(x)) and has order |Z(G)| * ord(xZ), so
     the condition compares two orders; Z(C_G(x)) is the union of the cells
-    whose centralizer contains C_G(x) (:func:`_cell_centralizer_orders`).
+    whose centralizer contains C_G(x), read off the cell table.
     Returns (True, None), or (False, x) for the smallest offending x.
     """
     quo = central_quotient(G)     # G/Z(G), its kernel the center
     generated = quo.kernel.size * element_orders(quo.table)[quo.projection]
-    local = _cell_centralizer_orders(G)[1][_cells(G)[1]]
-    bad = np.flatnonzero((local != generated) & ~quo.kernel.mask)
+    _, cell, _, local = _cells(G)
+    bad = np.flatnonzero((local[cell] != generated) & ~quo.kernel.mask)
     return (False, int(bad[0])) if bad.size else (True, None)
 
 
@@ -232,8 +228,8 @@ def has_abelian_subgroup_of_index_p(G: GroupTable, p: int) -> SubgroupSet | None
     if is_abelian(G):
         gens = greedy_generating_sequence(G)
         return subgroup_generated(G, np.append(frattini_subgroup(G, p).members(), gens[:-1]))
-    cent, local = _cell_centralizer_orders(G)
-    hits = _cells(G)[0][(G.order == p * cent) & (cent == local)]
+    reps, _, cent, local = _cells(G)
+    hits = reps[(G.order == p * cent) & (cent == local)]
     return centralizer(G, hits[0]) if hits.size else None
 
 
@@ -296,11 +292,9 @@ def verify_theorem_A(G: GroupTable) -> TheoremReport:
     p = _p_group_prime(G)
     if p is None or z_class_count(G) != max_zclass_bound(G):
         return TheoremReport("A", None)
-    Q = central_quotient(G).table
-    qp = is_elementary_abelian(Q)
-    branch1 = qp == p and Q.order == p * p
-    no_abelian_maximal = has_abelian_subgroup_of_index_p(G, p) is None
-    branch2 = qp == p and no_abelian_maximal
+    elementary = condition_central_quotient_elementary(G)
+    branch1 = elementary and G.order == p * p * center(G).size
+    branch2 = elementary and has_abelian_subgroup_of_index_p(G, p) is None
     ok = branch1 or branch2
     witness = "central quotient CpxCp" if branch1 else (
         "no abelian index-p subgroup" if branch2 else "both branches fail")

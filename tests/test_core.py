@@ -338,6 +338,8 @@ ID_READERS = {
     "class_index_of": lambda G, x: zc.z_class_partition(G).class_index_of(x),
     "class_of": lambda G, x: zc.z_class_partition(G).class_of(x),
     "subgroup_generated": lambda G, x: zc.subgroup_generated(G, [1, x]),
+    "from_members": lambda G, x: zc.SubgroupSet.from_members(G, [0, x]),
+    "conjugate_by": lambda G, x: zc.center(G).conjugate_by(x),
 }
 
 
@@ -399,27 +401,45 @@ COMMUTATION_GROUPS = {
 }
 
 
-@pytest.mark.parametrize("name", [e.label for e in zc.builtin_catalog()]
-                         + [f"perm-{p}" for p in PERMUTATION_GENERATORS] + list(COMMUTATION_GROUPS))
-def test_commutation_readers_match_the_transpose(name, catalog):
-    """center, centralizer and the cells of equal centralizers read the
-    commutator pairing on G/Z; each matches x*y = y*x read off the table.
-    In the shuffled groups coset representatives are not the natural ids."""
+COMMUTATION_NAMES = ([e.label for e in zc.builtin_catalog()]
+                     + [f"perm-{p}" for p in PERMUTATION_GENERATORS] + list(COMMUTATION_GROUPS))
+
+
+def _commutation_group(name, catalog):
     if name in catalog:
-        G = catalog[name]
-    elif name.startswith("perm-"):
-        G = zc.from_permutation_generators(PERMUTATION_GENERATORS[name[5:]])
-    else:
-        G = COMMUTATION_GROUPS[name]()
+        return catalog[name]
+    if name.startswith("perm-"):
+        return zc.from_permutation_generators(PERMUTATION_GENERATORS[name[5:]])
+    return COMMUTATION_GROUPS[name]()
+
+
+@pytest.mark.parametrize("name", COMMUTATION_NAMES)
+def test_commutation_readers_match_the_transpose(name, catalog):
+    """center, centralizer and the cell table read the commutator pairing on
+    G/Z; each matches x*y = y*x read off the table, the centralizer orders
+    included.  In the shuffled groups coset representatives are not the
+    natural ids."""
+    G = _commutation_group(name, catalog)
     cm = G.mult == G.mult.T
     assert np.array_equal(zc.center(G).mask, cm.all(axis=1))
     for x in range(G.order):
         assert np.array_equal(zc.centralizer(G, x).mask, cm[x]), x
     index = {}
     cell = np.array([index.setdefault(row.tobytes(), len(index)) for row in cm])
-    reps, got = _cells(G)
+    reps, got, cent = _cells(G)[:3]
     assert np.array_equal(got, cell)
     assert np.array_equal(reps, np.unique(cell, return_index=True)[1])
+    assert np.array_equal(cent, cm[reps].sum(axis=1))
+
+
+@pytest.mark.parametrize("name", COMMUTATION_NAMES)
+def test_kulkarni_normalizers_in_the_quotient_match_those_in_g(name, catalog):
+    """kulkarni_size_check takes the normalizer of C_G(x) in G/Z; its
+    prediction matches [G : N_G(C_G(x))] * |cell of x| computed in G."""
+    G = _commutation_group(name, catalog)
+    for r in _cells(G)[0].tolist():
+        index = G.order // zc.normalizer(G, zc.centralizer(G, r)).size
+        assert zc.kulkarni_size_check(G, r)[0] == index * zc.strict_fixed_set(G, r).size, r
 
 
 def test_centralizer_matches_naive(catalog):

@@ -30,6 +30,22 @@ def test_no_function_level_imports(path):
     assert lines == [], f"{path.name}: import inside a block at line(s) {lines}"
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    """Each name a module imports at module level is read in it, so code
+    deleted from a module takes its imports with it.  ``__init__.py``
+    imports to re-export, and ``__future__`` imports switch features."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = {name: line for name, line in imported.items() if name not in read}
+    assert unused == {}, f"{path.name}: imported but never read: {unused}"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_whole_table_transpose(path):
     """`.T` of a whole table is a strided view, so reading it walks one entry

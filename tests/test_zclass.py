@@ -7,7 +7,7 @@ import pytest
 import zclasses as zc
 from zclasses.core import prime_power
 from zclasses.errors import BadParameter
-from zclasses.zclass import _cell_centralizer_orders, _cells
+from zclasses.zclass import _cells
 
 from conftest import CTV, PERMUTATION_GENERATORS, ZCLASS_COUNTS
 from oracles import (naive_abelian_index_p, naive_fixed_set, naive_frattini,
@@ -257,8 +257,7 @@ LARGER_CENTRALIZERS = {
 def test_local_center_sizes_count_larger_centralizers(name):
     make, takes_larger = LARGER_CENTRALIZERS[name]
     G = make()
-    reps, cell = _cells(G)
-    local = _cell_centralizer_orders(G)[1]
+    reps, cell, _, local = _cells(G)
     assert local.tolist() == [len(naive_fixed_set(G, int(r))) for r in reps]
     own_and_center = np.bincount(cell) + zc.center(G).size * (np.arange(reps.size) > 0)
     assert bool((local > own_and_center).any()) == takes_larger
