@@ -61,7 +61,7 @@ print(f"\nin Heis3: |<x, Z>| = {gen.size} and the centralizer of x equals it:",
 P = zc.direct_product(H3, zc.abelian([3]))
 print("Heis3 x C3 has order", P.order, "and center of size", zc.center(P).size)
 
-quo = zc.quotient(H3, Z)
+quo = zc.central_quotient(H3)
 print("Heis3 / Z has order", quo.table.order,
       "and is elementary abelian for p =", zc.is_elementary_abelian(quo.table))
 

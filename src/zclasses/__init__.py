@@ -27,7 +27,6 @@ from .core import (
     is_abelian,
     is_elementary_abelian,
     normalizer,
-    quotient,
     read_cayley_table,
     subgroup_generated,
     validate_group_table,

@@ -2,9 +2,10 @@
 
 A group lives on element ids ``0 .. order-1`` with the identity always at
 id ``0``; ``mult[a, b]`` is the product and ``inv[a]`` the inverse.  All
-set-level operations (subgroups, centralizers, quotients) reduce to numpy
-gathers over these tables and boolean membership masks, which keeps
-everything exact and brute-forceable at desk scale.
+set-level operations (subgroups, centralizers, the central quotient) reduce
+to numpy gathers over these tables and boolean membership masks, which
+keeps everything exact and brute-forceable at desk scale.  G/Z is the one
+quotient: every statement checked is a statement on it.
 
 Tables are read along their rows, never through a whole transpose, and
 conjugates are gathered as ``g^-1 * (h * g)``: the products ``h * g`` are
@@ -23,12 +24,12 @@ Conventions used consistently throughout the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter, NotAGroup, NotNormal, OrderExceedsCap
+from .errors import BadParameter, NotAGroup, OrderExceedsCap
 
 DEFAULT_ORDER_CAP = 4096
 
@@ -96,12 +97,13 @@ class GroupTable:
     """A finite group as a dense multiplication table plus inverse table.
 
     Instances are immutable after construction; derived data (center,
-    commutator subgroup, partitions) is memoised on the instance as plain
-    arrays that hold no reference back to it, so no reference cycle keeps a
-    group alive once its last outside reference is gone.  Ids are stored as
-    ID_DTYPE (int16), so the order is at most MAX_ORDER (32767).  An int16
-    table is kept and frozen, not copied: the caller must not write to it
-    afterwards.  A wider table is narrowed only when every entry is an id.
+    commutator subgroup, G/Z, partitions) is memoised on the instance as
+    read-only arrays that hold no reference back to it, so no reference
+    cycle keeps a group alive once its last outside reference is gone.  Ids
+    are stored as ID_DTYPE (int16), so the order is at most MAX_ORDER
+    (32767).  An int16 table is kept and frozen, not copied: the caller must
+    not write to it afterwards.  A wider table is narrowed only when every
+    entry is an id.
     """
 
     __slots__ = ("order", "mult", "inv", "label", "_cache")
@@ -154,13 +156,24 @@ class GroupTable:
         return range(self.order)
 
     def _memo(self, key, compute):
+        """The value of ``compute()``, computed once per key and handed out as
+        is, so each array in it, or in its tuples and lists, is made read-only."""
         if key not in self._cache:
-            self._cache[key] = compute()
+            self._cache[key] = _read_only(compute())
         return self._cache[key]
 
     def __repr__(self) -> str:
         name = self.label or "unnamed"
         return f"GroupTable({name!r}, order={self.order})"
+
+
+def _read_only(value):
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    return value
 
 
 def _as_ids(a: np.ndarray) -> np.ndarray:
@@ -252,17 +265,16 @@ class SubgroupSet:
         return f"SubgroupSet(size={self.size} of {self.group!r})"
 
 
-@dataclass
-class QuotientGroup:
-    """A quotient G/N: its own GroupTable plus the projection data.
+class QuotientGroup(NamedTuple):
+    """The central quotient G/Z(G): its own GroupTable plus the projection
+    data, one read-only value memoised by :func:`central_quotient`.
 
-    ``projection[a]`` is the quotient id of the coset a*N; ``coset_reps[q]``
+    ``projection[a]`` is the quotient id of the coset a*Z; ``coset_reps[q]``
     is the smallest parent element in coset q (so rep 0 is the identity).
     """
 
     table: GroupTable
     projection: np.ndarray
-    kernel: SubgroupSet
     coset_reps: np.ndarray
 
 
@@ -549,39 +561,21 @@ def commutator_subgroup(G: GroupTable) -> SubgroupSet:
     return SubgroupSet(G, G._memo("derived", compute))
 
 
-def quotient(G: GroupTable, N: SubgroupSet) -> QuotientGroup:
-    """Coset group G/N; raises :class:`NotNormal` with a witness pair."""
-    inside = normalizer(G, N).mask
-    if not inside.all():
-        g = int(np.argmin(inside))
-        h = next(int(h) for h in N.members() if G.conjugate(int(h), g) not in N)
-        raise NotNormal(f"not normal: {g}^-1 * {h} * {g} leaves the subgroup", (g, h))
-    return _cosets(G, N)
-
-
-def _cosets(G: GroupTable, N: SubgroupSet) -> QuotientGroup:
-    """G/N for a normal N: each coset is labelled by its smallest member, the
-    minimum of N*g = g*N read along the rows h of N, _ROW_BLOCK rows at a time."""
-    mem = N.members()
-    coset_min = np.arange(G.order, dtype=ID_DTYPE)        # the row of the identity
-    for lo in range(0, mem.size, _ROW_BLOCK):
-        np.minimum(coset_min, G.mult[mem[lo:lo + _ROW_BLOCK]].min(axis=0), out=coset_min)
-    reps = np.unique(coset_min)
-    proj = np.searchsorted(reps, coset_min).astype(ID_DTYPE)
-    qmult = _fill_rows((reps.size,) * 2, lambda rows: proj[G.mult[reps[rows, None], reps]])
-    label = f"{G.label}/{N.size}" if G.label else f"G/{N.size}"
-    table = GroupTable(qmult, proj[G.inv[reps]], label=label)
-    return QuotientGroup(table=table, projection=proj, kernel=N,
-                         coset_reps=reps)
-
-
 def central_quotient(G: GroupTable) -> QuotientGroup:
-    """G/Z(G), memoised; Z(G) is normal, so no normality test runs."""
+    """G/Z(G), memoised and returned as is.  Each coset is labelled by its
+    smallest member, the minimum of Z*g read along the rows z of the center,
+    _ROW_BLOCK rows at a time."""
     def compute():
-        quo = _cosets(G, center(G))
-        return quo.table, quo.projection, quo.coset_reps
-    table, projection, reps = G._memo("central_quotient", compute)
-    return QuotientGroup(table, projection, center(G), reps)
+        mem = center(G).members()
+        coset_min = np.arange(G.order, dtype=ID_DTYPE)        # the row of the identity
+        for lo in range(0, mem.size, _ROW_BLOCK):
+            np.minimum(coset_min, G.mult[mem[lo:lo + _ROW_BLOCK]].min(axis=0), out=coset_min)
+        reps = np.unique(coset_min)
+        proj = np.searchsorted(reps, coset_min).astype(ID_DTYPE)
+        qmult = _fill_rows((reps.size,) * 2, lambda rows: proj[G.mult[reps[rows, None], reps]])
+        label = f"{G.label}/{mem.size}" if G.label else f"G/{mem.size}"
+        return QuotientGroup(GroupTable(qmult, proj[G.inv[reps]], label=label), proj, reps)
+    return G._memo("central_quotient", compute)
 
 
 def commutator_pairing(G: GroupTable) -> np.ndarray:

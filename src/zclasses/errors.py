@@ -21,14 +21,6 @@ class OrderExceedsCap(GroupError):
     """A construction would produce a group larger than the order cap."""
 
 
-class NotNormal(GroupError):
-    """Quotient requested by a non-normal subgroup; carries a witness pair."""
-
-    def __init__(self, msg: str, witness=None):
-        self.witness = witness
-        super().__init__(msg)
-
-
 class BadParameter(GroupError):
     """A parameter is out of range, or not the prime, bijection or central element asked for."""
 

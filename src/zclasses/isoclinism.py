@@ -178,16 +178,15 @@ def is_stem_group(G: GroupTable) -> bool:
 
 
 def verify_isoclinism_invariance(G1: GroupTable, G2: GroupTable,
-                                 witness: IsoclinismWitness | None = None, *,
-                                 cap: int = DEFAULT_ISO_CAP) -> TheoremReport:
+                                 witness: IsoclinismWitness | None = None) -> TheoremReport:
     """Given isoclinic groups, assert their class counts agree.
 
-    Searches for a witness when none is supplied; the report is vacuous when
-    the search proves the groups are not isoclinic.
+    With no witness, one is searched for under are_isoclinic's default cap;
+    the report is vacuous when the search proves the groups not isoclinic.
     """
     if witness is not None:
         witness.validate()
-    elif are_isoclinic(G1, G2, cap=cap) is None:    # a found witness is validated
+    elif are_isoclinic(G1, G2) is None:    # a found witness is validated
         return TheoremReport("isoclinism-invariance", None)
     c1, c2 = z_class_count(G1), z_class_count(G2)
     return TheoremReport("isoclinism-invariance", c1 == c2,

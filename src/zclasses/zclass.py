@@ -96,7 +96,7 @@ def _cells(G: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         qcell = np.array([index.setdefault(row.tobytes(), len(index)) for row in cm], np.int32)
         q = np.unique(qcell, return_index=True)[1]
         cell = qcell[quo.projection]
-        counts, cent = np.bincount(cell), quo.kernel.size * cm[q].sum(axis=1)
+        counts, cent = np.bincount(cell), center(G).size * cm[q].sum(axis=1)
         local = counts + np.where(cent < G.order, counts[0], 0)
         for s in np.unique(cent[1:]):
             small = np.flatnonzero(cent == s)
@@ -203,10 +203,10 @@ def condition_local_center(G: GroupTable) -> tuple[bool, int | None]:
     whose centralizer contains C_G(x), read off the cell table.
     Returns (True, None), or (False, x) for the smallest offending x.
     """
-    quo = central_quotient(G)     # G/Z(G), its kernel the center
-    generated = quo.kernel.size * element_orders(quo.table)[quo.projection]
+    quo, Z = central_quotient(G), center(G)
+    generated = Z.size * element_orders(quo.table)[quo.projection]
     _, cell, _, local = _cells(G)
-    bad = np.flatnonzero((local[cell] != generated) & ~quo.kernel.mask)
+    bad = np.flatnonzero((local[cell] != generated) & ~Z.mask)
     return (False, int(bad[0])) if bad.size else (True, None)
 
 

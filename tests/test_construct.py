@@ -44,7 +44,7 @@ def test_dihedral_8():
 
 def test_dihedral_16_class_three():
     G = zc.dihedral(16)
-    quo = zc.quotient(G, zc.center(G)).table
+    quo = zc.central_quotient(G).table
     assert not zc.is_abelian(quo)
 
 
@@ -125,7 +125,7 @@ def test_extraspecial_2_2_plus():
     G = zc.extraspecial(2, 2, "plus")
     assert G.order == 32
     assert zc.center(G).size == 2
-    quo = zc.quotient(G, zc.center(G)).table
+    quo = zc.central_quotient(G).table
     assert quo.order == 16
     assert zc.is_elementary_abelian(quo) == 2
 
@@ -141,7 +141,7 @@ def test_extraspecial_family_invariants(p, n, variant):
     G = zc.extraspecial(p, n, variant)
     assert G.order == p ** (1 + 2 * n)
     assert zc.center(G).size == p
-    quo = zc.quotient(G, zc.center(G)).table
+    quo = zc.central_quotient(G).table
     assert quo.order == p ** (2 * n)
     assert zc.is_elementary_abelian(quo) == p
     assert zc.is_extraspecial(G)

@@ -6,7 +6,7 @@ import pytest
 import zclasses as zc
 from zclasses import core
 from zclasses.core import _conjugates, _greedy_walk
-from zclasses.errors import BadParameter, NotAGroup, NotNormal, OrderExceedsCap
+from zclasses.errors import BadParameter, NotAGroup, OrderExceedsCap
 from zclasses.zclass import _cells
 
 from conftest import PERMUTATION_GENERATORS, shuffled
@@ -520,22 +520,9 @@ def test_commutator_subgroup_matches_oracle(name, catalog):
 
 # ------------------------------------------------------------ quotients
 
-def test_quotient_by_trivial():
-    D8 = zc.dihedral(8)
-    quo = zc.quotient(D8, zc.subgroup_generated(D8, []))
-    assert quo.table.order == 8
-    assert np.array_equal(quo.table.mult, D8.mult)
-
-
-def test_quotient_by_whole():
-    D8 = zc.dihedral(8)
-    quo = zc.quotient(D8, zc.SubgroupSet(D8, np.ones(8, bool)))
-    assert quo.table.order == 1
-
-
 def test_quotient_heisenberg_center():
     H = zc.heisenberg(3)
-    quo = zc.quotient(H, zc.center(H))
+    quo = zc.central_quotient(H)
     assert quo.table.order == 9
     assert zc.is_elementary_abelian(quo.table) == 3
 
@@ -543,22 +530,13 @@ def test_quotient_heisenberg_center():
 def test_quotient_invariants(catalog):
     for name in ("D8", "Q16", "Heis3", "M27"):
         G = catalog[name]
-        quo = zc.quotient(G, zc.center(G))
+        quo, Z = zc.central_quotient(G), zc.center(G)
         pj, t = quo.projection, quo.table
         for a in G.elements():
             for b in G.elements():
                 assert pj[G.mult[a, b]] == t.mult[pj[a], pj[b]]
-        assert set(np.flatnonzero(pj == 0).tolist()) == set(quo.kernel.members().tolist())
-        assert t.order * quo.kernel.size == G.order
-
-
-def test_quotient_not_normal_witness():
-    D8 = zc.dihedral(8)
-    refl = zc.subgroup_generated(D8, [1])
-    with pytest.raises(NotNormal) as err:
-        zc.quotient(D8, refl)
-    g, h = err.value.witness
-    assert D8.conjugate(h, g) not in refl
+        assert set(np.flatnonzero(pj == 0).tolist()) == set(Z.members().tolist())
+        assert t.order * Z.size == G.order
 
 
 def test_central_quotient_allocates_blocks_not_a_table():
@@ -576,16 +554,17 @@ def test_central_quotient_allocates_blocks_not_a_table():
 
 
 def test_normality_test_conjugates_generators_not_members():
-    # with |N| = n, conjugating every member of N would gather n^2 ids
+    # the normalizer of N conjugates generators of N: with |N| = n,
+    # conjugating every member of N would gather n^2 ids
     G = zc.cyclic(4096)
     Z = zc.center(G)
     tracemalloc.start()
     try:
-        quo = zc.quotient(G, Z)
+        N = zc.normalizer(G, Z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert quo.table.order == 1 and not quo.projection.any()
+    assert N.size == G.order
     assert peak < 16 * 2 ** 20, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
@@ -594,7 +573,7 @@ def test_nilpotency_class_two_characterization(catalog):
     for name in ("D8", "Heis3", "D16", "Q16", "S3", "ES(2,2,+)"):
         G = catalog[name]
         Z = zc.center(G)
-        quo_abelian = zc.is_abelian(zc.quotient(G, Z).table)
+        quo_abelian = zc.is_abelian(zc.central_quotient(G).table)
         comm_central = all(
             G.commutator(a, b) in Z for a in G.elements() for b in G.elements())
         assert quo_abelian == comm_central

@@ -59,14 +59,16 @@ def test_no_whole_table_transpose(path):
 
 
 REMOVED_ERRORS = {"PreconditionViolated", "AbelianGroup", "NotPrimePowerIndex", "NotPrime",
-                  "NotPGroup", "NotCentral", "OrderMismatch", "InvalidPermutation"}
+                  "NotPGroup", "NotCentral", "OrderMismatch", "InvalidPermutation",
+                  "NotNormal"}
 
 
 def test_every_error_class_is_raised():
     """Each class errors.py defines, but for the GroupError base, is raised by
     name somewhere in the library.  A failed hypothesis is a vacuous report,
-    an undefined bound is None and a bad parameter is BadParameter, so no
-    class in REMOVED_ERRORS is named anywhere in the library."""
+    an undefined bound is None, a bad parameter is BadParameter and G/Z, the
+    one quotient, needs no normality test, so no class in REMOVED_ERRORS is
+    named anywhere in the library."""
     defined = {node.name for node in ast.parse((ROOT / "src/zclasses/errors.py").read_text()).body
                if isinstance(node, ast.ClassDef)}
     raised, words = set(), set()
@@ -76,7 +78,7 @@ def test_every_error_class_is_raised():
                       if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                       and isinstance(node.exc.func, ast.Name))
     assert defined - {"GroupError"} <= raised, f"never raised: {defined - raised}"
-    assert len(defined) == 9 and not words & REMOVED_ERRORS, words & REMOVED_ERRORS
+    assert len(defined) == 8 and not words & REMOVED_ERRORS, words & REMOVED_ERRORS
 
 
 def test_each_memo_key_has_one_producer():

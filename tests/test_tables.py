@@ -233,6 +233,28 @@ def test_analysis_keeps_no_n_by_n_memo(spec):
     assert peak < 32e6, f"{spec}: tracemalloc peak {peak / 1e6:.1f} MB"
 
 
+def test_memos_are_read_only():
+    """Memos are handed out as they are, G/Z as one value, so a write into
+    one would change every later answer: each array a memo holds refuses it,
+    and the checks still confirm after the attempts."""
+    G = zc.extraspecial(2, 2, "plus")
+    quo = zc.central_quotient(G)
+    assert zc.central_quotient(G) is quo
+    handed_out = {"pairing": zc.commutator_pairing(G), "orders": zc.element_orders(G),
+                  "projection": quo.projection, "coset_reps": quo.coset_reps,
+                  "class members": zc.z_class_partition(G).classes[1].members}
+    for name, arr in handed_out.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] = 0
+        assert arr.any(), name
+    assert zc.verify_theorem_mt(G).verdict == "confirmed"
+    assert zc.verify_bounds(G).verdict == "confirmed"
+    for theorem in catalog.THEOREMS:
+        catalog.run_theorem(G, theorem)
+    writable = [key for key, arr in _memo_arrays(G._cache) if arr.flags.writeable]
+    assert writable == []
+
+
 def _traced_peak(fn, *args):
     """(result, tracemalloc peak in bytes) of one call."""
     tracemalloc.start()
@@ -466,7 +488,7 @@ def test_every_library_table_is_int16(tmp_path):
     zc.write_cayley_table(zc.dihedral(12), tmp_path / "d12.cayley")
     groups.append(zc.read_cayley_table(tmp_path / "d12.cayley"))
     D8 = zc.dihedral(8)
-    groups.append(zc.quotient(D8, zc.commutator_subgroup(D8)).table)
+    groups.append(zc.central_quotient(D8).table)    # D8/D8', as D8' = Z(D8)
     wide = [(G.label, name, t.dtype.name) for G in groups
             for name, t in _library_tables(G) if t.dtype != np.int16]
     assert wide == []
