@@ -4,10 +4,10 @@ Covers abelian groups, dihedral and generalized quaternion 2-groups, the
 two non-abelian families of order p^3 (exponent p and exponent p^2), and
 extraspecial groups of order p^(1+2n) assembled as iterated central
 products.  Element labeling is lexicographic over the natural parameter
-tuples so every constructor is reproducible bit for bit.  Each table is
-filled from its closed form (or, for extraspecial groups, by central
-products) in blocks of rows, so a constructor allocates little beside the
-table it returns.
+tuples so every constructor is reproducible bit for bit.  Cyclic and
+dicyclic rows are their base rows turned, the order-p^3 tables are filled
+from closed forms in blocks of rows, and a central product copies rows of its
+right factor's table, so a constructor allocates little beside its table.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DEFAULT_ORDER_CAP,
+    ID_DTYPE,
     MAX_ORDER,
     GroupTable,
     SubgroupSet,
@@ -41,9 +43,8 @@ def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise BadParameter(f"cyclic order must be >= 1, got {n}")
     check_order("cyclic", n)            # before its ids are allocated
-    ids = np.arange(n, dtype=np.int32)
-    return GroupTable(_fill_rows((n, n), lambda rows: (ids[rows, None] + ids) % n),
-                      (-ids) % n, label=f"C{n}")
+    ids = np.arange(n, dtype=ID_DTYPE)      # row x is row 0 turned left by x
+    return GroupTable(sliding_window_view(np.tile(ids, 2), n)[:n].copy(), -ids % n, label=f"C{n}")
 
 
 def abelian(orders, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -68,20 +69,14 @@ def _dicyclic(order: int, twist: int, label: str) -> GroupTable:
     r^(i+twist) s."""
     check_order("quaternion" if twist else "dihedral", order)    # before its ids
     half = order // 2
-    ids = np.arange(order, dtype=np.int32)
+    ids = np.arange(order, dtype=ID_DTYPE)
     rot, ref = ids // 2, ids % 2
-    def block_of(rows):
-        block = (1 - 2 * ref[rows, None]) * rot     # one int32 block, then in place
-        block += rot[rows, None]
-        if twist:
-            block += twist * (ref[rows, None] & ref)
-        block %= half
-        block *= 2
-        block |= ref[rows, None]
-        block ^= ref                                # low bit: ref_a + ref_b mod 2
-        return block
+    # s * r^j * s^f = r^(twist*f - j) * s^(1+f): row 1, that of s
+    turned = sliding_window_view(np.tile([ids, 2 * ((twist * ref - rot) % half) + 1 - ref], 2),
+                                 order, axis=1)
     inv = np.where(ref == 1, 2 * ((rot + twist) % half) + 1, 2 * ((half - rot) % half))
-    return GroupTable(_fill_rows((order, order), block_of), inv, label=label)
+    # the row of r^i is row 0 turned left by 2i, that of r^i s row 1 turned right by 2i
+    return GroupTable(turned[ref, np.where(ref == 1, -2 * rot % order, 2 * rot)], inv, label=label)
 
 
 def dihedral(order: int) -> GroupTable:

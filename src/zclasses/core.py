@@ -35,8 +35,8 @@ DEFAULT_ORDER_CAP = 4096
 
 # Element ids are int16, and no group is larger than its largest value: every
 # id and the order itself fit, so read_cayley_table can store n as the one
-# out-of-range id.  Arithmetic on ids widens first (n^2 and the ids of G x H
-# do not fit) and narrows only when ids are stored.
+# out-of-range id.  Arithmetic on ids widens first (n^2 does not fit) and
+# narrows only when ids are stored.
 ID_DTYPE = np.int16
 MAX_ORDER = int(np.iinfo(ID_DTYPE).max)    # 32767
 
@@ -467,14 +467,18 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupSet:
 
 
 def _adjoin(G: GroupTable, mask: np.ndarray, gens: list[int]) -> None:
-    """Grow ``mask``, the subgroup generated by gens[:-1], in place to the one
-    generated by all of ``gens``: right products by the new generator from
-    every member, then by every generator from each new layer."""
-    frontier = G.mult[np.flatnonzero(mask), gens[-1]]
-    while frontier.size:
-        new = np.unique(frontier[~mask[frontier]])
+    """Grow ``mask``, the subgroup H of gens[:-1], in place to that of ``gens``:
+    the cosets H * g^k, k < t, for g = gens[-1] and the least t > 0 with g^t in
+    H, found by doubling, then right products by every generator from new layers."""
+    powers, step = np.zeros(1, dtype=ID_DTYPE), gens[-1]
+    while not mask[more := G.mult[powers, step]].any():     # g^(k + len(powers))
+        powers, step = np.concatenate([powers, more]), G.mult[step, step]
+    powers = np.concatenate([powers, more[:np.argmax(mask[more])]])
+    new = G.mult[np.flatnonzero(mask)[:, None], powers[1:]].ravel()
+    while new.size:
         mask[new] = True
         frontier = G.mult[new[:, None], gens].ravel()
+        new = np.unique(frontier[~mask[frontier]])
 
 
 def greedy_generating_sequence(G: GroupTable) -> list[int]:
@@ -540,14 +544,15 @@ def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
 
 def commutator_values(G: GroupTable, rows, cols) -> np.ndarray:
     """Commutators of a block of pairs, not memoised: entry [i, j] is the id of
-    [rows[i], cols[j]], read at one flat index by rows.  The index is int32:
-    n^2 < 2^31, but from n = 182 on it does not fit the int16 ids."""
+    [rows[i], cols[j]], read at one intp flat index from whole rows of a and a^-1
+    taken first, then their columns: from n = 182 on, n^2 does not fit in int16."""
     rows, cols = np.asarray(rows), np.asarray(cols)
     def block_of(block):
-        a = rows[block, None]                   # the row of a^-1 * b^-1 ...
-        flat = np.multiply(G.mult[G.inv[a], G.inv[cols]], G.order, dtype=np.int32)
-        flat += G.mult[a, cols]                 # ... at the column of a * b
-        return G.mult.ravel()[flat]
+        a = rows[block]
+        ab = np.take(G.mult[a], cols, axis=1)
+        flat = np.take(G.mult[G.inv[a]], G.inv[cols], axis=1) * np.intp(G.order)
+        flat += ab                  # the row of a^-1 * b^-1 at the column of a * b
+        return np.take(G.mult, flat)
     return _fill_rows((rows.size, cols.size), block_of)
 
 
@@ -572,7 +577,7 @@ def central_quotient(G: GroupTable) -> QuotientGroup:
             np.minimum(coset_min, G.mult[mem[lo:lo + _ROW_BLOCK]].min(axis=0), out=coset_min)
         reps = np.unique(coset_min)
         proj = np.searchsorted(reps, coset_min).astype(ID_DTYPE)
-        qmult = _fill_rows((reps.size,) * 2, lambda rows: proj[G.mult[reps[rows, None], reps]])
+        qmult = _fill_rows((reps.size,) * 2, lambda r: proj[np.take(G.mult[reps[r]], reps, axis=1)])
         label = f"{G.label}/{mem.size}" if G.label else f"G/{mem.size}"
         return QuotientGroup(GroupTable(qmult, proj[G.inv[reps]], label=label), proj, reps)
     return G._memo("central_quotient", compute)
@@ -656,12 +661,11 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
     """(G x H) / <(zg, zh^-1)> for central zg, zh of one prime order p.
 
     The result has order |G|*|H|/p and amalgamates the two chosen central
-    subgroups.  It is built on the quotient directly, never on G x H: the
-    coset of the pair (g, h), which has id g*|H| + h in G x H, is labelled
-    by its smallest id ``(g * zg^i)*|H| + h * zh^-i`` over the p shifts i,
-    and the cosets are numbered in the order of those labels.  The G x H ids
-    reach p*n, past MAX_ORDER, so they are computed in int32.
-    """
+    subgroups.  The cosets are numbered in the order of their smallest G x H
+    ids g*|H| + h: the coset of (g, h) is ``rank(g')*|H| + h * zh^-i(g)``,
+    where i(g) is the shift that makes g' = g * zg^i smallest and rank counts
+    those g' in order.  So the block of the reps a and b is rank(c')*|H| plus
+    the rows h1 * zh^-i(c) of H's table, c = a*b: int16 ids, all below n."""
     if zg not in center(G):
         raise BadParameter(f"element {zg} is not central in {G.label or 'G'}")
     if zh not in center(H):
@@ -673,23 +677,24 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
         raise BadParameter(f"amalgamated order {og} is not prime")
     n = G.order * H.order // og
     check_order("central product", n, cap)
-    coset_min = np.full((G.order, H.order), G.order * H.order, dtype=np.int32)
-    gi, hi = 0, 0
-    for _ in range(og):
-        shifted = np.multiply(G.mult[:, gi], H.order, dtype=np.int32)[:, None] + H.mult[:, hi]
-        np.minimum(coset_min, shifted, out=coset_min)
-        gi, hi = G.mul(gi, zg), H.mul(hi, int(H.inv[zh]))
-    reps = np.unique(coset_min)
-    proj = np.searchsorted(reps, coset_min.ravel()).astype(ID_DTYPE)
-    gr, hr = np.divmod(reps, H.order)
-    def block_of(rows):                         # the G x H id of the product of two reps
-        block = np.multiply(G.mult[gr[rows, None], gr], H.order, dtype=np.int32)
-        block += H.mult[hr[rows, None], hr]
-        return proj[block]
-    mult = _fill_rows((n, n), block_of)
+    moved = G.mult[[G.power(zg, i) for i in range(og)]]      # [i, g] = g * zg^i, zg central
+    shift, least = moved.argmin(axis=0), moved.min(axis=0)    # i(g) and g'
+    reps = np.unique(least)
+    base = (np.searchsorted(reps, least) * H.order).astype(ID_DTYPE)    # rank(g')*|H|
+    turned = H.mult[[H.power(zh, -i) for i in range(og)]]    # [i, h] = h * zh^-i
+    mult = np.empty((n, n), dtype=ID_DTYPE)
+    step = -(-_ROW_BLOCK // H.order)            # representatives a per block of rows
+    for lo in range(0, reps.size, step):
+        c = np.take(G.mult[reps[lo:lo + step]], reps, axis=1)
+        rows = np.take(turned, np.take(shift, c), axis=0).transpose(0, 2, 1)    # [a, h1, b]
+        block = mult[lo * H.order:(lo + step) * H.order].reshape(-1, H.order, n)
+        # whole rows of H into the table; "clip" alters no id and, unlike "raise",
+        # gathers into ``out`` without a copy of it
+        np.take(H.mult, rows, axis=0, out=block.reshape(rows.shape + (-1,)), mode="clip")
+        block += np.repeat(np.take(base, c), H.order, axis=1)[:, None]
+    g = G.inv[np.repeat(reps, H.order)]         # (a, h)^-1 = (a^-1, h^-1)
     label = f"{G.label}o{H.label}" if G.label and H.label else ""
-    inv = np.multiply(G.inv[gr], H.order, dtype=np.int32) + H.inv[hr]
-    return GroupTable(mult, proj[inv], label=label)
+    return GroupTable(mult, base[g] + turned[shift[g], np.tile(H.inv, reps.size)], label=label)
 
 
 def are_subgroups_conjugate(G: GroupTable, H: SubgroupSet, K: SubgroupSet) -> int | None:

@@ -3,8 +3,9 @@ analyse them.
 
 Element ids are int16, so every table holds ids below MAX_ORDER = 32767 and
 no order above it is admitted; arithmetic on ids that can pass 32767 (the
-commutator pairing's flat index, the G x H ids of a central product) is
-computed wider, each site gated by a test below that fails without it.
+commutator pairing's flat index) is computed wider, gated by a test below
+that fails without it.  A central product numbers its cosets below its
+order, and is held to the oracle where the G x H ids pass 32767.
 
 The SHA-256 digests below were taken from the tables as built before the
 constructors moved to int32 arithmetic and before central products were
@@ -156,6 +157,32 @@ def test_central_product_spec_matches_oracle(left, right):
     assert P.inv.tolist() == inv
 
 
+@pytest.mark.parametrize("zg,zh", [(3, 1), (3, 2), (6, 1), (6, 2)])
+def test_central_product_of_cyclic_9_matches_oracle(zg, zh):
+    """zg is 3 or 6 in C9 and zh is 1 or 2 in Heis3: for each pairing of the
+    two central subgroups of order 3, the shift that makes g * zg^i smallest
+    takes h to h * zh^-i."""
+    G, H = zc.cyclic(9), zc.heisenberg(3)
+    mult, inv = naive_central_product(G, H, zg, zh)
+    P = zc.central_product(G, H, zg, zh)
+    assert P.mult.tolist() == mult
+    assert P.inv.tolist() == inv
+
+
+@pytest.mark.parametrize("zg", [1, 3, 4, 8])
+def test_central_product_amalgamating_part_of_the_center(zg):
+    """Z(Heis3 x C3) has order 9, so <zg> is one of its four subgroups of
+    order 3, and the product's center (Z(G) x Z(H)) / <(zg, zh^-1)> has
+    order 9."""
+    G, H = zc.build_group("product(heisenberg(3),abelian(3))"), zc.heisenberg(3)
+    rows = list(range(0, 729, 13)) + [728]
+    mult, inv = naive_central_product(G, H, zg, 2, rows=rows)
+    P = zc.central_product(G, H, zg, 2)
+    assert P.mult[rows].tolist() == mult
+    assert P.inv.tolist() == inv
+    assert zc.center(P).size == 9
+
+
 @pytest.mark.parametrize("spec", ["extraspecial(5,2,plus)", "dihedral(4096)",
                                   "product(dihedral(1024),abelian(4))"])
 def test_construction_peak_under_200_mb(spec):
@@ -274,6 +301,20 @@ def test_construction_peaks_near_the_kept_table(spec):
     G, peak = _traced_peak(zc.build_group, spec)
     kept = G.mult.nbytes + G.inv.nbytes
     assert peak - kept <= 16e6, f"{spec}: peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("build,bound", [
+    (lambda: zc.extraspecial(5, 2), 23.5e6),
+    (lambda: zc.dihedral(4096), 36.1e6),
+    (lambda: zc.quaternion(4096), 36.1e6),
+], ids=["extraspecial(5,2)", "dihedral(4096)", "quaternion(4096)"])
+def test_constructor_allocates_little_beside_its_table(build, bound):
+    """Rows are copied, not computed: each constructor allocates its table
+    (19.5 MB at order 3125, 33.6 MB at 4096) and little beside it.  Filled
+    entry by entry in blocks of rows, the three peaked at 25.7, 37.8 and
+    46.2 MB."""
+    _, peak = _traced_peak(build)
+    assert peak <= bound, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 # Each constructor kind at its largest order within the default cap; for
