@@ -214,12 +214,6 @@ class SubgroupSet:
         self.mask = mask
         self.size = int(mask.sum())
 
-    @classmethod
-    def from_members(cls, group: GroupTable, members) -> "SubgroupSet":
-        mask = np.zeros(group.order, dtype=bool)
-        mask[_ids(group, np.asarray(list(members), dtype=np.int64))] = True
-        return cls(group, mask)
-
     @property
     def index(self) -> int:
         return self.group.order // self.size
@@ -242,12 +236,6 @@ class SubgroupSet:
 
     def is_subset_of(self, other: "SubgroupSet") -> bool:
         return not np.any(self.mask & ~other.mask)
-
-    def conjugate_by(self, g: int) -> "SubgroupSet":
-        """g^-1 * H * g as a new SubgroupSet."""
-        m = self.group.mult
-        moved = m[m[self.group.inv[_ids(self.group, g)], self.members()], g]
-        return SubgroupSet.from_members(self.group, moved)
 
     def validate(self) -> None:
         """Check identity membership, closure, and Lagrange divisibility."""
@@ -644,21 +632,16 @@ def is_elementary_abelian(G: GroupTable) -> int | None:
 
 
 def direct_product(G: GroupTable, H: GroupTable, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """Componentwise product; pair (g, h) gets id g*|H| + h.  Every id and
-    partial sum stays below n <= MAX_ORDER, so the blocks are int16."""
-    n = G.order * H.order
-    check_order("direct product", n, cap)
-    g, h = np.divmod(np.arange(n, dtype=np.int32), H.order)
-    def block_of(rows):
-        block = (G.mult[g[rows]] * H.order)[:, :, None] + H.mult[h[rows]][:, None, :]
-        return block.reshape(-1, n)
+    """G x H, the central product amalgamating the identities: the pair (g, h)
+    gets id g*|H| + h."""
     label = f"{G.label}x{H.label}" if G.label and H.label else ""
-    return GroupTable(_fill_rows((n, n), block_of), G.inv[g] * H.order + H.inv[h], label=label)
+    return central_product(G, H, 0, 0, cap=cap).relabeled(label)
 
 
 def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
                     cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """(G x H) / <(zg, zh^-1)> for central zg, zh of one prime order p.
+    """(G x H) / <(zg, zh^-1)> for central zg, zh of one prime order p, or for
+    the identity pair zg = zh = 0, which amalgamates nothing: G x H, p = 1.
 
     The result has order |G|*|H|/p and amalgamates the two chosen central
     subgroups.  The cosets are numbered in the order of their smallest G x H
@@ -666,17 +649,19 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
     where i(g) is the shift that makes g' = g * zg^i smallest and rank counts
     those g' in order.  So the block of the reps a and b is rank(c')*|H| plus
     the rows h1 * zh^-i(c) of H's table, c = a*b: int16 ids, all below n."""
-    if zg not in center(G):
-        raise BadParameter(f"element {zg} is not central in {G.label or 'G'}")
-    if zh not in center(H):
-        raise BadParameter(f"element {zh} is not central in {H.label or 'H'}")
-    og, oh = G.element_order(zg), H.element_order(zh)
-    if og != oh:
-        raise BadParameter(f"central element orders differ: {og} vs {oh}")
-    if not is_prime(og):
-        raise BadParameter(f"amalgamated order {og} is not prime")
+    og = 1                      # the identity pair needs no center or orders
+    if (zg, zh) != (0, 0):
+        if zg not in center(G):
+            raise BadParameter(f"element {zg} is not central in {G.label or 'G'}")
+        if zh not in center(H):
+            raise BadParameter(f"element {zh} is not central in {H.label or 'H'}")
+        og, oh = G.element_order(zg), H.element_order(zh)
+        if og != oh:
+            raise BadParameter(f"central element orders differ: {og} vs {oh}")
+        if not is_prime(og):
+            raise BadParameter(f"amalgamated order {og} is not prime")
     n = G.order * H.order // og
-    check_order("central product", n, cap)
+    check_order("central product" if og > 1 else "direct product", n, cap)
     moved = G.mult[[G.power(zg, i) for i in range(og)]]      # [i, g] = g * zg^i, zg central
     shift, least = moved.argmin(axis=0), moved.min(axis=0)    # i(g) and g'
     reps = np.unique(least)

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import construct
 from .core import DEFAULT_ORDER_CAP, GroupTable, center, central_product, check_order, \
-    direct_product, element_orders, is_prime, read_cayley_table
+    element_orders, is_prime, read_cayley_table
 from .errors import BadParameter, SpecSyntaxError, UnknownConstructor
 
 
@@ -51,6 +51,7 @@ _KINDS = {
                           {"variant": "plus"}),
 }
 _PRODUCT_KINDS = {"product": "direct_product", "centralproduct": "central_product"}
+_PRODUCT_NAMES = {kind: name for name, kind in _PRODUCT_KINDS.items()}
 
 
 @dataclass
@@ -67,9 +68,9 @@ class GroupSpec:
         """Canonical form: lowercase, no spaces, positional children."""
         if self.kind == "cayley_file":
             return f"file:{self.path}"
-        if self.kind in ("direct_product", "central_product"):
-            name = "product" if self.kind == "direct_product" else "centralproduct"
-            return f"{name}({self.children[0].text()},{self.children[1].text()})"
+        if self.kind in _PRODUCT_NAMES:
+            left, right = (child.text() for child in self.children)
+            return f"{_PRODUCT_NAMES[self.kind]}({left},{right})"
         parts = [str(a) for a in self.args]
         parts.extend(f"{k}={v}" for k, v in self.kwargs.items())
         return f"{self.kind}({','.join(parts)})"
@@ -236,15 +237,11 @@ def _build_from_spec(spec: GroupSpec, *, cap: int, base_dir) -> GroupTable:
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
         return read_cayley_table(path, label=spec.text(), cap=cap)
-    if spec.kind in ("direct_product", "central_product"):
+    if spec.kind in _PRODUCT_NAMES:
         left = _build_from_spec(spec.children[0], cap=cap, base_dir=base_dir)
         right = _build_from_spec(spec.children[1], cap=cap, base_dir=base_dir)
-        if spec.kind == "direct_product":
-            out = direct_product(left, right, cap=cap)
-        else:
-            out = central_product(left, right,
-                                  *_amalgamation_pair(left, right), cap=cap)
-        return out.relabeled(spec.text())
+        pair = (0, 0) if spec.kind == "direct_product" else _amalgamation_pair(left, right)
+        return central_product(left, right, *pair, cap=cap).relabeled(spec.text())
     kind = _KINDS.get(spec.kind)
     if kind is None:
         raise UnknownConstructor(f"unknown construction kind {spec.kind!r}")

@@ -120,6 +120,21 @@ def test_commutation_has_one_table():
     assert zc.commutator_pairing is zc.isoclinism.commutator_pairing is zc.core.commutator_pairing
 
 
+def test_direct_product_is_a_central_product():
+    """A direct product is the central product amalgamating nothing, and one
+    code builds product tables: `direct_product` calls `central_product` once,
+    with the identity pair, and allocates no table of its own."""
+    core = importlib.import_module("zclasses.core")
+    body = ast.parse(inspect.getsource(core.direct_product)).body[0].body
+    nodes = [node for statement in body for node in ast.walk(statement)]
+    products = [node for node in nodes if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "central_product"]
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert len(products) == 1
+    assert [ast.literal_eval(arg) for arg in products[0].args[2:]] == [0, 0]
+    assert not names & {"np", "_fill_rows", "GroupTable"}, names
+
+
 def _library_uses(path):
     """The library names a script reads, as (line, module, name, call): every
     ``module.name`` of a module it imports from zclasses, with ``call`` the

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import zclasses as zc
+from zclasses.core import _conjugates
 
 from oracles import naive_permutation_table, naive_z_partition
 
@@ -92,8 +93,8 @@ def test_ctv_shape_and_equivariance(G):
     for x, g in rng.integers(0, G.order, size=(30, 2)):
         x, g = int(x), int(g)
         assert part.class_index_of(x) == part.class_index_of(G.conjugate(x, g))
-        assert zc.centralizer(G, G.conjugate(x, g)) == \
-            zc.centralizer(G, x).conjugate_by(g)
+        assert zc.centralizer(G, G.conjugate(x, g)).members().tolist() == \
+            sorted(_conjugates(G, zc.centralizer(G, x).members())[g].tolist())
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=lambda G: f"{G.label}-n{G.order}")

@@ -157,6 +157,21 @@ def test_central_product_spec_matches_oracle(left, right):
     assert P.inv.tolist() == inv
 
 
+@pytest.mark.parametrize("left,right", [
+    ("cyclic(1)", "dihedral(8)"), ("dihedral(8)", "cyclic(1)"), ("heisenberg(3)", "cyclic(3)"),
+    ("abelian(2,2)", "quaternion(8)"), ("cyclic(3)", "dihedral(6)"),
+])
+def test_direct_product_matches_oracle_amalgamating_nothing(left, right):
+    """For the identity pair the oracle's kernel <(0, 0)> is trivial, so its
+    cosets are the pairs (g, h) with ids g*|H| + h: G x H, whether built by
+    direct_product or by central_product itself."""
+    G, H = zc.build_group(left), zc.build_group(right)
+    mult, inv = naive_central_product(G, H, 0, 0)
+    for P in (zc.direct_product(G, H), zc.central_product(G, H, 0, 0)):
+        assert P.mult.tolist() == mult
+        assert P.inv.tolist() == inv
+
+
 @pytest.mark.parametrize("zg,zh", [(3, 1), (3, 2), (6, 1), (6, 2)])
 def test_central_product_of_cyclic_9_matches_oracle(zg, zh):
     """zg is 3 or 6 in C9 and zh is 1 or 2 in Heis3: for each pairing of the
@@ -293,11 +308,11 @@ def _traced_peak(fn, *args):
 
 
 @pytest.mark.parametrize("spec", ["extraspecial(5,2,plus)", "extraspecial(2,5,minus)",
-                                  "dihedral(4096)"])
+                                  "dihedral(4096)", "product(dihedral(2048),cyclic(2))"])
 def test_construction_peaks_near_the_kept_table(spec):
-    """Central products fill their table in blocks of rows, and GroupTable
-    keeps an int32 table without copying it, so building a group allocates
-    at most 16 MB beside the tables it keeps."""
+    """Central products, direct ones included, fill their table in blocks of
+    rows, and GroupTable keeps an int16 table without copying it, so building
+    a group allocates at most 16 MB beside the tables it keeps."""
     G, peak = _traced_peak(zc.build_group, spec)
     kept = G.mult.nbytes + G.inv.nbytes
     assert peak - kept <= 16e6, f"{spec}: peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
