@@ -515,10 +515,29 @@ def commuting_table(G: GroupTable) -> np.ndarray:
     return out
 
 
-def _conjugates(G: GroupTable, ids) -> np.ndarray:
-    """Every conjugate of the ids h_i: entry [g, i] is g^-1 * (h_i * g), so the
-    products h_i * g are whole rows and each output row reads the one row g^-1."""
-    return G.mult[G.inv[:, None], G.mult[ids].T]
+def _conjugates(G: GroupTable, ids, rows: slice = slice(None)) -> np.ndarray:
+    """The conjugates of the ids h_i by the g in ``rows``, all of G by default:
+    entry [g, i] is g^-1 * (h_i * g), so the products h_i * g are runs of
+    whole rows and each output row reads the one row g^-1."""
+    return G.mult[G.inv[rows, None], G.mult[ids, rows].T]
+
+
+def _first_conjugator(G: GroupTable, candidates: list[np.ndarray],
+                      K: SubgroupSet) -> tuple[int, int] | None:
+    """(j, g) with g^-1 * H_j * g = K, where ``candidates[j]`` holds the
+    members of H_j, or None; candidates of another order than K are skipped.
+    The g are walked in ascending blocks of _ROW_BLOCK ids, and each H_j is
+    conjugated over one block at a time, so the scan stops in the first block
+    that holds a witness, at its first H_j with one and that H_j's smallest g
+    there, and no gather exceeds _ROW_BLOCK * |K| ids."""
+    same = [j for j, mem in enumerate(candidates) if mem.size == K.size]
+    for lo in range(0, G.order, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        for j in same:
+            hits = np.flatnonzero(K.mask[_conjugates(G, candidates[j], rows)].all(axis=1))
+            if hits.size:
+                return j, lo + int(hits[0])
+    return None
 
 
 def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
@@ -683,10 +702,8 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
 
 
 def are_subgroups_conjugate(G: GroupTable, H: SubgroupSet, K: SubgroupSet) -> int | None:
-    """Some g with g^-1 * H * g = K, or None.  Scans g in ascending id order."""
+    """The smallest g with g^-1 * H * g = K, or None: the blocked scan on [H]."""
     if H.group is not G or K.group is not G:
         raise ValueError("subgroups belong to a different group")
-    if H.size != K.size:
-        return None
-    hits = np.flatnonzero(K.mask[_conjugates(G, H.members())].all(axis=1))
-    return int(hits[0]) if hits.size else None
+    hit = _first_conjugator(G, [H.members()], K)
+    return None if hit is None else hit[1]

@@ -18,8 +18,8 @@ from .construct import frattini_subgroup
 from .core import (
     GroupTable,
     SubgroupSet,
+    _first_conjugator,
     _ids,
-    are_subgroups_conjugate,
     center,
     central_quotient,
     centralizer,
@@ -120,23 +120,22 @@ def strict_fixed_set(G: GroupTable, x: int) -> np.ndarray:
 def z_class_partition(G: GroupTable) -> ZClassPartition:
     """Partition G by conjugacy of centralizers.
 
-    Cells of equal centralizers are merged, in ascending order of their
-    smallest members, whenever their centralizers are conjugate subgroups;
-    the conjugacy test short-circuits on subgroup size.
+    Cells of equal centralizers are taken in ascending order of their
+    smallest members.  Each joins the class whose first centralizer, of the
+    same order, has a conjugate equal to its own, found by one blocked scan
+    over the first centralizers of the classes so far; these are pairwise
+    non-conjugate, so at most one matches.  A cell with no match opens a class.
     """
     def compute():
         reps, cell = _cells(G)[:2]
-        merged: list[SubgroupSet] = []
+        merged: list[np.ndarray] = []       # members of each class's first centralizer
         class_of_cell = np.empty(reps.size, dtype=np.int32)
         for i, r in enumerate(reps):
             C = centralizer(G, r)
-            for j, cent in enumerate(merged):
-                if cent.size == C.size and are_subgroups_conjugate(G, cent, C) is not None:
-                    class_of_cell[i] = j
-                    break
-            else:
-                class_of_cell[i] = len(merged)
-                merged.append(C)
+            hit = _first_conjugator(G, merged, C)
+            class_of_cell[i] = len(merged) if hit is None else hit[0]
+            if hit is None:
+                merged.append(C.members())
         lookup = class_of_cell[cell]
         members = np.split(np.argsort(lookup, kind="stable"),
                            np.cumsum(np.bincount(lookup))[:-1])

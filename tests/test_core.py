@@ -693,26 +693,36 @@ def _conjugate_set(G, H, g):
 @pytest.mark.parametrize("build, x", [
     (lambda: zc.from_permutation_generators(PERMUTATION_GENERATORS["S4"]), 1),
     (lambda: zc.build_group("product(dihedral(8),quaternion(8))"), 8),
-], ids=["S4", "D8xQ8"])
+    (lambda: shuffled("dihedral(512)", 3), 1),            # 1 is a reflection
+], ids=["S4", "D8xQ8", "shuffled-D512"])
 def test_conjugates_match_scalar_conjugation(build, x):
     """_conjugates, normalizer and are_subgroups_conjugate against one
     G.conjugate(h, g) call per pair, on the trivial subgroup, a subgroup
-    that is not normal, the whole group, and a conjugate of the middle one
-    that differs from it."""
+    that is not normal, the whole group, and the conjugate of the middle one
+    whose smallest conjugator is the largest.  Above _ROW_BLOCK that
+    conjugator lies past the first block of the scan, and every block of
+    _conjugates is checked against the same rows of the whole gather."""
     G = build()
     subgroups = [zc.subgroup_generated(G, []), zc.subgroup_generated(G, [x]),
                  zc.SubgroupSet(G, np.ones(G.order, bool))]
     assert zc.normalizer(G, subgroups[1]).size < G.order    # <x> is not normal
-    g0 = next(g for g in G.elements() if _conjugate_set(G, subgroups[1], g)
-              != frozenset(subgroups[1].members().tolist()))
+    first_conjugator: dict[frozenset, int] = {}
+    for g in G.elements():
+        first_conjugator.setdefault(_conjugate_set(G, subgroups[1], g), g)
+    last = max(first_conjugator, key=first_conjugator.get)
+    assert G.order <= core._ROW_BLOCK or first_conjugator[last] >= core._ROW_BLOCK
     mask = np.zeros(G.order, bool)
-    mask[list(_conjugate_set(G, subgroups[1], g0))] = True
+    mask[list(last)] = True
     subgroups.append(zc.SubgroupSet(G, mask))
     for H in subgroups:
         mem = H.members()
         conj = _conjugates(G, mem)
-        assert conj.tolist() == [[G.conjugate(int(h), g) for h in mem] for g in G.elements()]
-        sets = [_conjugate_set(G, H, g) for g in G.elements()]
+        scalar = [[G.conjugate(int(h), g) for h in mem] for g in G.elements()]
+        assert conj.tolist() == scalar
+        for lo in range(0, G.order, core._ROW_BLOCK):
+            rows = slice(lo, lo + core._ROW_BLOCK)
+            assert np.array_equal(_conjugates(G, mem, rows), conj[rows])
+        sets = [frozenset(row) for row in scalar]
         own = frozenset(mem.tolist())
         assert zc.normalizer(G, H).mask.tolist() == [s == own for s in sets]
         for K in subgroups:

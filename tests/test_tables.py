@@ -377,6 +377,19 @@ def test_pairing_checks_in_row_blocks():
     assert peak < 16e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
+def test_conjugacy_scan_gathers_one_block_of_conjugators():
+    """are_subgroups_conjugate gathers the conjugates of H over one block of
+    _ROW_BLOCK conjugators at a time: on extraspecial(2,5,minus), two distinct
+    centralizers of order 1024, both normal, are scanned over every g within
+    2 MB.  Gathered over all of G at once, the scan peaked at 8.5 MB."""
+    G = zc.build_group("extraspecial(2,5,minus)")
+    reps, _, cent, _ = _cells(G)
+    H, K = (zc.centralizer(G, int(r)) for r in reps[cent == 1024][:2])
+    g, peak = _traced_peak(zc.are_subgroups_conjugate, G, H, K)
+    assert g is None
+    assert peak <= 2e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
 def test_validation_checks_lines_in_row_blocks():
     """Light's test compares blocks of rows, never a whole copy or transpose
     of the table: validating dihedral(4096) (a 67 MB table) allocates under

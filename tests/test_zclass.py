@@ -9,7 +9,7 @@ from zclasses.core import prime_power
 from zclasses.errors import BadParameter
 from zclasses.zclass import _cells
 
-from conftest import CTV, PERMUTATION_GENERATORS, ZCLASS_COUNTS
+from conftest import CTV, PERMUTATION_GENERATORS, ZCLASS_COUNTS, shuffled
 from oracles import (naive_abelian_index_p, naive_fixed_set, naive_frattini,
                      naive_index_p_subgroups, naive_local_center, naive_z_partition)
 
@@ -123,6 +123,26 @@ def test_partition_soundness_sampled_large(catalog):
             same = part.class_index_of(x) == part.class_index_of(y)
             Cx, Cy = zc.centralizer(G, x), zc.centralizer(G, y)
             assert (zc.are_subgroups_conjugate(G, Cx, Cy) is not None) == same
+
+
+@pytest.mark.parametrize("spec, seed", [("dihedral(1024)", None), ("dihedral(4096)", None),
+                                        ("dihedral(1024)", 11)],
+                         ids=["D1024", "D4096", "shuffled-D1024"])
+def test_dihedral_partition_matches_closed_form(spec, seed):
+    """D_N, 8 | N, has the z-classes Z = <r^(N/4)>, the other N/2 - 2
+    rotations, and the reflections s*r^i in two classes of N/4 by the parity
+    of i: with ids 2i + e, the odd ids 1 and 3 mod 4.  No oracle reaches these
+    orders, and here the partition merges 2 + N/2 cells into 4 classes, most
+    cells joining a class after a scan of more than one block of conjugators."""
+    G = zc.build_group(spec) if seed is None else shuffled(spec, seed)
+    n = G.order
+    part = zc.z_class_partition(G)
+    assert sorted(part.sizes()) == [2, n // 4, n // 4, n // 2 - 2]
+    if seed is None:
+        ids = np.arange(n)
+        expected = [np.array([0, n // 2]), ids[ids % 4 == 1],
+                    ids[(ids % 2 == 0) & (ids % (n // 2) != 0)], ids[ids % 4 == 3]]
+        assert [c.members.tolist() for c in part.classes] == [e.tolist() for e in expected]
 
 
 def test_partition_conjugation_invariance(catalog):
