@@ -12,7 +12,6 @@ from .core import (
     GroupTable,
     QuotientGroup,
     SubgroupSet,
-    are_subgroups_conjugate,
     center,
     central_product,
     central_quotient,

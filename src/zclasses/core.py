@@ -198,9 +198,8 @@ def _ids(G: GroupTable, ids):
 class SubgroupSet:
     """A subgroup of a GroupTable as a boolean membership mask.
 
-    Immutable and hashable; equality means the same owning group (by
-    identity) and the same member set.  Closure is not re-verified on
-    construction -- call :meth:`validate` to check the invariants.
+    Immutable; equality means the same owning group (by identity) and the
+    same member set.  Closure is not verified on construction.
     """
 
     __slots__ = ("group", "mask", "size")
@@ -231,23 +230,8 @@ class SubgroupSet:
             and np.array_equal(self.mask, other.mask)
         )
 
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.mask.tobytes()))
-
     def is_subset_of(self, other: "SubgroupSet") -> bool:
         return not np.any(self.mask & ~other.mask)
-
-    def validate(self) -> None:
-        """Check identity membership, closure, and Lagrange divisibility."""
-        if not self.mask[0]:
-            raise NotAGroup("subgroup does not contain the identity")
-        mem = self.members()
-        if not self.mask[self.group.mult[np.ix_(mem, mem)]].all():
-            raise NotAGroup("subgroup is not closed under multiplication")
-        if not self.mask[self.group.inv[mem]].all():
-            raise NotAGroup("subgroup is not closed under inversion")
-        if self.group.order % self.size:
-            raise NotAGroup("subgroup size does not divide the group order")
 
     def __repr__(self) -> str:
         return f"SubgroupSet(size={self.size} of {self.group!r})"
@@ -699,11 +683,3 @@ def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,
     g = G.inv[np.repeat(reps, H.order)]         # (a, h)^-1 = (a^-1, h^-1)
     label = f"{G.label}o{H.label}" if G.label and H.label else ""
     return GroupTable(mult, base[g] + turned[shift[g], np.tile(H.inv, reps.size)], label=label)
-
-
-def are_subgroups_conjugate(G: GroupTable, H: SubgroupSet, K: SubgroupSet) -> int | None:
-    """The smallest g with g^-1 * H * g = K, or None: the blocked scan on [H]."""
-    if H.group is not G or K.group is not G:
-        raise ValueError("subgroups belong to a different group")
-    hit = _first_conjugator(G, [H.members()], K)
-    return None if hit is None else hit[1]

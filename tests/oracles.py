@@ -66,6 +66,15 @@ def _inverse_in(m: list[list[int]], g: int) -> int:
     return next(h for h in range(len(m)) if m[g][h] == 0 and m[h][g] == 0)
 
 
+def naive_is_subgroup(G, S) -> bool:
+    """Whether the ids S form a subgroup of G: the identity 0, every product
+    and every inverse lie in S, and |S| divides |G| (Lagrange)."""
+    m = table_of(G)
+    S = frozenset(int(s) for s in S)
+    return (0 in S and all(m[a][b] in S for a in S for b in S)
+            and all(_inverse_in(m, a) in S for a in S) and G.order % len(S) == 0)
+
+
 def naive_z_partition(G) -> list[frozenset[int]]:
     """Partition by directly testing conjugacy of every centralizer pair.
 

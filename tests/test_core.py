@@ -5,7 +5,7 @@ import pytest
 
 import zclasses as zc
 from zclasses import core
-from zclasses.core import _conjugates, _greedy_walk
+from zclasses.core import _conjugates, _first_conjugator, _greedy_walk
 from zclasses.errors import BadParameter, NotAGroup, OrderExceedsCap
 from zclasses.zclass import _cells
 
@@ -19,6 +19,7 @@ from oracles import (
     naive_element_order,
     naive_element_orders,
     naive_is_group,
+    naive_is_subgroup,
     naive_permutation_table,
     naive_subgroup_closure,
 )
@@ -286,7 +287,7 @@ def test_subgroup_generated_x_and_center_heisenberg():
     x = int(np.flatnonzero(~Z.mask)[0])
     S = zc.subgroup_generated(H, np.append(Z.members(), x))
     assert S.size == 9
-    S.validate()
+    assert naive_is_subgroup(H, S.members())
 
 
 def test_subgroup_generated_and_greedy_walk_match_the_closure_oracle(catalog):
@@ -666,22 +667,23 @@ def test_products_pass_validator():
 def test_subgroups_conjugate_equal():
     D8 = zc.dihedral(8)
     H = zc.subgroup_generated(D8, [2])
-    assert zc.are_subgroups_conjugate(D8, H, H) == 0
+    assert _first_conjugator(D8, [H.members()], H) == (0, 0)
 
 
 def test_subgroups_conjugate_size_shortcut():
     D8 = zc.dihedral(8)
     H = zc.subgroup_generated(D8, [2])
     K = zc.subgroup_generated(D8, [1])
-    assert zc.are_subgroups_conjugate(D8, H, K) is None
+    assert _first_conjugator(D8, [H.members()], K) is None
 
 
 def test_subgroups_conjugate_reflections():
     D8 = zc.dihedral(8)
     H = zc.subgroup_generated(D8, [1])    # <s>
     K = zc.subgroup_generated(D8, [5])    # <r^2 s>
-    g = zc.are_subgroups_conjugate(D8, H, K)
-    assert g is not None
+    hit = _first_conjugator(D8, [H.members()], K)
+    assert hit is not None
+    g = hit[1]
     assert conj_subset(D8, frozenset(H.members().tolist()), g) == \
         frozenset(K.members().tolist())
 
@@ -696,7 +698,7 @@ def _conjugate_set(G, H, g):
     (lambda: shuffled("dihedral(512)", 3), 1),            # 1 is a reflection
 ], ids=["S4", "D8xQ8", "shuffled-D512"])
 def test_conjugates_match_scalar_conjugation(build, x):
-    """_conjugates, normalizer and are_subgroups_conjugate against one
+    """_conjugates, normalizer and _first_conjugator against one
     G.conjugate(h, g) call per pair, on the trivial subgroup, a subgroup
     that is not normal, the whole group, and the conjugate of the middle one
     whose smallest conjugator is the largest.  Above _ROW_BLOCK that
@@ -728,7 +730,30 @@ def test_conjugates_match_scalar_conjugation(build, x):
         for K in subgroups:
             target = frozenset(K.members().tolist())
             first = next((g for g, s in enumerate(sets) if s == target), None)
-            assert zc.are_subgroups_conjugate(G, H, K) == first
+            assert _first_conjugator(G, [mem], K) == (None if first is None else (0, first))
+
+
+def test_first_conjugator_scans_every_candidate_of_the_right_order():
+    """With several candidates, one of another order is skipped and one of the
+    right order that is not conjugate to K, listed first, does not end the
+    scan: the hit is the conjugate candidate at its smallest witness, which
+    lies past the first block of _ROW_BLOCK conjugators."""
+    G = shuffled("dihedral(512)", 3)
+    x = 1                                                  # a reflection
+    first_conjugator: dict[frozenset, int] = {}
+    for g in G.elements():
+        first_conjugator.setdefault(frozenset({0, G.conjugate(x, g)}), g)
+    last = max(first_conjugator, key=first_conjugator.get)
+    assert first_conjugator[last] >= core._ROW_BLOCK
+    mask = np.zeros(G.order, bool)
+    mask[list(last)] = True
+    K = zc.SubgroupSet(G, mask)
+    orders = zc.element_orders(G)
+    y = next(int(y) for y in np.flatnonzero(orders == 2)
+             if frozenset({0, int(y)}) not in first_conjugator)    # not conjugate to x
+    candidates = [np.arange(G.order), np.array([0, y]), np.array([0, x])]
+    assert _first_conjugator(G, candidates, K) == (2, first_conjugator[last])
+    assert _first_conjugator(G, candidates[:2], K) is None
 
 
 # --------------------------------------------------------- equivariance
@@ -890,10 +915,10 @@ def test_loader_accepts_exactly_the_oracle_groups(monkeypatch):
 def test_subgroup_set_validate_and_lagrange(catalog):
     for G in catalog.values():
         Z = zc.center(G)
-        Z.validate()
+        assert naive_is_subgroup(G, Z.members())
         assert G.order % Z.size == 0
         D = zc.commutator_subgroup(G)
-        D.validate()
+        assert naive_is_subgroup(G, D.members())
 
 
 # ------------------------------------------------------------ cayley io

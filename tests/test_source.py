@@ -182,3 +182,25 @@ def test_benchmark_reads_only_what_the_library_has():
                 *args, **{kw.arg: None for kw in node.keywords if kw.arg})
         except TypeError as exc:
             pytest.fail(f"line {line}: {module.__name__}.{name}: {exc}")
+
+
+def _names_read(path):
+    """Every name a script reads: loaded bare names and attribute names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_every_export_has_a_reader():
+    """Each name the package exports is read by the library itself, a demo or
+    the benchmark, so no public name lives only for the tests.  A definition
+    is not a read, and neither is the export in ``__init__.py``."""
+    init = ROOT / "src" / "zclasses" / "__init__.py"
+    exported = {alias.asname or alias.name for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readers = [p for p in SOURCES if p != init] + sorted((ROOT / "demos").glob("*.py")) \
+        + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*map(_names_read, readers))
+    assert len(exported) > 60
+    assert exported - read == set(), f"exported but read nowhere: {exported - read}"

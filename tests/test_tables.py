@@ -25,6 +25,7 @@ import pytest
 import zclasses as zc
 from zclasses import catalog, cli
 from zclasses.errors import NotAGroup, OrderExceedsCap
+from zclasses.core import _first_conjugator
 from zclasses.specs import _KINDS, _amalgamation_pair
 from zclasses.zclass import _cells
 
@@ -378,15 +379,15 @@ def test_pairing_checks_in_row_blocks():
 
 
 def test_conjugacy_scan_gathers_one_block_of_conjugators():
-    """are_subgroups_conjugate gathers the conjugates of H over one block of
+    """_first_conjugator gathers the conjugates of H over one block of
     _ROW_BLOCK conjugators at a time: on extraspecial(2,5,minus), two distinct
     centralizers of order 1024, both normal, are scanned over every g within
     2 MB.  Gathered over all of G at once, the scan peaked at 8.5 MB."""
     G = zc.build_group("extraspecial(2,5,minus)")
     reps, _, cent, _ = _cells(G)
     H, K = (zc.centralizer(G, int(r)) for r in reps[cent == 1024][:2])
-    g, peak = _traced_peak(zc.are_subgroups_conjugate, G, H, K)
-    assert g is None
+    hit, peak = _traced_peak(_first_conjugator, G, [H.members()], K)
+    assert hit is None
     assert peak <= 2e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
