@@ -41,7 +41,16 @@ from .zclass import (
     z_class_count,
 )
 
-THEOREMS = ("mt", "A", "est", "kulkarni", "bounds", "isoclinism-invariance")
+# each check by name, in report order, called with the group and the order cap
+_CHECKS = {
+    "mt": lambda G, cap: verify_theorem_mt(G),
+    "A": lambda G, cap: verify_theorem_A(G),
+    "est": lambda G, cap: verify_corollary_est(G),
+    "kulkarni": lambda G, cap: verify_kulkarni(G),
+    "bounds": lambda G, cap: verify_bounds(G),
+    "isoclinism-invariance": lambda G, cap: verify_direct_factor_invariance(G, order_cap=cap),
+}
+THEOREMS = tuple(_CHECKS)
 
 ANALYZE_COLUMNS = ("group", "order", "center", "derived", "p", "k", "ctv", "type_n1",
                    "zclasses", "bound", "attains", "cond1", "cond2", "extraspecial", "stem")
@@ -190,19 +199,9 @@ def run_theorem(G: GroupTable, theorem: str, *, iso_cap: int | None = None,
                 order_cap: int = DEFAULT_ORDER_CAP) -> TheoremReport:
     """Dispatch one named check.  No check searches, so ``iso_cap`` is
     ignored (perfbench still passes it)."""
-    if theorem == "mt":
-        return verify_theorem_mt(G)
-    if theorem == "A":
-        return verify_theorem_A(G)
-    if theorem == "est":
-        return verify_corollary_est(G)
-    if theorem == "kulkarni":
-        return verify_kulkarni(G)
-    if theorem == "bounds":
-        return verify_bounds(G)
-    if theorem == "isoclinism-invariance":
-        return verify_direct_factor_invariance(G, order_cap=order_cap)
-    raise ValueError(f"unknown theorem {theorem!r}")
+    if theorem not in _CHECKS:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    return _CHECKS[theorem](G, order_cap)
 
 
 def theorem_record(label: str, analysis: dict, report: TheoremReport) -> dict:

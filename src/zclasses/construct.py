@@ -26,10 +26,12 @@ from .core import (
     _fill_rows,
     center,
     central_product,
+    central_quotient,
     check_order,
     commutator_subgroup,
     direct_product,
     is_abelian,
+    is_elementary_abelian,
     is_prime,
     power_map,
     prime_power,
@@ -198,12 +200,9 @@ def frattini_subgroup(G: GroupTable, p: int) -> SubgroupSet:
 
 
 def is_extraspecial(G: GroupTable) -> bool:
-    """True iff |G| = p^m, G non-abelian, and Z(G) = G' = Phi(G) has order p."""
+    """True iff |G| = p^m, |Z(G)| = p, G non-abelian and G/Z elementary
+    abelian, which is Z = G' = Phi(G) of order p: G/Z abelian puts
+    1 != G' <= Z, and exponent p puts G^p <= Z, so Phi = G' * G^p = Z."""
     pw = prime_power(G.order)
-    if pw is None:
-        return False
-    p = pw[0]
-    Z = center(G)
-    if Z.size != p or is_abelian(G):
-        return False
-    return commutator_subgroup(G) == Z and frattini_subgroup(G, p) == Z
+    return (pw is not None and center(G).size == pw[0] and not is_abelian(G)
+            and is_elementary_abelian(central_quotient(G).table) is not None)

@@ -11,8 +11,8 @@ Tables are read along their rows, never through a whole transpose, and
 conjugates are gathered as ``g^-1 * (h * g)``: the products ``h * g`` are
 whole rows, and each output row reads the one row ``g^-1``.
 
-Commutation is read off one table, the commutator pairing on G/Z, since
-[x, y] depends only on xZ and yZ; the center it is built on comes from
+Commutation and G' are read off one table, the commutator pairing on G/Z,
+since [x, y] depends only on xZ and yZ; the center it is built on comes from
 generators.
 
 Conventions used consistently throughout the package:
@@ -533,30 +533,6 @@ def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
     return SubgroupSet(G, H.mask[_conjugates(G, gens)].all(axis=1))
 
 
-def commutator_values(G: GroupTable, rows, cols) -> np.ndarray:
-    """Commutators of a block of pairs, not memoised: entry [i, j] is the id of
-    [rows[i], cols[j]], read at one intp flat index from whole rows of a and a^-1
-    taken first, then their columns: from n = 182 on, n^2 does not fit in int16."""
-    rows, cols = np.asarray(rows), np.asarray(cols)
-    def block_of(block):
-        a = rows[block]
-        ab = np.take(G.mult[a], cols, axis=1)
-        flat = np.take(G.mult[G.inv[a]], G.inv[cols], axis=1) * np.intp(G.order)
-        flat += ab                  # the row of a^-1 * b^-1 at the column of a * b
-        return np.take(G.mult, flat)
-    return _fill_rows((rows.size, cols.size), block_of)
-
-
-def commutator_subgroup(G: GroupTable) -> SubgroupSet:
-    """G' = <[s, g] : s in S, g in G> for S = greedy_generating_sequence(G):
-    that subgroup is normal, as [s, g]^h = [s, h]^-1 * [s, gh], and S is
-    central modulo it.  Gathers |S| * n commutators, |S| <= log2(n), not n^2."""
-    def compute():
-        values = commutator_values(G, greedy_generating_sequence(G), np.arange(G.order))
-        return subgroup_generated(G, values.ravel()).mask
-    return SubgroupSet(G, G._memo("derived", compute))
-
-
 def central_quotient(G: GroupTable) -> QuotientGroup:
     """G/Z(G), memoised and returned as is.  Each coset is labelled by its
     smallest member, the minimum of Z*g read along the rows z of the center,
@@ -582,8 +558,27 @@ def commutator_pairing(G: GroupTable) -> np.ndarray:
     Light's test on load or by construction."""
     def compute():
         reps = central_quotient(G).coset_reps
-        return commutator_values(G, reps, reps)
+        def block_of(rows):
+            a = reps[rows]
+            ab = np.take(G.mult[a], reps, axis=1)
+            # the row of a^-1 * b^-1 at the column of a * b, one intp flat index
+            # into G.mult: from n = 182 on, n^2 does not fit in int16
+            flat = np.take(G.mult[G.inv[a]], G.inv[reps], axis=1) * np.intp(G.order)
+            flat += ab
+            return np.take(G.mult, flat)
+        return _fill_rows((reps.size,) * 2, block_of)
     return G._memo("commutator_pairing", compute)
+
+
+def commutator_subgroup(G: GroupTable) -> SubgroupSet:
+    """G' = <[s, g] : sZ in S, g in G>, the pairing rows of S =
+    greedy_generating_sequence(G/Z), as [s, g] depends only on sZ and gZ:
+    that subgroup is normal, as [s, g]^h = [s, h]^-1 * [s, gh], and G is
+    generated by Z and one s per coset in S, all central modulo it."""
+    def compute():
+        gens = greedy_generating_sequence(central_quotient(G).table)
+        return subgroup_generated(G, commutator_pairing(G)[gens].ravel()).mask
+    return SubgroupSet(G, G._memo("derived", compute))
 
 
 def is_abelian(G: GroupTable) -> bool:

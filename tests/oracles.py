@@ -234,6 +234,22 @@ def naive_abelian_index_p(G, p: int) -> frozenset[int] | None:
                  if all(m[a][b] == m[b][a] for a in K for b in K)), None)
 
 
+def naive_is_extraspecial(G) -> bool:
+    """Z = G' = Phi of prime order p in a p-group, each by its definition.
+    Phi, the intersection of the maximal subgroups, is that of the index-p
+    subgroups, as every maximal subgroup of a p-group has index p; G' and Phi
+    are computed only once |Z| = p is prime and |G| a power of it."""
+    Z = naive_center(G)
+    p, n = len(Z), G.order
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        return False
+    while n % p == 0:
+        n //= p
+    if n != 1 or naive_commutator_subgroup(G) != Z:
+        return False
+    return frozenset.intersection(*naive_index_p_subgroups(G, p)) == Z
+
+
 def naive_central_product(G, H, zg: int, zh: int,
                           rows=None) -> tuple[list[list[int]], list[int]]:
     """(G x H)/<(zg, zh^-1)> by its definition: the pair (g, h) has id

@@ -4,8 +4,8 @@ import pytest
 import zclasses as zc
 from zclasses.errors import BadParameter, OrderExceedsCap
 
-from conftest import PERMUTATION_GENERATORS
-from oracles import naive_element_order, naive_frattini
+from conftest import PERMUTATION_GENERATORS, shuffled
+from oracles import naive_element_order, naive_frattini, naive_is_extraspecial
 
 CATALOG_ES_PARAMS = [(2, 1, "plus"), (2, 1, "minus"), (2, 2, "plus"), (2, 2, "minus"),
                      (3, 1, "plus"), (3, 1, "minus"), (3, 2, "plus"), (5, 1, "plus")]
@@ -217,6 +217,43 @@ def test_is_extraspecial_positives():
     for G in (zc.dihedral(8), zc.quaternion(8), zc.heisenberg(3), zc.modular_p3(3),
               zc.extraspecial(2, 2, "plus"), zc.extraspecial(2, 2, "minus")):
         assert zc.is_extraspecial(G)
+
+
+# beside the catalog: relabelled groups, so G/Z's generators land anywhere, a
+# central product with |Z| = 4 and every permutation group of the suite
+EXTRASPECIAL_CASES = {
+    "shuffled-ES(2,2,-)": lambda: shuffled("extraspecial(2,2,minus)", 1),
+    "shuffled-ES(3,2,+)": lambda: shuffled("extraspecial(3,2,plus)", 2),
+    "shuffled-D8xQ8": lambda: shuffled("product(dihedral(8),quaternion(8))", 3),
+    "shuffled-Q16": lambda: shuffled("quaternion(16)", 4),
+    "D8oC4": lambda: zc.build_group("centralproduct(dihedral(8),cyclic(4))"),
+    **{f"perm-{name}": lambda gens=gens: zc.from_permutation_generators(gens)
+       for name, gens in PERMUTATION_GENERATORS.items()},
+}
+
+
+@pytest.mark.parametrize("name", [entry.label for entry in zc.builtin_catalog()]
+                         + list(EXTRASPECIAL_CASES))
+def test_is_extraspecial_matches_definition(name, catalog):
+    """|Z| = p with G/Z elementary abelian is Z = G' = Phi of order p."""
+    G = catalog[name] if name in catalog else EXTRASPECIAL_CASES[name]()
+    assert zc.is_extraspecial(G) == naive_is_extraspecial(G)
+
+
+@pytest.mark.parametrize("spec, center, elementary", [
+    ("dihedral(16)", 2, False),
+    ("quaternion(16)", 2, False),
+    ("product(dihedral(8),abelian(2))", 4, True),
+    ("product(heisenberg(3),abelian(3))", 9, True),
+    ("centralproduct(dihedral(8),cyclic(4))", 4, True),
+])
+def test_is_extraspecial_needs_both_conditions(spec, center, elementary):
+    """Either condition alone is not enough: |Z| = p with G/Z not elementary
+    abelian, or G/Z elementary abelian with |Z| > p."""
+    G = zc.build_group(spec)
+    assert zc.center(G).size == center
+    assert zc.condition_central_quotient_elementary(G) == elementary
+    assert not zc.is_extraspecial(G) and not naive_is_extraspecial(G)
 
 
 def test_constructor_labels_are_deterministic():

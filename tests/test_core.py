@@ -502,16 +502,21 @@ def test_commutator_subgroup_examples(catalog):
 # A4 and S4: the commutators among their generators alone generate a
 # subgroup that is not normal, so it falls short of G'
 PERMUTATION_GROUPS = {name: PERMUTATION_GENERATORS[name] for name in ("A4", "S4")}
+# relabelled ids put the greedy generators of G/Z anywhere
+SHUFFLED_GROUPS = {"shuffled-ES(2,2,-)": ("extraspecial(2,2,minus)", 1),
+                   "shuffled-D8xQ8": ("product(dihedral(8),quaternion(8))", 2)}
 
 
 @pytest.mark.parametrize("name", [entry.label for entry in zc.builtin_catalog()] + [
     "dihedral(32)", "quaternion(32)", "product(dihedral(8),quaternion(8))",
-    "centralproduct(dihedral(8),cyclic(4))", *PERMUTATION_GROUPS])
+    "centralproduct(dihedral(8),cyclic(4))", *PERMUTATION_GROUPS, *SHUFFLED_GROUPS])
 def test_commutator_subgroup_matches_oracle(name, catalog):
-    """G' from the commutators of a generating sequence with every element is
-    the closure of all n^2 commutators."""
+    """G' from the pairing rows of a generating sequence of G/Z is the
+    closure of all n^2 commutators."""
     if name in PERMUTATION_GROUPS:
         G = zc.from_permutation_generators(PERMUTATION_GROUPS[name])
+    elif name in SHUFFLED_GROUPS:
+        G = shuffled(*SHUFFLED_GROUPS[name])
     else:
         G = catalog[name] if name in catalog else zc.build_group(name)
     assert frozenset(zc.commutator_subgroup(G).members().tolist()) == naive_commutator_subgroup(G)

@@ -43,6 +43,51 @@ MUTANTS = {
             "[ES(2,2,+)-shuffled-1]",
             "tests/test_zclass.py::test_kulkarni_every_element_d16",
         ]),
+    # a direct product skips the checks only for the identity pair, not for
+    # any pair with one identity
+    "central-product-checks-any-zero": ("core.py", "if (zg, zh) != (0, 0):",
+                                        "if zg and zh:", [
+        "tests/test_core.py::test_central_product_errors",
+    ]),
+    # G' closes the pairing rows of the generators, not only their pairs among
+    # themselves, which fall short of a normal subgroup
+    "derived-generator-pairs": ("core.py", "commutator_pairing(G)[gens].ravel()",
+                                "commutator_pairing(G)[np.ix_(gens, gens)].ravel()", [
+        "tests/test_core.py::test_commutator_subgroup_matches_oracle[A4]",
+        "tests/test_core.py::test_commutator_subgroup_matches_oracle[S4]",
+    ]),
+    # Z(C_G(r)) takes in the larger cells whose centralizer contains C_G(r)
+    "cells-no-larger-cells": ("zclass.py", "local[i] += counts[js[holds]].sum()",
+                              "local[i] += 0", [
+        "tests/test_zclass.py::test_local_center_sizes_count_larger_centralizers[S4]",
+        "tests/test_zclass.py::test_local_center_sizes_count_larger_centralizers[S5]",
+    ]),
+    # ... only those whose centralizer does contain it
+    "cells-no-containment": ("zclass.py", "counts[js[holds]]", "counts[js]", [
+        "tests/test_zclass.py::test_local_center_sizes_count_larger_centralizers[D16xD8]",
+    ]),
+    # each Gram-Schmidt step corrects the rest by both e and f
+    "gram-schmidt-half-correction": (
+        "isoclinism.py", "Q.mul(Q.mul(v, Q.power(e, -w[v, f] % p)), Q.power(f, w[v, e]))",
+        "Q.mul(v, Q.power(e, -w[v, f] % p))", [
+            "tests/test_isoclinism.py::test_est_witness_on_relabelled_groups"
+            "[2-extraspecial(2,2,minus)]",
+            "tests/test_isoclinism.py::test_est_witness_on_relabelled_groups"
+            "[1-extraspecial(2,3,plus)]",
+        ]),
+    # an extraspecial group has a center of order p ...
+    "extraspecial-any-center": ("construct.py", "center(G).size == pw[0] and ", "", [
+        "tests/test_construct.py::test_is_extraspecial_matches_definition[D8xC2]",
+        "tests/test_construct.py::test_is_extraspecial_needs_both_conditions"
+        "[centralproduct(dihedral(8),cyclic(4))-4-True]",
+    ]),
+    # ... and an elementary abelian central quotient
+    "extraspecial-any-quotient": (
+        "construct.py", "and is_elementary_abelian(central_quotient(G).table) is not None)", ")", [
+            "tests/test_construct.py::test_is_extraspecial_matches_definition[shuffled-Q16]",
+            "tests/test_construct.py::test_is_extraspecial_needs_both_conditions"
+            "[dihedral(16)-2-False]",
+        ]),
 }
 
 # prints the file of the package it imports, then runs pytest on its arguments

@@ -100,13 +100,33 @@ def test_each_memo_key_has_one_producer():
     assert shared == {}, f"memo keys with more than one producer: {shared}"
 
 
+def _flat_gather(node) -> bool:
+    """Whether ``node`` reads a whole multiplication table at flat indices:
+    ``np.take(x.mult, i)`` or ``x.mult.take(i)`` with no axis, or ``x.mult.flat``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "flat" and getattr(node.value, "attr", None) == "mult"
+    if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "take"):
+        return False
+    if getattr(node.func.value, "attr", None) == "mult":                  # x.mult.take(i)
+        axis = node.args[1:]        # a positional axis
+    elif node.args and getattr(node.args[0], "attr", None) == "mult":     # np.take(x.mult, i)
+        axis = node.args[2:]
+    else:
+        return False
+    return not axis and all(kw.arg != "axis" for kw in node.keywords)
+
+
 def test_commutation_has_one_table():
     """The commutator pairing on G/Z is the one table that says which
     elements commute: no module calls `commuting_table`, its n x n view kept
-    for outside readers, and no memo key is "commuting"."""
-    calls, keys = [], []
+    for outside readers, and no memo key is "commuting".  It is also the one
+    commutator gather: the one flat read of a whole multiplication table is
+    inside `commutator_pairing`, and G' is read off the pairing, so
+    `is_extraspecial` computes neither G' nor Phi."""
+    calls, keys, flat, where = [], [], [], []
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 fn = node.func
                 name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
@@ -114,10 +134,18 @@ def test_commutation_has_one_table():
                     calls.append(f"{path.name}:{node.lineno}")
                 if name == "_memo" and isinstance(node.args[0], ast.Constant):
                     keys.append(node.args[0].value)
+            if _flat_gather(node):
+                flat.append(f"{path.name}:{node.lineno}")
+        where += [f"{path.name}:{fn.name}" for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn) if _flat_gather(node)]
     assert calls == [], f"commuting_table called at {calls}"
     assert keys and "commuting" not in keys
+    assert len(flat) == 1 and where == ["core.py:commutator_pairing"], (flat, where)
     zc = importlib.import_module("zclasses")
     assert zc.commutator_pairing is zc.isoclinism.commutator_pairing is zc.core.commutator_pairing
+    body = ast.parse(inspect.getsource(zc.construct.is_extraspecial))
+    named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(body)}
+    assert not named & {"commutator_subgroup", "frattini_subgroup"}, named
 
 
 def test_direct_product_is_a_central_product():

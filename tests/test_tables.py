@@ -253,10 +253,11 @@ def _memo_arrays(value, key=None):
 
 @pytest.mark.parametrize("spec", ["dihedral(4096)", "extraspecial(5,2,plus)"])
 def test_analysis_keeps_no_n_by_n_memo(spec):
-    """The center comes from generators, G' from |S| * n commutators, and
-    commutation, the type vector, both conditions and the cells from the
-    |G/Z|^2 pairing, so no memo holds n^2 entries after the analysis, and it
-    peaks below 32 MB (an n x n boolean table is 16.8 MB at order 4096)."""
+    """The center comes from generators, and G', commutation, the type
+    vector, both conditions and the cells from the |G/Z|^2 pairing, G' from
+    its rows at G/Z's generators, so no memo holds n^2 entries after the
+    analysis, and it peaks below 32 MB (an n x n boolean table is 16.8 MB at
+    order 4096)."""
     G = zc.build_group(spec)
     tracemalloc.start()
     try:
