@@ -33,8 +33,19 @@ from .specs import build_group
 CLI_ISO_CAP = 96
 
 
+def _cap(text: str) -> int:
+    """An order cap of at least 1, refused as a usage error otherwise."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return cap
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP,
+    sub.add_argument("--cap", type=_cap, default=DEFAULT_ORDER_CAP,
                      help="maximum group order for constructions and loaded tables "
                           f"(default {DEFAULT_ORDER_CAP}; never above {MAX_ORDER}, "
                           "the largest order int16 element ids hold)")

@@ -43,8 +43,9 @@ MAX_ORDER = int(np.iinfo(ID_DTYPE).max)    # 32767
 # Rows per block wherever an n x n table is built or checked: at the cap a
 # block of ids is 2 MB, so no step needs an n x n temporary beside its result.
 _ROW_BLOCK = 256
-# Bytes of whole lines read_cayley_table parses at a time.
-_LINE_BLOCK = 1 << 20
+# Bytes read_cayley_table reads at a time, and the longest token it admits.
+_BYTE_BLOCK = 1 << 20
+_WHITESPACE = b" \t\n\v\f\r"
 
 
 def check_order(what: str, order: int, cap: int = MAX_ORDER) -> None:
@@ -157,7 +158,7 @@ class GroupTable:
 
     def _memo(self, key, compute):
         """The value of ``compute()``, computed once per key and handed out as
-        is, so each array in it, or in its tuples and lists, is made read-only."""
+        is, so each array in it, or in its tuples, is made read-only."""
         if key not in self._cache:
             self._cache[key] = _read_only(compute())
         return self._cache[key]
@@ -170,7 +171,7 @@ class GroupTable:
 def _read_only(value):
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
-    elif isinstance(value, (tuple, list)):
+    elif isinstance(value, tuple):
         for item in value:
             _read_only(item)
     return value
@@ -186,9 +187,9 @@ def _as_ids(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=ID_DTYPE)
 
 
-def _ids(G: GroupTable, ids):
+def _ids(G, ids):
     """``ids``, one element id of G or an array of them, once each lies in
-    0..n-1: numpy would read a negative id from the end of a table."""
+    0..G.order-1: numpy would read a negative id from the end of a table."""
     arr = np.asarray(ids)
     if arr.size and (arr.min() < 0 or arr.max() >= G.order):
         raise ValueError("element id out of range")
@@ -378,22 +379,21 @@ def read_cayley_table(path, label: str | None = None, *,
     Tokens are unsigned decimal integers separated by whitespace; ``#``
     starts a comment that runs to the end of the line.  The identity may sit
     at any index in the file; the loaded group is relabeled so it lands at
-    id 0.  Blocks of whole lines are parsed straight into the int16 table, so
-    neither the whole text nor a wide parse of all n*n ids is ever held.
-    Raises :class:`OrderExceedsCap` when the declared order is above ``cap``
-    (or MAX_ORDER), before the table exists, and :class:`NotAGroup` naming
-    the path for a malformed file.
+    id 0.  Blocks of bytes are parsed straight into the int16 table, however
+    the file breaks its lines, so neither the whole text nor a wide parse of
+    all n*n ids is ever held.  Raises :class:`OrderExceedsCap` when the
+    declared order is above ``cap`` (or MAX_ORDER), before the table exists,
+    and :class:`NotAGroup` naming the path for a malformed file.
     """
     path = Path(path)
     n, table, count = None, None, 0    # the declared order, its flat table, ids read
     with path.open("rb") as f:
-        for lines in iter(lambda: f.readlines(_LINE_BLOCK), []):
-            data = b"".join(lines)
+        for data in _token_blocks(f, path):
             if b"#" in data:
                 data = re.sub(rb"#[^\n]*", b"", data)
             # numpy's parser reads a lone sign as 0 and, before numpy 2, stops at
             # a bad token with only a warning, so any other byte is refused up front.
-            if data.translate(None, b"0123456789 \t\n\v\f\r"):
+            if data.translate(None, b"0123456789" + _WHITESPACE):
                 token = next(t for t in data.split() if not t.isdigit())
                 raise NotAGroup(f"{path}: malformed token {token.decode(errors='replace')!r}")
             if not data or data.isspace():    # numpy reads blank text as one 0
@@ -413,6 +413,25 @@ def read_cayley_table(path, label: str | None = None, *,
     if table.max() >= n:                # an id above n was stored as n
         raise NotAGroup("table entry out of range")
     return _identity_first(table.reshape(n, n), label or path.name)
+
+
+def _token_blocks(f, path):
+    """The bytes of file ``f``, _BYTE_BLOCK at a time, each block cut after its
+    last whole token: a token the cut splits is carried into the next block,
+    and a comment still open at the cut is carried as its ``#`` alone."""
+    carry = b""
+    for block in iter(lambda: f.read(_BYTE_BLOCK), b""):
+        data = carry + block
+        comment = data.find(b"#", data.rfind(b"\n") + 1)
+        if comment >= 0:
+            data, carry = data[:comment], b"#"
+        else:
+            cut = 1 + max(map(data.rfind, _WHITESPACE))
+            data, carry = data[:cut], data[cut:]
+            if len(carry) > _BYTE_BLOCK:
+                raise NotAGroup(f"{path}: malformed token of over {_BYTE_BLOCK} bytes")
+        yield data
+    yield carry
 
 
 def write_cayley_table(G: GroupTable, path) -> None:

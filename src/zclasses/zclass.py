@@ -11,6 +11,7 @@ The ``verify_*`` functions turn each statement under test into a checkable
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,7 @@ from .core import (
 from .errors import BadParameter
 
 
-@dataclass
-class ZClass:
+class ZClass(NamedTuple):
     """One class of the partition: members and its smallest member."""
 
     members: np.ndarray
@@ -47,40 +47,40 @@ class ZClass:
         return int(self.members.size)
 
 
-class ZClassPartition:
-    """Partition of a group's elements into classes of conjugate centralizers.
+class ZClassPartition(NamedTuple):
+    """Partition of a group's elements into classes of conjugate centralizers,
+    one read-only value memoised by :func:`z_class_partition`.
 
     Classes are ordered by (and represented by) their smallest member, so the
     class containing the identity -- which is exactly the center -- comes
     first.  ``members`` holds each class's sorted ids and ``lookup[x]`` the
-    index of the class of x.
+    index of the class of x; ``order``, the group's, bounds the ids read.
     """
 
-    def __init__(self, group: GroupTable, members: list[np.ndarray], lookup: np.ndarray):
-        self.group = group
-        self._members = members
-        self._lookup = lookup
+    members: tuple[np.ndarray, ...]
+    lookup: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.lookup.size
 
     @property
     def classes(self) -> list[ZClass]:
-        return [self.class_of(int(mem[0])) for mem in self._members]
+        return [ZClass(mem, int(mem[0])) for mem in self.members]
 
     @property
     def num_classes(self) -> int:
-        return len(self._members)
+        return len(self.members)
 
     def class_index_of(self, x: int) -> int:
-        return int(self._lookup[_ids(self.group, x)])
+        return int(self.lookup[_ids(self, x)])
 
     def class_of(self, x: int) -> ZClass:
-        mem = self._members[self.class_index_of(x)]
+        mem = self.members[self.class_index_of(x)]
         return ZClass(mem, int(mem[0]))
 
     def sizes(self) -> list[int]:
-        return [int(mem.size) for mem in self._members]
-
-    def __repr__(self) -> str:
-        return f"ZClassPartition({self.group!r}, {self.num_classes} classes)"
+        return [int(mem.size) for mem in self.members]
 
 
 def _cells(G: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -139,9 +139,9 @@ def z_class_partition(G: GroupTable) -> ZClassPartition:
         lookup = class_of_cell[cell]
         members = np.split(np.argsort(lookup, kind="stable"),
                            np.cumsum(np.bincount(lookup))[:-1])
-        return members, lookup
+        return ZClassPartition(tuple(members), lookup)
 
-    return ZClassPartition(G, *G._memo("zclass_partition", compute))
+    return G._memo("zclass_partition", compute)
 
 
 def z_class_count(G: GroupTable) -> int:
@@ -171,11 +171,9 @@ def conjugate_type_vector(G: GroupTable) -> tuple[int, ...]:
 
 
 def is_type_n_1(G: GroupTable) -> int | None:
-    """n when the conjugate type vector is exactly (n, 1) with n > 1, else None."""
+    """n when the conjugate type vector (distinct indices ending in 1) is (n, 1), else None."""
     ctv = conjugate_type_vector(G)
-    if len(ctv) == 2 and ctv[1] == 1 and ctv[0] > 1:
-        return ctv[0]
-    return None
+    return ctv[0] if len(ctv) == 2 else None
 
 
 def max_zclass_bound(G: GroupTable) -> int | None:
@@ -265,7 +263,11 @@ def verify_theorem_mt(G: GroupTable) -> TheoremReport:
     For non-abelian G of type (n,1) with [G : Z(G)] = p^k the class count
     attains (p^k - 1)/(p - 1) + 1 exactly when the central quotient is
     elementary abelian and Z(C_G(x)) = <x, Z(G)> for every noncentral x.
-    Both directions of the equivalence are evaluated.
+    Both directions of the equivalence are evaluated.  The paper states it
+    for p-groups; a type-(n,1) group that is not one is P x A with P a
+    p-group and A abelian (N. Ito, 1953), and an abelian direct factor
+    changes neither the classes, the conditions nor [G : Z], so the verdict
+    there is the verdict on P.
     """
     if is_type_n_1(G) is None:                  # abelian G has type (1)
         return TheoremReport("mt", None)
@@ -307,15 +309,12 @@ def verify_kulkarni(G: GroupTable) -> TheoremReport:
     size, so the sweep runs once per distinct centralizer while still
     covering all elements.
     """
-    mismatch = None
     for x in _cells(G)[0].tolist():
         predicted, actual = kulkarni_size_check(G, x)
         if predicted != actual:
-            mismatch = (x, predicted, actual)
-            break
-    ok = mismatch is None
-    witness = None if ok else f"x={mismatch[0]}: predicted {mismatch[1]}, actual {mismatch[2]}"
-    return TheoremReport("kulkarni", ok, witness)
+            witness = f"x={x}: predicted {predicted}, actual {actual}"
+            return TheoremReport("kulkarni", False, witness)
+    return TheoremReport("kulkarni", True)
 
 
 def verify_bounds(G: GroupTable) -> TheoremReport:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 CLI = [sys.executable, "-m", "zclasses.cli"]
 DATA = Path(__file__).parent / "data"
 
@@ -120,6 +122,20 @@ def test_literal_too_long_to_parse_exit_2():
 def test_exit_code_usage_error():
     assert run_cli("verify", "dihedral(8)", "--theorem", "nope").returncode == 2
     assert run_cli().returncode == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("command", [("analyze", "cyclic(2)"),
+                                     ("verify", "cyclic(2)", "--theorem", "mt"),
+                                     ("catalog",)], ids=["analyze", "verify", "catalog"])
+def test_cap_below_one_is_a_usage_error(tmp_path, command, cap):
+    """A cap below 1 admits no group, so it is refused before any is built."""
+    out = tmp_path / "report.jsonl"
+    extra = ("--output", str(out)) if command[0] == "catalog" else ()
+    res = run_cli(*command, "--cap", cap, *extra)
+    assert res.returncode == 2
+    assert f"argument --cap: expected an integer of at least 1, got '{cap}'" in res.stderr
+    assert res.stdout == "" and not out.exists()
 
 
 def test_catalog_builtin_green(tmp_path):

@@ -88,6 +88,17 @@ MUTANTS = {
             "tests/test_construct.py::test_is_extraspecial_needs_both_conditions"
             "[dihedral(16)-2-False]",
         ]),
+    # a token cut by the end of a block is carried into the next block
+    "loader-drops-partial-token": ("core.py", "data, carry = data[:cut], data[cut:]",
+                                   'data, carry = data[:cut], b""', [
+        "tests/test_tables.py::test_cayley_load_parses_in_line_blocks[one-line]",
+        "tests/test_tables.py::test_cayley_load_carries_tokens_and_comments_across_blocks[3]",
+    ]),
+    # a cap below 1 admits no group, so it is a usage error
+    "cli-cap-accepts-zero": ("cli.py", "if cap < 1:", "if cap < 0:", [
+        "tests/test_cli.py::test_cap_below_one_is_a_usage_error[analyze-0]",
+        "tests/test_cli.py::test_cap_below_one_is_a_usage_error[catalog-0]",
+    ]),
 }
 
 # prints the file of the package it imports, then runs pytest on its arguments

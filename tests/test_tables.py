@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import zclasses as zc
-from zclasses import catalog, cli
+from zclasses import catalog, cli, core
 from zclasses.errors import NotAGroup, OrderExceedsCap
 from zclasses.core import _first_conjugator
 from zclasses.specs import _KINDS, _amalgamation_pair
@@ -278,15 +278,21 @@ def test_analysis_keeps_no_n_by_n_memo(spec):
 
 
 def test_memos_are_read_only():
-    """Memos are handed out as they are, G/Z as one value, so a write into
-    one would change every later answer: each array a memo holds refuses it,
-    and the checks still confirm after the attempts."""
+    """Memos are handed out as they are, G/Z and the partition each as one
+    value, so a write into one would change every later answer: each array
+    a memo holds refuses it, and the checks still confirm after the
+    attempts."""
     G = zc.extraspecial(2, 2, "plus")
-    quo = zc.central_quotient(G)
+    quo, part = zc.central_quotient(G), zc.z_class_partition(G)
     assert zc.central_quotient(G) is quo
+    assert zc.z_class_partition(G) is part
+    with pytest.raises(AttributeError):
+        part.members = ()
+    with pytest.raises(TypeError):
+        part.members[1] = part.members[0]
     handed_out = {"pairing": zc.commutator_pairing(G), "orders": zc.element_orders(G),
                   "projection": quo.projection, "coset_reps": quo.coset_reps,
-                  "class members": zc.z_class_partition(G).classes[1].members}
+                  "class members": part.classes[1].members, "lookup": part.lookup}
     for name, arr in handed_out.items():
         with pytest.raises(ValueError, match="read-only"):
             arr[:] = 0
@@ -427,17 +433,73 @@ def test_cayley_load_holds_one_int32_table(tmp_path):
     assert peak < 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
-def test_cayley_load_parses_in_line_blocks(tmp_path):
-    """A load parses blocks of whole lines straight into the int16 table:
-    loading a canonical d2048 file (an 18 MB text) holds the 8.4 MB table
-    and blocks, under 20 MB, neither the text nor an int64 parse of every
+def _relaid(text: bytes, per_line: int) -> bytes:
+    """``text`` with every space and newline rewritten: ``per_line`` tokens a
+    line, or with 0 the whole text on one line."""
+    buf = np.frombuffer(text, np.uint8).copy()
+    gaps = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
+    buf[gaps] = ord(" ")
+    if per_line:
+        buf[gaps[per_line - 1::per_line]] = ord("\n")
+    return buf.tobytes()
+
+
+@pytest.mark.parametrize("per_line", [None, 0, 7], ids=["canonical", "one-line", "seven-a-line"])
+def test_cayley_load_parses_in_line_blocks(tmp_path, per_line):
+    """A load parses blocks of bytes straight into the int16 table, however
+    the file breaks its lines: loading a d2048 file (an 18 MB text), one row
+    a line, all on one line or seven ids a line, holds the 8.4 MB table and
+    blocks, under 20 MB, neither the text nor an int64 parse of every
     entry."""
     D = zc.dihedral(2048)
     path = tmp_path / "d2048.cayley"
     zc.write_cayley_table(D, path)
+    if per_line is not None:
+        path.write_bytes(_relaid(path.read_bytes(), per_line))
     G, peak = _traced_peak(zc.read_cayley_table, path)
     assert np.array_equal(G.mult, D.mult)
     assert peak < 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_cayley_load_refuses_a_long_line_in_its_first_block(tmp_path):
+    """The declared order is checked in the first block, not after its line
+    is read whole: a one-line file declaring order 40000 (an 8 MB text) is
+    refused with OrderExceedsCap at a peak of a few MB."""
+    path = tmp_path / "c40000.cayley"
+    row = " ".join(map(str, range(4000))).encode()
+    path.write_bytes(b"40000 " + b" ".join([row] * 400) + b"\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderExceedsCap, match="order 40000 exceeds cap 4096"):
+            zc.read_cayley_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("block", [2, 3, 5, 8])
+def test_cayley_load_carries_tokens_and_comments_across_blocks(tmp_path, monkeypatch, block):
+    """Blocks of a few bytes split tokens, and comments longer than a block,
+    at every place: the loaded table is the one the default blocks load."""
+    H = zc.heisenberg(3)
+    rows = [" ".join(map(str, row)) + ("\t# row %d, # and 12 34 in a comment" % i if i % 4 else "")
+            for i, row in enumerate(H.mult.tolist())]
+    path = tmp_path / "heis3.cayley"
+    path.write_text("# Heis(3), the Heisenberg group mod 3\n27 #order\n" + "\n".join(rows))
+    expected = zc.read_cayley_table(path)
+    monkeypatch.setattr(core, "_BYTE_BLOCK", block)
+    assert np.array_equal(zc.read_cayley_table(path).mult, expected.mult)
+    assert np.array_equal(expected.mult, H.mult)
+
+
+def test_cayley_load_refuses_a_token_longer_than_a_block(tmp_path, monkeypatch):
+    path = tmp_path / "c1.cayley"
+    path.write_text("1 0000000000\n")
+    assert zc.read_cayley_table(path).order == 1
+    monkeypatch.setattr(core, "_BYTE_BLOCK", 4)
+    with pytest.raises(NotAGroup, match="malformed token of over 4 bytes"):
+        zc.read_cayley_table(path)
 
 
 def _declared_32768(tmp_path):
