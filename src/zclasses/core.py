@@ -24,6 +24,7 @@ Conventions used consistently throughout the package:
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -99,12 +100,12 @@ class GroupTable:
 
     Instances are immutable after construction; derived data (center,
     commutator subgroup, G/Z, partitions) is memoised on the instance as
-    read-only arrays that hold no reference back to it, so no reference
-    cycle keeps a group alive once its last outside reference is gone.  Ids
-    are stored as ID_DTYPE (int16), so the order is at most MAX_ORDER
-    (32767).  An int16 table is kept and frozen, not copied: the caller must
-    not write to it afterwards.  A wider table is narrowed only when every
-    entry is an id.
+    read-only values handed out as is, none with a reference back to it, so
+    a group is freed once its last outside reference is gone, even while a
+    subgroup or another memo of it is kept.  Ids are stored as ID_DTYPE
+    (int16), so the order is at most MAX_ORDER (32767).  An int16 table is
+    kept and frozen, not copied: the caller must not write to it afterwards.
+    A wider table is narrowed only when every entry is an id.
     """
 
     __slots__ = ("order", "mult", "inv", "label", "_cache")
@@ -196,46 +197,40 @@ def _ids(G, ids):
     return ids
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SubgroupSet:
-    """A subgroup of a GroupTable as a boolean membership mask.
+    """A subgroup as a read-only membership mask and its size, with no reference
+    to its group, so a kept subgroup does not keep the group alive; ``order``
+    is read off the mask.  Equal masks are equal; closure is not verified."""
 
-    Immutable; equality means the same owning group (by identity) and the
-    same member set.  Closure is not verified on construction.
-    """
+    mask: np.ndarray
+    size: int
 
-    __slots__ = ("group", "mask", "size")
+    @classmethod
+    def of(cls, mask) -> "SubgroupSet":
+        """The subgroup of a read-only copy of ``mask``."""
+        mask = _read_only(np.array(mask, dtype=bool))
+        return cls(mask, int(mask.sum()))
 
-    def __init__(self, group: GroupTable, mask):
-        mask = np.array(mask, dtype=bool)
-        if mask.shape != (group.order,):
-            raise ValueError("membership mask length does not match the group order")
-        mask.setflags(write=False)
-        self.group = group
-        self.mask = mask
-        self.size = int(mask.sum())
+    @property
+    def order(self) -> int:
+        return self.mask.size
 
     @property
     def index(self) -> int:
-        return self.group.order // self.size
+        return self.order // self.size
 
     def members(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
     def __contains__(self, x: int) -> bool:
-        return bool(self.mask[_ids(self.group, x)])
+        return bool(self.mask[_ids(self, x)])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubgroupSet)
-            and self.group is other.group
-            and np.array_equal(self.mask, other.mask)
-        )
+        return isinstance(other, SubgroupSet) and np.array_equal(self.mask, other.mask)
 
     def is_subset_of(self, other: "SubgroupSet") -> bool:
         return not np.any(self.mask & ~other.mask)
-
-    def __repr__(self) -> str:
-        return f"SubgroupSet(size={self.size} of {self.group!r})"
 
 
 class QuotientGroup(NamedTuple):
@@ -436,11 +431,15 @@ def _token_blocks(f, path):
 
 def write_cayley_table(G: GroupTable, path) -> None:
     """Write the canonical (identity at id 0) Cayley text format: the order,
-    then one line per row of single-space-separated decimal ids."""
-    names = np.array([str(v) for v in range(G.order)], dtype=object)
-    with Path(path).open("w") as out:           # one row's strings at a time
-        out.write(f"{G.order}\n")
-        out.writelines(" ".join(names[row].tolist()) + "\n" for row in G.mult)
+    then one line per row of single-space-separated decimal ids, gathered 32
+    rows at a time as names with their separators, NUL-padded to one width."""
+    spaced, ended = (np.array([f"{v}{end}" for v in range(G.order)], dtype="S") for end in " \n")
+    with Path(path).open("wb") as out:
+        out.write(b"%d\n" % G.order)
+        for lo in range(0, G.order, 32):
+            block = spaced[rows := G.mult[lo:lo + 32]]
+            block[:, -1] = ended[rows[:, -1]]
+            out.write(block.tobytes().translate(None, b"\0"))
 
 
 def subgroup_generated(G: GroupTable, gens) -> SubgroupSet:
@@ -454,7 +453,7 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupSet:
     while not mask[garr].all():
         adjoined.append(int(garr[np.argmin(mask[garr])]))
         _adjoin(G, mask, adjoined)
-    return SubgroupSet(G, mask)
+    return SubgroupSet.of(mask)
 
 
 def _adjoin(G: GroupTable, mask: np.ndarray, gens: list[int]) -> None:
@@ -498,15 +497,15 @@ def center(G: GroupTable) -> SubgroupSet:
     n * |S| comparisons, and no pairing, which is built on the center."""
     def compute():
         gens = greedy_generating_sequence(G)
-        return (G.mult[:, gens] == G.mult[gens].T).all(axis=1)
-    return SubgroupSet(G, G._memo("center", compute))
+        return SubgroupSet.of((G.mult[:, gens] == G.mult[gens].T).all(axis=1))
+    return G._memo("center", compute)
 
 
 def centralizer(G: GroupTable, x: int) -> SubgroupSet:
     """All elements commuting with x; contains <x> and the center: the
     pairing row of xZ read back through the projection."""
     proj = central_quotient(G).projection
-    return SubgroupSet(G, commutator_pairing(G)[proj[_ids(G, x)]][proj] == 0)
+    return SubgroupSet.of(commutator_pairing(G)[proj[_ids(G, x)]][proj] == 0)
 
 
 def commuting_table(G: GroupTable) -> np.ndarray:
@@ -546,10 +545,10 @@ def _first_conjugator(G: GroupTable, candidates: list[np.ndarray],
 def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
     """All g with g^-1 * H * g = H; contains H.  Only generators of H are
     conjugated: once theirs lie in H, g^-1 * H * g is H by its size."""
-    if H.group is not G:
-        raise ValueError("subgroup belongs to a different group")
+    if H.order != G.order:
+        raise ValueError("subgroup mask length does not match the group order")
     gens = list(_greedy_walk(G, H.mask))
-    return SubgroupSet(G, H.mask[_conjugates(G, gens)].all(axis=1))
+    return SubgroupSet.of(H.mask[_conjugates(G, gens)].all(axis=1))
 
 
 def central_quotient(G: GroupTable) -> QuotientGroup:
@@ -596,8 +595,8 @@ def commutator_subgroup(G: GroupTable) -> SubgroupSet:
     generated by Z and one s per coset in S, all central modulo it."""
     def compute():
         gens = greedy_generating_sequence(central_quotient(G).table)
-        return subgroup_generated(G, commutator_pairing(G)[gens].ravel()).mask
-    return SubgroupSet(G, G._memo("derived", compute))
+        return subgroup_generated(G, commutator_pairing(G)[gens].ravel())
+    return G._memo("derived", compute)
 
 
 def is_abelian(G: GroupTable) -> bool:

@@ -93,10 +93,11 @@ def _cells(G: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     def compute():
         quo, cm = central_quotient(G), commutator_pairing(G) == 0
         index: dict[bytes, int] = {}
-        qcell = np.array([index.setdefault(row.tobytes(), len(index)) for row in cm], np.int32)
+        packed = np.packbits(cm, axis=1)       # a row's key is an eighth of its bools
+        qcell = np.array([index.setdefault(row.tobytes(), len(index)) for row in packed], np.int32)
         q = np.unique(qcell, return_index=True)[1]
         cell = qcell[quo.projection]
-        counts, cent = np.bincount(cell), center(G).size * cm[q].sum(axis=1)
+        counts, cent = np.bincount(cell), center(G).size * cm.sum(axis=1)[q]
         local = counts + np.where(cent < G.order, counts[0], 0)
         for s in np.unique(cent[1:]):
             small = np.flatnonzero(cent == s)
@@ -158,7 +159,7 @@ def kulkarni_size_check(G: GroupTable, x: int) -> tuple[int, int]:
     The two must agree for every element.
     """
     quo = central_quotient(G)
-    row = SubgroupSet(quo.table, commutator_pairing(G)[quo.projection[_ids(G, x)]] == 0)
+    row = SubgroupSet.of(commutator_pairing(G)[quo.projection[_ids(G, x)]] == 0)
     predicted = normalizer(quo.table, row).index * int(strict_fixed_set(G, x).size)
     actual = z_class_partition(G).class_of(x).size
     return predicted, actual

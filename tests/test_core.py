@@ -457,9 +457,18 @@ def test_centralizer_contains_powers_and_center(catalog):
             assert zc.subgroup_generated(G, [x]).is_subset_of(C)
 
 
+def test_subgroups_are_equal_by_their_members():
+    """Two centralizers of D8 of the same order, <r> and C(s), differ."""
+    D8 = zc.dihedral(8)
+    rotations, refl = zc.centralizer(D8, 2), zc.centralizer(D8, 1)
+    assert rotations.size == refl.size == 4
+    assert rotations != refl
+    assert rotations == zc.subgroup_generated(D8, [2])
+
+
 def test_normalizer_examples():
     D8 = zc.dihedral(8)
-    whole = zc.SubgroupSet(D8, np.ones(8, bool))
+    whole = zc.SubgroupSet.of(np.ones(8, bool))
     assert zc.normalizer(D8, whole).size == 8
     rotations = zc.subgroup_generated(D8, [2])          # index 2, normal
     assert zc.normalizer(D8, rotations).size == 8
@@ -467,6 +476,8 @@ def test_normalizer_examples():
     N = zc.normalizer(D8, refl)
     assert N.size == 4
     assert refl.is_subset_of(N)
+    with pytest.raises(ValueError, match="group order"):
+        zc.normalizer(D8, zc.center(zc.dihedral(16)))
 
 
 def test_normalizer_size_arithmetic(catalog):
@@ -486,7 +497,7 @@ def test_normalizer_from_generators_matches_every_conjugate(name, catalog):
     of a generating set is the one read off the conjugates of every member."""
     G = catalog[name] if name in catalog else zc.build_group(name)
     for row in np.unique(G.mult == G.mult.T, axis=0):
-        H = zc.SubgroupSet(G, row)
+        H = zc.SubgroupSet.of(row)
         every = H.mask[_conjugates(G, H.members())].all(axis=1)
         assert np.array_equal(zc.normalizer(G, H).mask, every)
 
@@ -711,7 +722,7 @@ def test_conjugates_match_scalar_conjugation(build, x):
     _conjugates is checked against the same rows of the whole gather."""
     G = build()
     subgroups = [zc.subgroup_generated(G, []), zc.subgroup_generated(G, [x]),
-                 zc.SubgroupSet(G, np.ones(G.order, bool))]
+                 zc.SubgroupSet.of(np.ones(G.order, bool))]
     assert zc.normalizer(G, subgroups[1]).size < G.order    # <x> is not normal
     first_conjugator: dict[frozenset, int] = {}
     for g in G.elements():
@@ -720,7 +731,7 @@ def test_conjugates_match_scalar_conjugation(build, x):
     assert G.order <= core._ROW_BLOCK or first_conjugator[last] >= core._ROW_BLOCK
     mask = np.zeros(G.order, bool)
     mask[list(last)] = True
-    subgroups.append(zc.SubgroupSet(G, mask))
+    subgroups.append(zc.SubgroupSet.of(mask))
     for H in subgroups:
         mem = H.members()
         conj = _conjugates(G, mem)
@@ -752,7 +763,7 @@ def test_first_conjugator_scans_every_candidate_of_the_right_order():
     assert first_conjugator[last] >= core._ROW_BLOCK
     mask = np.zeros(G.order, bool)
     mask[list(last)] = True
-    K = zc.SubgroupSet(G, mask)
+    K = zc.SubgroupSet.of(mask)
     orders = zc.element_orders(G)
     y = next(int(y) for y in np.flatnonzero(orders == 2)
              if frozenset({0, int(y)}) not in first_conjugator)    # not conjugate to x
@@ -985,6 +996,18 @@ def test_cayley_declared_order_over_cap(tmp_path):
     path.write_text("8\n0 1\n")    # refused on the declared order alone
     with pytest.raises(OrderExceedsCap):
         zc.read_cayley_table(path, cap=4)
+
+
+@pytest.mark.parametrize("G", [zc.cyclic(10), zc.cyclic(11), zc.dihedral(1000)],
+                         ids=["10", "11", "1000"])
+def test_cayley_write_bytes_at_id_widths(G, tmp_path):
+    """Ids are written as fixed-width names padded to the widest id, and the
+    padding is dropped: orders where the widest id gains a digit, and one
+    past a whole number of 32-row blocks, read as the reference writer."""
+    path = tmp_path / "g.cayley"
+    zc.write_cayley_table(G, path)
+    rows = [" ".join(str(int(v)) for v in row) for row in G.mult]   # reference writer
+    assert path.read_bytes() == ("\n".join([str(G.order)] + rows) + "\n").encode()
 
 
 def test_cayley_write_bytes_above_256(tmp_path):

@@ -99,6 +99,22 @@ MUTANTS = {
         "tests/test_cli.py::test_cap_below_one_is_a_usage_error[analyze-0]",
         "tests/test_cli.py::test_cap_below_one_is_a_usage_error[catalog-0]",
     ]),
+    # subgroups are equal by their members, not by their order
+    "subgroup-equal-by-size": ("core.py", "np.array_equal(self.mask, other.mask)",
+                               "self.size == other.size", [
+        "tests/test_core.py::test_subgroups_are_equal_by_their_members",
+    ]),
+    # the cells key each pairing row by its own bits, packed along the row
+    "cells-pack-columns": ("zclass.py", "np.packbits(cm, axis=1)", "np.packbits(cm, axis=0)", [
+        "tests/test_zclass.py::test_local_center_sizes_count_larger_centralizers[S4]",
+        "tests/test_zclass.py::test_kulkarni_every_element_d16",
+    ]),
+    # every row of a block ends in a newline, not only the block's last
+    "writer-one-newline-a-block": ("core.py", "block[:, -1] = ended[rows[:, -1]]",
+                                   "block[-1, -1] = ended[rows[-1, -1]]", [
+        "tests/test_core.py::test_cayley_write_bytes_at_id_widths[11]",
+        "tests/test_core.py::test_cayley_write_bytes_above_256",
+    ]),
 }
 
 # prints the file of the package it imports, then runs pytest on its arguments

@@ -27,7 +27,7 @@ FAULTS = [
     # D16: the centralizers of ES(2,2,+), D8 and Heis3 are all normal, so there
     # the whole group is their normalizer and the fault changes nothing
     ("kulkarni", "D16", zclass, "normalizer",
-     lambda f: lambda G, H: zc.SubgroupSet(G, np.ones(G.order, dtype=bool)),
+     lambda f: lambda G, H: zc.SubgroupSet.of(np.ones(G.order, dtype=bool)),
      "x=1: predicted 2, actual 4", 1),
     ("bounds", "ES(2,2,+)", zclass, "max_zclass_bound", lambda f: lambda G: f(G) - 1,
      "count=16 outside [4, 15]", 2),

@@ -298,10 +298,11 @@ def test_condition_local_center_verifies_inside_centralizer():
 # ----------------------------------------------- abelian subgroup search
 
 def test_abelian_index_p_d8():
-    sub = zc.has_abelian_subgroup_of_index_p(zc.dihedral(8), 2)
+    D8 = zc.dihedral(8)
+    sub = zc.has_abelian_subgroup_of_index_p(D8, 2)
     assert sub is not None
     assert sub.index == 2
-    assert naive_is_subgroup(sub.group, sub.members())
+    assert naive_is_subgroup(D8, sub.members())
     assert sorted(sub.members().tolist()) == [0, 1, 4, 5]   # C(s) for the reflection s = 1
 
 
