@@ -24,7 +24,7 @@ from .core import (
     prime_power,
 )
 from .construct import is_extraspecial
-from .errors import GroupError, SpecSyntaxError
+from .errors import CatalogSyntaxError, GroupError, SpecSyntaxError, UnknownConstructor
 from .isoclinism import is_stem_group, verify_corollary_est, verify_direct_factor_invariance
 from .specs import build_group, parse_spec
 from .zclass import (
@@ -122,7 +122,8 @@ def builtin_catalog() -> list[CatalogEntry]:
 def parse_catalog_file(path) -> list[CatalogEntry]:
     """Read a catalog file: one spec per line, optional ``expect k=v,...``
     suffix, ``#`` comments.  Relative ``file:`` paths resolve against the
-    catalog file's directory."""
+    catalog file's directory.  A line that does not parse is named by the
+    file and its number."""
     path = Path(path)
     entries = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -132,36 +133,37 @@ def parse_catalog_file(path) -> list[CatalogEntry]:
         spec_text, _, expect_text = line.partition(" expect ")
         spec_text = spec_text.strip()
         expect: dict = {}
-        if expect_text.strip():
-            for clause in expect_text.split(","):
-                key, eq, value = clause.partition("=")
-                key = key.strip().lower()
-                if not eq or key not in _EXPECT_KEYS:
-                    raise SpecSyntaxError(
-                        lineno, f"bad expect clause {clause.strip()!r} "
-                                f"(keys: {', '.join(_EXPECT_KEYS)})")
-                expect[key] = _parse_expect_value(key, value.strip(), lineno)
-        parse_spec(spec_text)  # surface syntax errors with the line intact
+        try:
+            if expect_text.strip():
+                for clause in expect_text.split(","):
+                    key, eq, value = clause.partition("=")
+                    key = key.strip().lower()
+                    if not eq or key not in _EXPECT_KEYS:
+                        raise ValueError(f"bad expect clause {clause.strip()!r} "
+                                         f"(keys: {', '.join(_EXPECT_KEYS)})")
+                    expect[key] = _parse_expect_value(key, value.strip())
+            parse_spec(spec_text)
+        except (ValueError, SpecSyntaxError, UnknownConstructor) as exc:
+            raise CatalogSyntaxError(f"{path}:{lineno}: {exc}") from None
         entries.append(CatalogEntry(spec_text, expect=expect, base_dir=path.parent))
     return entries
 
 
-def _parse_expect_value(key: str, text: str, lineno: int):
+def _parse_expect_value(key: str, text: str):
+    """The value of one ``expect`` clause whose key is in ``_EXPECT_KEYS``."""
     if key in ("order", "zclasses"):
         try:
             return int(text)
         except ValueError:
-            raise SpecSyntaxError(lineno, f"expect {key} wants an integer, got {text!r}")
+            raise ValueError(f"expect {key} wants an integer, got {text!r}") from None
     if key == "attains":
         if text.lower() in ("true", "false"):
             return text.lower() == "true"
-        raise SpecSyntaxError(lineno, f"expect attains wants true/false, got {text!r}")
-    if key == "ctv":
-        try:
-            return tuple(int(tok) for tok in text.split("|"))
-        except ValueError:
-            raise SpecSyntaxError(lineno, f"expect ctv wants ints joined by '|', got {text!r}")
-    raise SpecSyntaxError(lineno, f"unknown expect key {key!r}")
+        raise ValueError(f"expect attains wants true/false, got {text!r}")
+    try:
+        return tuple(int(tok) for tok in text.split("|"))
+    except ValueError:
+        raise ValueError(f"expect ctv wants ints joined by '|', got {text!r}") from None
 
 
 def analyze_group(G: GroupTable, label: str | None = None) -> dict:

@@ -25,7 +25,7 @@ from .catalog import (
     theorem_record,
 )
 from .core import DEFAULT_ORDER_CAP, MAX_ORDER
-from .errors import GroupError, SpecSyntaxError, UnknownConstructor
+from .errors import CatalogSyntaxError, GroupError, SpecSyntaxError, UnknownConstructor
 from .specs import build_group
 
 # No subcommand searches for an isoclinism; perfbench's traced walk still
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
             print("summary: " + json.dumps(result.summary, separators=(",", ":")),
                   file=sys.stderr)
             return result.exit_code
-    except (SpecSyntaxError, UnknownConstructor) as exc:
+    except (SpecSyntaxError, UnknownConstructor, CatalogSyntaxError) as exc:
         print(f"zclasses: parse error: {exc}", file=sys.stderr)
         return 2
     except GroupError as exc:

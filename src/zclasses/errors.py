@@ -42,5 +42,9 @@ class SpecSyntaxError(GroupError):
         super().__init__(f"at position {position}: {message}")
 
 
+class CatalogSyntaxError(GroupError):
+    """A catalog file line failed to parse; names the file and the line."""
+
+
 class UnknownConstructor(GroupError):
     """Group-spec names a constructor this package does not provide."""

@@ -1,6 +1,6 @@
 """Text mini-language for describing group constructions.
 
-Grammar (whitespace-insensitive, parameters positional or named)::
+Grammar (whitespace-insensitive; each parameter given once, by place or name)::
 
     spec := name '(' args ')'
           | 'product(' spec ',' spec ')'
@@ -76,116 +76,83 @@ class GroupSpec:
         return f"{self.kind}({','.join(parts)})"
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise SpecSyntaxError(self.pos, message)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def name(self) -> str:
-        self.skip_ws()
-        m = re.match(r"[A-Za-z_][A-Za-z_0-9]*", self.text[self.pos:])
-        if not m:
-            self.error("expected a constructor name")
-        self.pos += m.end()
-        return m.group(0).lower()
-
-    def spec(self) -> GroupSpec:
-        self.skip_ws()
-        if self.text[self.pos:self.pos + 5].lower() == "file:":
-            self.pos += 5
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] not in ",)":
-                self.pos += 1
-            path = self.text[start:self.pos].strip()
-            if not path:
-                self.error("expected a file path after 'file:'")
-            return GroupSpec(kind="cayley_file", path=path)
-        name = self.name()
-        if name in _PRODUCT_KINDS:
-            self.expect("(")
-            left = self.spec()
-            self.expect(",")
-            right = self.spec()
-            self.expect(")")
-            return GroupSpec(kind=_PRODUCT_KINDS[name], children=[left, right])
-        if name not in _KINDS:
-            raise UnknownConstructor(f"unknown constructor {name!r}")
-        self.expect("(")
-        args: list = []
-        kwargs: dict = {}
-        if self.peek() != ")":
-            while True:
-                args_len = self.pos
-                token = self.value_or_pair()
-                if isinstance(token, tuple):
-                    key, val = token
-                    if key in kwargs:
-                        self.pos = args_len
-                        self.error(f"duplicate parameter {key!r}")
-                    kwargs[key] = val
-                else:
-                    if kwargs:
-                        self.pos = args_len
-                        self.error("positional parameter after a named one")
-                    args.append(token)
-                if self.peek() == ",":
-                    self.expect(",")
-                    continue
-                break
-        self.expect(")")
-        return GroupSpec(kind=name, args=args, kwargs=kwargs)
-
-    def value_or_pair(self):
-        self.skip_ws()
-        m = re.match(r"[A-Za-z_][A-Za-z_0-9]*\s*=", self.text[self.pos:])
-        if m:
-            key = m.group(0)[:-1].strip().lower()
-            self.pos += m.end()
-            return key, self.value()
-        return self.value()
-
-    def value(self):
-        self.skip_ws()
-        m = re.match(r"-?[0-9]+", self.text[self.pos:])
-        if m:
-            try:
-                value = int(m.group(0))
-            except ValueError:          # past the interpreter's limit on digits
-                self.error(f"integer literal of {m.end()} characters is too long")
-            self.pos += m.end()
-            return value
-        m = re.match(r"[A-Za-z_][A-Za-z_0-9]*", self.text[self.pos:])
-        if m:
-            self.pos += m.end()
-            return m.group(0).lower()
-        self.error("expected a number or identifier")
+# After optional whitespace, one token: a name, which a parameter's '=' or a
+# file path's ':' may follow, the path running to the next ',' or ')'; an
+# integer; or any other one character, "" at the end of the text.
+_TOKEN = re.compile(r"\s*(?P<token>(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                    r"(?:(?P<eq>\s*=)|:(?P<path>[^,)]*))?|(?P<int>-?[0-9]+)|.?)")
 
 
 def parse_spec(text: str) -> GroupSpec:
     """Parse one construction expression; errors carry the source position."""
-    parser = _Parser(text)
-    spec = parser.spec()
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        parser.error("trailing input after the spec")
+    spec, pos = _spec(text, 0)
+    m = _TOKEN.match(text, pos)
+    if m["token"]:
+        raise SpecSyntaxError(m.start("token"), "trailing input after the spec")
     return spec
+
+
+def _expect(text: str, pos: int, ch: str) -> int:
+    """The position after the one-character token ``ch``, which must come next."""
+    m = _TOKEN.match(text, pos)
+    if m["token"] != ch:
+        raise SpecSyntaxError(m.start("token"), f"expected {ch!r}")
+    return m.end()
+
+
+def _spec(text: str, pos: int) -> tuple[GroupSpec, int]:
+    """The spec that starts at ``pos``, and the position after it."""
+    m = _TOKEN.match(text, pos)
+    name = (m["name"] or "").lower()
+    if name == "file" and m["path"] is not None:
+        path = m["path"].strip()
+        if not path:
+            raise SpecSyntaxError(m.end(), "expected a file path after 'file:'")
+        return GroupSpec(kind="cayley_file", path=path), m.end()
+    if not name:
+        raise SpecSyntaxError(m.start("token"), "expected a constructor name")
+    if name not in _KINDS and name not in _PRODUCT_KINDS:
+        raise UnknownConstructor(f"unknown constructor {name!r}")
+    pos = _expect(text, m.end("name"), "(")
+    if name in _PRODUCT_KINDS:
+        left, pos = _spec(text, pos)
+        right, pos = _spec(text, _expect(text, pos, ","))
+        return GroupSpec(kind=_PRODUCT_KINDS[name], children=[left, right]), \
+            _expect(text, pos, ")")
+    args, kwargs = [], {}
+    if _TOKEN.match(text, pos)["token"] != ")":
+        while True:
+            # the errors about a parameter's place point before its spaces
+            param = _TOKEN.match(text, pos)
+            key = param["name"].lower() if param["eq"] else None
+            value, pos = _value(text, param.end() if key else pos)
+            if key in kwargs:
+                raise SpecSyntaxError(param.start(), f"duplicate parameter {key!r}")
+            if key:
+                kwargs[key] = value
+            elif kwargs:
+                raise SpecSyntaxError(param.start(), "positional parameter after a named one")
+            else:
+                args.append(value)
+            m = _TOKEN.match(text, pos)
+            if m["token"] != ",":
+                break
+            pos = m.end()
+    return GroupSpec(kind=name, args=args, kwargs=kwargs), _expect(text, pos, ")")
+
+
+def _value(text: str, pos: int) -> tuple[int | str, int]:
+    """The integer or lowercased word at ``pos``, and the position after it."""
+    m = _TOKEN.match(text, pos)
+    if m["int"]:
+        try:
+            return int(m["int"]), m.end()
+        except ValueError:          # past the interpreter's limit on digits
+            raise SpecSyntaxError(m.start("int"), f"integer literal of "
+                                  f"{len(m['int'])} characters is too long") from None
+    if m["name"]:
+        return m["name"].lower(), m.end("name")
+    raise SpecSyntaxError(m.start("token"), "expected a number or identifier")
 
 
 def _bind(spec: GroupSpec, kind: _Kind) -> list:
@@ -203,6 +170,9 @@ def _bind(spec: GroupSpec, kind: _Kind) -> list:
         raise BadParameter(f"{spec.kind}: expected at most {len(kind.params)} parameters")
     values = []
     for position, name in enumerate(kind.params):
+        if name in spec.kwargs and position < len(spec.args):
+            raise BadParameter(f"{spec.kind}: parameter {name!r} given both by position "
+                               "and by name")
         if name in spec.kwargs:
             v = spec.kwargs[name]
         elif position < len(spec.args):

@@ -214,6 +214,19 @@ def test_catalog_parse_error_exit_2(tmp_path):
     assert run_cli("catalog", str(cat)).returncode == 2
 
 
+def test_catalog_parse_errors_name_the_file_and_line(tmp_path):
+    cat = tmp_path / "bad.catalog"
+    cat.write_text("cyclic(2)\ndihedral(8 expect order=8\n")
+    res = run_cli("catalog", str(cat))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"zclasses: parse error: {cat}:2: at position 10: expected ')'\n"
+    cat.write_text("# golden values\n\ncyclic(2) expect order=2,zclasses=one\n")
+    res = run_cli("catalog", str(cat))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == (f"zclasses: parse error: {cat}:3: "
+                          "expect zclasses wants an integer, got 'one'\n")
+
+
 def test_catalog_relative_file_spec(tmp_path):
     import zclasses as zc
     zc.write_cayley_table(zc.cyclic(3), tmp_path / "c3.cayley")

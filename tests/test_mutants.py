@@ -115,6 +115,19 @@ MUTANTS = {
         "tests/test_core.py::test_cayley_write_bytes_at_id_widths[11]",
         "tests/test_core.py::test_cayley_write_bytes_above_256",
     ]),
+    # errors about a parameter's place point before the spaces that precede
+    # it, not at its name
+    "spec-duplicate-after-spaces": ("specs.py", 'param.start(), f"duplicate',
+                                    'param.start("token"), f"duplicate', [
+        "tests/test_specs.py::test_parse_matches_golden_table[55]",
+    ]),
+    # a word read as a value ends with its name, not after a '=' or ':' path
+    # that follows it
+    "spec-value-takes-its-suffix": ("specs.py", 'm["name"].lower(), m.end("name")',
+                                    'm["name"].lower(), m.end()', [
+        "tests/test_specs.py::test_parse_matches_golden_table[69]",
+        "tests/test_specs.py::test_parse_matches_golden_table[71]",
+    ]),
 }
 
 # prints the file of the package it imports, then runs pytest on its arguments

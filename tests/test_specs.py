@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,33 @@ def test_parse_duplicate_named():
         parse_spec("extraspecial(p=2,p=3)")
 
 
+# Each line: an input and the tree parse_spec makes of it, or the class,
+# position and message of the error it raises.
+GOLDEN_PARSES = [json.loads(line) for line in
+                 (Path(__file__).parent / "data" / "spec_parses.jsonl").read_text().splitlines()]
+
+
+def _tree(spec):
+    return {"kind": spec.kind, "args": spec.args, "kwargs": spec.kwargs,
+            "children": [_tree(c) for c in spec.children], "path": spec.path,
+            "text": spec.text()}
+
+
+@pytest.mark.parametrize("entry", GOLDEN_PARSES, ids=range(len(GOLDEN_PARSES)))
+def test_parse_matches_golden_table(entry):
+    if "spec" in entry:
+        assert _tree(parse_spec(entry["input"])) == entry["spec"]
+        return
+    cls, position, message = entry["error"]
+    with pytest.raises((SpecSyntaxError, UnknownConstructor)) as err:
+        parse_spec(entry["input"])
+    assert type(err.value).__name__ == cls
+    if position is None:
+        assert str(err.value) == message
+    else:
+        assert (err.value.position, err.value.message) == (position, message)
+
+
 def test_build_examples():
     assert build_group("cyclic(2)").order == 2
     assert build_group("abelian()").order == 1
@@ -87,6 +117,15 @@ def test_build_bad_parameters():
         build_group("dihedral(width=8)")
     with pytest.raises(BadParameter):
         build_group("extraspecial(2,2,7)")
+
+
+@pytest.mark.parametrize("text, name", [("dihedral(16, order=8)", "order"),
+                                        ("extraspecial(3, 1, p=2)", "p"),
+                                        ("extraspecial(2,2,plus,variant=minus)", "variant")])
+def test_build_refuses_a_parameter_given_twice(text, name):
+    # by position and again by name: neither value may win without a word
+    with pytest.raises(BadParameter, match=f"parameter '{name}' given both by position and by name"):
+        build_group(text)
 
 
 def test_build_central_product_canonical_amalgamation():
