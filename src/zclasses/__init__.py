@@ -36,7 +36,6 @@ from .construct import (
     cyclic,
     dihedral,
     extraspecial,
-    frattini_subgroup,
     heisenberg,
     is_extraspecial,
     modular_p3,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -130,12 +131,12 @@ def parse_catalog_file(path) -> list[CatalogEntry]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        spec_text, _, expect_text = line.partition(" expect ")
-        spec_text = spec_text.strip()
+        # the spec ends at the first word 'expect', whatever spaces surround it
+        spec_text, *suffix = re.split(r"\s+expect\s+", line, maxsplit=1)
         expect: dict = {}
         try:
-            if expect_text.strip():
-                for clause in expect_text.split(","):
+            for text in suffix:
+                for clause in text.split(","):
                     key, eq, value = clause.partition("=")
                     key = key.strip().lower()
                     if not eq or key not in _EXPECT_KEYS:

@@ -22,29 +22,25 @@ from .core import (
     ID_DTYPE,
     MAX_ORDER,
     GroupTable,
-    SubgroupSet,
     _fill_rows,
     center,
     central_product,
     central_quotient,
     check_order,
-    commutator_subgroup,
     direct_product,
     is_abelian,
     is_elementary_abelian,
     is_prime,
-    power_map,
     prime_power,
-    subgroup_generated,
 )
 from .errors import BadParameter, OrderExceedsCap
 
 
-def cyclic(n: int) -> GroupTable:
+def cyclic(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """C_n with addition mod n (n = 1 gives the trivial group)."""
     if n < 1:
         raise BadParameter(f"cyclic order must be >= 1, got {n}")
-    check_order("cyclic", n)            # before its ids are allocated
+    check_order("cyclic", n, cap)       # before its ids are allocated
     ids = np.arange(n, dtype=ID_DTYPE)      # row x is row 0 turned left by x
     return GroupTable(sliding_window_view(np.tile(ids, 2), n)[:n].copy(), -ids % n, label=f"C{n}")
 
@@ -59,17 +55,17 @@ def abelian(orders, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         if k < 2:
             raise BadParameter(f"abelian factor orders must be >= 2, got {k}")
     check_order("abelian", math.prod(orders), cap)
-    G = cyclic(orders[0] if orders else 1)
+    G = cyclic(orders[0] if orders else 1, cap=cap)
     for k in orders[1:]:
-        G = direct_product(G, cyclic(k), cap=cap)
+        G = direct_product(G, cyclic(k, cap=cap), cap=cap)
     return G.relabeled("x".join(f"C{k}" for k in orders) if orders else "C1")
 
 
-def _dicyclic(order: int, twist: int, label: str) -> GroupTable:
+def _dicyclic(order: int, twist: int, label: str, cap: int) -> GroupTable:
     """<r, s | r^(order/2) = 1, s^2 = r^twist, s^-1 r s = r^-1> for twist 0 or
     order/4.  Element (r^i, s^e) gets id 2*i + e, and r^i s has inverse
     r^(i+twist) s."""
-    check_order("quaternion" if twist else "dihedral", order)    # before its ids
+    check_order("quaternion" if twist else "dihedral", order, cap)   # before its ids
     half = order // 2
     ids = np.arange(order, dtype=ID_DTYPE)
     rot, ref = ids // 2, ids % 2
@@ -81,31 +77,31 @@ def _dicyclic(order: int, twist: int, label: str) -> GroupTable:
     return GroupTable(turned[ref, np.where(ref == 1, -2 * rot % order, 2 * rot)], inv, label=label)
 
 
-def dihedral(order: int) -> GroupTable:
+def dihedral(order: int, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """D_order with relations r^(order/2) = s^2 = 1, s^-1 r s = r^-1.
 
     Element (r^i, s^e) gets id 2*i + e.
     """
     if order < 4 or order % 2:
         raise BadParameter(f"dihedral order must be even and >= 4, got {order}")
-    return _dicyclic(order, 0, f"D{order}")
+    return _dicyclic(order, 0, f"D{order}", cap)
 
 
-def quaternion(order: int) -> GroupTable:
+def quaternion(order: int, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Generalized quaternion Q_order: r^(order/2) = 1, s^2 = r^(order/4),
     s^-1 r s = r^-1.  Element (r^i, s^e) gets id 2*i + e."""
     if order < 8 or order & (order - 1):     # not a power of 2, by no trial division
         raise BadParameter(f"quaternion order must be a power of 2 and >= 8, got {order}")
-    return _dicyclic(order, order // 4, f"Q{order}")
+    return _dicyclic(order, order // 4, f"Q{order}", cap)
 
 
-def heisenberg(p: int) -> GroupTable:
+def heisenberg(p: int, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Upper unitriangular 3x3 matrices over the p-element field, p odd.
 
     Matrix with entries (a, b, c) (superdiagonal a, b and corner c) gets id
     a*p^2 + b*p + c; the group has order p^3 and exponent p.
     """
-    check_order("heisenberg", p ** 3)   # before the trial division of is_prime
+    check_order("heisenberg", p ** 3, cap)  # before the trial division of is_prime
     if not is_prime(p) or p == 2:
         raise BadParameter(f"p must be an odd prime, got {p}")
     ids = np.arange(p ** 3, dtype=np.int32)
@@ -120,13 +116,13 @@ def heisenberg(p: int) -> GroupTable:
     return GroupTable(_fill_rows((ids.size, ids.size), block_of), inv, label=f"Heis{p}")
 
 
-def modular_p3(p: int) -> GroupTable:
+def modular_p3(p: int, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """The order-p^3 group <a, b | a^(p^2) = b^p = 1, b^-1 a b = a^(1+p)>,
     p odd; the non-abelian group of order p^3 with exponent p^2.
 
     Element a^i b^j gets id i*p + j.
     """
-    check_order("modular_p3", p ** 3)
+    check_order("modular_p3", p ** 3, cap)
     if not is_prime(p) or p == 2:
         raise BadParameter(f"p must be an odd prime, got {p}")
     psq, n = p * p, p ** 3
@@ -158,45 +154,23 @@ def extraspecial(p: int, n: int, variant: str = "plus", *,
     """
     if variant not in ("plus", "minus"):
         raise BadParameter(f"variant must be 'plus' or 'minus', got {variant!r}")
-    check_order("extraspecial", _extraspecial_order(p, n, cap), cap)    # before is_prime
+    if p >= 2 and n >= 1:       # before is_prime; p^(1+2n) is not computed for a large n
+        limit = min(cap, MAX_ORDER)
+        if 2 * n >= limit.bit_length():     # p^(1+2n) >= 2^(1+2n) > limit
+            raise OrderExceedsCap(f"extraspecial order {p}^{1 + 2 * n} exceeds cap {limit}")
+        check_order("extraspecial", p ** (1 + 2 * n), cap)
     if not is_prime(p):
         raise BadParameter(f"p must be prime, got {p}")
     if n < 1:
         raise BadParameter(f"n must be >= 1, got {n}")
     kinds, q = ((dihedral, quaternion), 8) if p == 2 else ((heisenberg, modular_p3), p)
-    last = kinds[variant == "minus"](q)
-    G = base = kinds[0](q) if variant == "minus" and n > 1 else last
+    last = kinds[variant == "minus"](q, cap=cap)
+    G = base = kinds[0](q, cap=cap) if variant == "minus" and n > 1 else last
     for i in range(1, n):
         F = last if i == n - 1 else base
         G = central_product(G, F, int(center(G).members()[1]), int(center(F).members()[1]),
                             cap=cap)
     return G.relabeled(f"ES({p},{n},{'+' if variant == 'plus' else '-'})")
-
-
-def _extraspecial_order(p: int, n: int, cap: int) -> int:
-    """p^(1+2n), refused by name, never computed, once 2n reaches the cap's bit
-    length; 1 for a p below 2 or an n below 1, which extraspecial refuses."""
-    if p < 2 or n < 1:
-        return 1
-    limit = min(cap, MAX_ORDER)
-    if 2 * n >= limit.bit_length():     # p^(1+2n) >= 2^(1+2n) > limit
-        raise OrderExceedsCap(f"extraspecial order {p}^{1 + 2 * n} exceeds cap {limit}")
-    return p ** (1 + 2 * n)
-
-
-def frattini_subgroup(G: GroupTable, p: int) -> SubgroupSet:
-    """Frattini subgroup of a p-group via the identity Phi(G) = G' * G^p.
-
-    Refuses groups whose order is not a power of p (the formula is a
-    p-group fact).  The trivial group yields the trivial subgroup.
-    """
-    if G.order > 1:
-        pw = prime_power(G.order)
-        if pw is None or pw[0] != p:
-            raise BadParameter(f"order {G.order} is not a power of {p}")
-    gens = commutator_subgroup(G).mask.copy()    # <G', x^p> = <[a, b], x^p>
-    gens[power_map(G, np.arange(G.order), p)] = True
-    return subgroup_generated(G, np.flatnonzero(gens))
 
 
 def is_extraspecial(G: GroupTable) -> bool:

@@ -13,42 +13,31 @@ Examples: ``extraspecial(p=3,n=2,variant=plus)``, ``heisenberg(5)``,
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import construct
-from .core import DEFAULT_ORDER_CAP, GroupTable, center, central_product, check_order, \
-    element_orders, is_prime, read_cayley_table
+from .core import DEFAULT_ORDER_CAP, GroupTable, center, central_product, element_orders, \
+    is_prime, read_cayley_table
 from .errors import BadParameter, SpecSyntaxError, UnknownConstructor
 
 
 class _Kind(NamedTuple):
     build: Callable               # (*values, cap) -> GroupTable
     params: tuple | None          # parameter names; None takes any number of integers
-    order: Callable               # (*values, cap) -> order of the group built
     defaults: dict = {}
 
 
-# Every named constructor.  The order formula is checked against the cap
-# before the constructor runs, so it must not fail or stall on parameters
-# the constructor refuses; _extraspecial_order refuses p^(1+2n) above the cap
-# itself, by name, before it is computed for a large n.
 _KINDS = {
-    "abelian": _Kind(lambda *orders, cap: construct.abelian(orders, cap=cap), None,
-                     lambda *orders, cap: math.prod(orders)),
-    "cyclic": _Kind(lambda n, cap: construct.cyclic(n), ("n",), lambda n, cap: n),
-    "dihedral": _Kind(lambda order, cap: construct.dihedral(order), ("order",),
-                      lambda order, cap: order),
-    "quaternion": _Kind(lambda order, cap: construct.quaternion(order), ("order",),
-                        lambda order, cap: order),
-    "heisenberg": _Kind(lambda p, cap: construct.heisenberg(p), ("p",), lambda p, cap: p ** 3),
-    "modular_p3": _Kind(lambda p, cap: construct.modular_p3(p), ("p",), lambda p, cap: p ** 3),
-    "extraspecial": _Kind(construct.extraspecial, ("p", "n", "variant"),
-                          lambda p, n, variant, cap: construct._extraspecial_order(p, n, cap),
-                          {"variant": "plus"}),
+    "abelian": _Kind(lambda *orders, cap: construct.abelian(orders, cap=cap), None),
+    "cyclic": _Kind(construct.cyclic, ("n",)),
+    "dihedral": _Kind(construct.dihedral, ("order",)),
+    "quaternion": _Kind(construct.quaternion, ("order",)),
+    "heisenberg": _Kind(construct.heisenberg, ("p",)),
+    "modular_p3": _Kind(construct.modular_p3, ("p",)),
+    "extraspecial": _Kind(construct.extraspecial, ("p", "n", "variant"), {"variant": "plus"}),
 }
 _PRODUCT_KINDS = {"product": "direct_product", "centralproduct": "central_product"}
 _PRODUCT_NAMES = {kind: name for name, kind in _PRODUCT_KINDS.items()}
@@ -215,9 +204,7 @@ def _build_from_spec(spec: GroupSpec, *, cap: int, base_dir) -> GroupTable:
     kind = _KINDS.get(spec.kind)
     if kind is None:
         raise UnknownConstructor(f"unknown construction kind {spec.kind!r}")
-    values = _bind(spec, kind)
-    check_order(spec.kind, kind.order(*values, cap=cap), cap)
-    return kind.build(*values, cap=cap).relabeled(spec.text())
+    return kind.build(*_bind(spec, kind), cap=cap).relabeled(spec.text())
 
 
 def _amalgamation_pair(G: GroupTable, H: GroupTable) -> tuple[int, int]:

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construct import frattini_subgroup
 from .core import (
     GroupTable,
     SubgroupSet,
@@ -26,12 +25,10 @@ from .core import (
     centralizer,
     commutator_pairing,
     element_orders,
-    greedy_generating_sequence,
     is_abelian,
     is_elementary_abelian,
     normalizer,
     prime_power,
-    subgroup_generated,
 )
 from .errors import BadParameter
 
@@ -209,23 +206,18 @@ def condition_local_center(G: GroupTable) -> tuple[bool, int | None]:
 
 
 def has_abelian_subgroup_of_index_p(G: GroupTable, p: int) -> SubgroupSet | None:
-    """An abelian subgroup of index p in a p-group, or None.
+    """An abelian subgroup of index p in a non-abelian p-group, or None.
 
-    In non-abelian G such a subgroup is C_G(x) for each of its noncentral x,
-    so it exists exactly when some noncentral x has [G : C_G(x)] = p and
-    C_G(x) abelian, that is |Z(C_G(x))| = |C_G(x)|.  Abelian G returns
-    <Phi(G), g_1 .. g_(r-1)> for its greedy generating sequence g_1 .. g_r,
-    a proper subgroup since Phi(G) consists of non-generators.  Raises
-    :class:`BadParameter` unless |G| is a power of p.
+    Such a subgroup is C_G(x) for each of its noncentral x, so it exists
+    exactly when some noncentral x has [G : C_G(x)] = p and C_G(x) abelian,
+    that is |Z(C_G(x))| = |C_G(x)|.  Raises :class:`BadParameter` unless
+    |G| is a power of p and G is non-abelian, the case theorem A is about.
     """
-    if G.order == 1:
-        return None
+    if is_abelian(G):
+        raise BadParameter("G is abelian, not a non-abelian p-group")
     pw = prime_power(G.order)
     if pw is None or pw[0] != p:
         raise BadParameter(f"order {G.order} is not a power of {p}")
-    if is_abelian(G):
-        gens = greedy_generating_sequence(G)
-        return subgroup_generated(G, np.append(frattini_subgroup(G, p).members(), gens[:-1]))
     reps, _, cent, local = _cells(G)
     hits = reps[(G.order == p * cent) & (cent == local)]
     return centralizer(G, hits[0]) if hits.size else None

@@ -13,7 +13,7 @@ from zclasses.catalog import THEOREMS, builtin_catalog, run_catalog, run_theorem
 from zclasses.core import _conjugates
 
 from conftest import EXTRASPECIAL_COUNTS
-from oracles import naive_frattini, naive_z_partition
+from oracles import naive_z_partition
 
 
 def _announce(num, text):
@@ -145,7 +145,7 @@ def test_criterion_8_partition_oracle(catalog):
 
 
 def test_criterion_9_property_suite(catalog):
-    """Axiom validation, equivariance, partition soundness, Frattini identity."""
+    """Axiom validation, equivariance, partition soundness."""
     t0 = time.time()
     rng = np.random.default_rng(2024)
     for name, G in catalog.items():
@@ -160,16 +160,9 @@ def test_criterion_9_property_suite(catalog):
             assert zc.centralizer(G, G.conjugate(x, g)).members().tolist() == \
                 sorted(_conjugates(G, zc.centralizer(G, x).members())[g].tolist())
             assert part.class_index_of(x) == part.class_index_of(G.conjugate(x, g))
-        pw = zc.core.prime_power(G.order) if G.order > 1 else None
-        if pw is not None:
-            phi = zc.frattini_subgroup(G, pw[0])
-            assert zc.commutator_subgroup(G).is_subset_of(phi)
-            if G.order <= 32:
-                assert frozenset(phi.members().tolist()) == naive_frattini(G)
     elapsed = time.time() - t0
     assert elapsed < 300
-    _announce(9, f"validators, equivariance, soundness, Frattini identity green "
-                 f"({elapsed:.1f}s)")
+    _announce(9, f"validators, equivariance, soundness green ({elapsed:.1f}s)")
 
 
 def test_full_catalog_run_is_green():

@@ -185,6 +185,18 @@ def test_catalog_file_with_expectations(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+@pytest.mark.parametrize("line", ["heisenberg(3)\texpect order=27,zclasses=5",
+                                  "heisenberg(3) expect\torder=27,zclasses=5",
+                                  "heisenberg(3)  expect  order=27,zclasses=5"],
+                         ids=["tab-before", "tab-after", "two-spaces"])
+def test_catalog_expect_after_any_spaces(tmp_path, line):
+    from zclasses.catalog import parse_catalog_file
+    cat = tmp_path / "spaced.cat"
+    cat.write_text(line + "\n")
+    [entry] = parse_catalog_file(cat)
+    assert (entry.spec_text, entry.expect) == ("heisenberg(3)", {"order": 27, "zclasses": 5})
+
+
 def test_catalog_golden_mismatch(tmp_path):
     cat = tmp_path / "bad.cat"
     cat.write_text("heisenberg(3) expect zclasses=6\n")

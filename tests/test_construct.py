@@ -5,7 +5,7 @@ import zclasses as zc
 from zclasses.errors import BadParameter, OrderExceedsCap
 
 from conftest import PERMUTATION_GENERATORS, shuffled
-from oracles import naive_element_order, naive_frattini, naive_is_extraspecial
+from oracles import naive_element_order, naive_is_extraspecial
 
 CATALOG_ES_PARAMS = [(2, 1, "plus"), (2, 1, "minus"), (2, 2, "plus"), (2, 2, "minus"),
                      (3, 1, "plus"), (3, 1, "minus"), (3, 2, "plus"), (5, 1, "plus")]
@@ -96,6 +96,15 @@ def test_heisenberg_rejects_non_odd_prime():
             zc.heisenberg(bad)
 
 
+@pytest.mark.parametrize("build", [zc.heisenberg, zc.modular_p3], ids=["heisenberg", "modular_p3"])
+def test_order_p3_refused_above_cap_before_its_prime_test(build):
+    # 18 is no prime, but 18^3 is above the cap, which is checked first; so a
+    # prime whose trial division would take hours is refused at once
+    for p in (18, 2 ** 61 - 1):
+        with pytest.raises(OrderExceedsCap, match="order .* exceeds cap 4096$"):
+            build(p)
+
+
 def test_modular_p3_has_order_9_element():
     G = zc.modular_p3(3)
     assert G.order == 27
@@ -169,40 +178,6 @@ def test_extraspecial_errors():
         zc.extraspecial(3, 10 ** 6)         # refused before p^(1+2n) is computed
     with pytest.raises(OrderExceedsCap, match="extraspecial order of 183 bits exceeds cap 4096"):
         zc.extraspecial(2 ** 61 - 1, 1)     # a prime, refused before its trial division
-
-
-def test_frattini_examples():
-    assert zc.frattini_subgroup(zc.abelian([2, 2]), 2).size == 1
-    c4 = zc.cyclic(4)
-    phi = zc.frattini_subgroup(c4, 2)
-    assert phi.size == 2
-    h3 = zc.heisenberg(3)
-    assert zc.frattini_subgroup(h3, 3) == zc.center(h3)
-
-
-def test_frattini_rejects_non_p_group():
-    with pytest.raises(BadParameter, match="order 6 is not a power of 2$"):
-        zc.frattini_subgroup(zc.cyclic(6), 2)
-    with pytest.raises(BadParameter, match="order 8 is not a power of 3$"):
-        zc.frattini_subgroup(zc.dihedral(8), 3)
-
-
-def test_frattini_contains_derived(catalog):
-    for G in catalog.values():
-        pw = zc.core.prime_power(G.order) if G.order > 1 else None
-        if pw is None:
-            continue
-        phi = zc.frattini_subgroup(G, pw[0])
-        assert zc.commutator_subgroup(G).is_subset_of(phi)
-
-
-def test_frattini_formula_matches_maximal_subgroup_oracle():
-    cases = [(zc.cyclic(4), 2), (zc.abelian([2, 2]), 2), (zc.abelian([4, 2]), 2),
-             (zc.dihedral(8), 2), (zc.quaternion(8), 2), (zc.dihedral(16), 2),
-             (zc.heisenberg(3), 3), (zc.extraspecial(2, 2, "plus"), 2)]
-    for G, p in cases:
-        lib = frozenset(zc.frattini_subgroup(G, p).members().tolist())
-        assert lib == naive_frattini(G)
 
 
 def test_is_extraspecial_negatives():

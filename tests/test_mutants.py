@@ -128,6 +128,27 @@ MUTANTS = {
         "tests/test_specs.py::test_parse_matches_golden_table[69]",
         "tests/test_specs.py::test_parse_matches_golden_table[71]",
     ]),
+    # a dihedral or quaternion group is refused above the cap it is given, not
+    # only above the int16 ceiling
+    "dihedral-cap-unchecked": ("construct.py", '"dihedral", order, cap)', '"dihedral", order)', [
+        "tests/test_specs.py::test_build_honours_cap_before_constructing[dihedral]",
+        "tests/test_specs.py::test_build_honours_cap_before_constructing[quaternion]",
+    ]),
+    # the cap comes before the trial division of is_prime
+    "heisenberg-cap-after-prime-test": (
+        "construct.py",
+        """    check_order("heisenberg", p ** 3, cap)  # before the trial division of is_prime
+    if not is_prime(p) or p == 2:
+        raise BadParameter(f"p must be an odd prime, got {p}")
+""",
+        """    if not is_prime(p) or p == 2:
+        raise BadParameter(f"p must be an odd prime, got {p}")
+    check_order("heisenberg", p ** 3, cap)
+""", [
+            "tests/test_construct.py::test_order_p3_refused_above_cap_before_its_prime_test"
+            "[heisenberg]",
+            "tests/test_specs.py::test_build_refusal_matches_golden_table[heisenberg(18)]",
+        ]),
 }
 
 # prints the file of the package it imports, then runs pytest on its arguments

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zclasses as zc
-from zclasses.errors import BadParameter, OrderExceedsCap, SpecSyntaxError, \
+from zclasses.errors import BadParameter, GroupError, OrderExceedsCap, SpecSyntaxError, \
     UnknownConstructor
 from zclasses.specs import build_group, parse_spec
 
@@ -172,14 +173,14 @@ def test_build_exhaustive_validation_applies_to_products():
     assert G.order == 243 and zc.is_extraspecial(G)
 
 
-CAP_CASES = {   # one spec per named constructor, of order above 8
-    "abelian": ("abelian(4,4)", 16),
-    "cyclic": ("cyclic(16)", 16),
-    "dihedral": ("dihedral(16)", 16),
-    "quaternion": ("quaternion(16)", 16),
-    "heisenberg": ("heisenberg(3)", 27),
-    "modular_p3": ("modular_p3(3)", 27),
-    "extraspecial": ("extraspecial(2,2)", 32),
+CAP_CASES = {   # one spec per named constructor, its table above 1 MB
+    "abelian": ("abelian(32,64)", 2048),
+    "cyclic": ("cyclic(2048)", 2048),
+    "dihedral": ("dihedral(2048)", 2048),
+    "quaternion": ("quaternion(2048)", 2048),
+    "heisenberg": ("heisenberg(11)", 1331),
+    "modular_p3": ("modular_p3(11)", 1331),
+    "extraspecial": ("extraspecial(2,5)", 2048),
 }
 
 
@@ -189,17 +190,36 @@ def test_cap_cases_cover_every_constructor():
 
 
 @pytest.mark.parametrize("kind", sorted(CAP_CASES))
-def test_build_honours_cap_before_constructing(kind, monkeypatch):
+def test_build_honours_cap_before_constructing(kind):
+    """Each constructor owns its cap: called by build_group or directly, it
+    refuses a cap one below its order before it allocates its table."""
     text, order = CAP_CASES[kind]
     assert build_group(text, cap=order).order == order
+    args, direct = parse_spec(text).args, getattr(zc, kind)
+    if kind == "abelian":
+        args = [args]
+    for build in (lambda cap: build_group(text, cap=cap), lambda cap: direct(*args, cap=cap)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderExceedsCap, match=f"^{kind} order {order} exceeds cap {order - 1}$"):
+                build(order - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("constructor ran above the cap")
 
-    for name in CAP_CASES:
-        monkeypatch.setattr(zc.construct, name, refuse)
-    with pytest.raises(OrderExceedsCap):
-        build_group(text, cap=order - 1)
+# Each line: a spec, the cap it is built at, and the class and message of the
+# error that refuses it.
+GOLDEN_REFUSALS = [json.loads(line) for line in
+                   (Path(__file__).parent / "data" / "spec_refusals.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("entry", GOLDEN_REFUSALS, ids=[e["input"] for e in GOLDEN_REFUSALS])
+def test_build_refusal_matches_golden_table(entry):
+    with pytest.raises(GroupError) as err:
+        build_group(entry["input"], cap=entry["cap"])
+    assert [type(err.value).__name__, str(err.value)] == entry["error"]
 
 
 def test_build_order_formula_on_refused_parameters():

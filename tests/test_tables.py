@@ -565,7 +565,7 @@ UNALLOCATED = np.broadcast_to(np.int16(0), (2 ** 15,) * 2)
 
 @pytest.mark.parametrize("build", [
     lambda tmp: zc.build_group("cyclic(32768)", cap=10**6),
-    lambda tmp: zc.cyclic(32768),
+    lambda tmp: zc.cyclic(32768, cap=10**6),
     lambda tmp: zc.build_group("extraspecial(2,8,plus)", cap=10**6),
     lambda tmp: zc.direct_product(zc.cyclic(128), zc.cyclic(256), cap=10**6),
     lambda tmp: zc.central_product(zc.cyclic(256), zc.cyclic(512), 128, 256, cap=10**6),
@@ -573,11 +573,11 @@ UNALLOCATED = np.broadcast_to(np.int16(0), (2 ** 15,) * 2)
     lambda tmp: zc.from_permutation_generators(S8, cap=10**6),
     lambda tmp: zc.from_multiplication_table(UNALLOCATED),
     lambda tmp: zc.GroupTable(UNALLOCATED, UNALLOCATED[0]),
-    lambda tmp: zc.cyclic(2 ** 40),
-    lambda tmp: zc.heisenberg(10 ** 12 + 39),
-    lambda tmp: zc.modular_p3(10 ** 12 + 39),
-    lambda tmp: zc.dihedral(2 ** 40),
-    lambda tmp: zc.quaternion(2 ** 40),
+    lambda tmp: zc.cyclic(2 ** 40, cap=10**6),
+    lambda tmp: zc.heisenberg(10 ** 12 + 39, cap=10**6),
+    lambda tmp: zc.modular_p3(10 ** 12 + 39, cap=10**6),
+    lambda tmp: zc.dihedral(2 ** 40, cap=10**6),
+    lambda tmp: zc.quaternion(2 ** 40, cap=10**6),
 ], ids=["spec", "constructor", "extraspecial", "direct-product", "central-product",
         "cayley-file", "S8-closure", "raw-table", "GroupTable", "cyclic-ids",
         "heisenberg-ids", "modular-ids", "dihedral-ids", "quaternion-ids"])

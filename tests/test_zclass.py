@@ -313,8 +313,10 @@ def test_abelian_index_p_extraspecial_none(catalog):
 
 
 def test_abelian_index_p_abelian_group():
-    sub = zc.has_abelian_subgroup_of_index_p(zc.abelian([2, 2]), 2)
-    assert sub is not None and sub.size == 2
+    # theorem A asks the question of non-abelian p-groups only
+    for G in (zc.abelian([]), zc.abelian([2, 2]), zc.abelian([6])):
+        with pytest.raises(BadParameter, match="G is abelian, not a non-abelian p-group$"):
+            zc.has_abelian_subgroup_of_index_p(G, 2)
 
 
 # p-groups beyond the builtin catalog, with and without an abelian subgroup of index p
@@ -330,6 +332,10 @@ CATALOG_P_GROUPS = [e.label for e in zc.builtin_catalog()
 def test_abelian_index_p_matches_oracle(catalog, name):
     G = catalog[name] if name in catalog else zc.build_group(name)
     p = zc.core.prime_power(G.order)[0]
+    if zc.is_abelian(G):
+        with pytest.raises(BadParameter, match="G is abelian"):
+            zc.has_abelian_subgroup_of_index_p(G, p)
+        return
     sub = zc.has_abelian_subgroup_of_index_p(G, p)
     assert (sub is None) == (naive_abelian_index_p(G, p) is None)
     if sub is not None:
