@@ -61,9 +61,9 @@ print(f"\nin Heis3: |<x, Z>| = {gen.size} and the centralizer of x equals it:",
 P = zc.direct_product(H3, zc.abelian([3]))
 print("Heis3 x C3 has order", P.order, "and center of size", zc.center(P).size)
 
-quo = zc.central_quotient(H3)
-print("Heis3 / Z has order", quo.table.order,
-      "and is elementary abelian for p =", zc.is_elementary_abelian(quo.table))
+quo = zc.quotient_table(H3)
+print("Heis3 / Z has order", quo.order,
+      "and is elementary abelian for p =", zc.is_elementary_abelian(quo))
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "d8.cayley"

@@ -26,6 +26,7 @@ from .core import (
     is_abelian,
     is_elementary_abelian,
     normalizer,
+    quotient_table,
     read_cayley_table,
     subgroup_generated,
     validate_group_table,

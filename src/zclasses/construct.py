@@ -25,15 +25,13 @@ from .core import (
     _fill_rows,
     center,
     central_product,
-    central_quotient,
     check_order,
     direct_product,
-    is_abelian,
-    is_elementary_abelian,
     is_prime,
     prime_power,
 )
 from .errors import BadParameter, OrderExceedsCap
+from .zclass import condition_central_quotient_elementary
 
 
 def cyclic(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -178,5 +176,4 @@ def is_extraspecial(G: GroupTable) -> bool:
     abelian, which is Z = G' = Phi(G) of order p: G/Z abelian puts
     1 != G' <= Z, and exponent p puts G^p <= Z, so Phi = G' * G^p = Z."""
     pw = prime_power(G.order)
-    return (pw is not None and center(G).size == pw[0] and not is_abelian(G)
-            and is_elementary_abelian(central_quotient(G).table) is not None)
+    return pw is not None and center(G).size == pw[0] and condition_central_quotient_elementary(G)

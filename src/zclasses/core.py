@@ -234,14 +234,13 @@ class SubgroupSet:
 
 
 class QuotientGroup(NamedTuple):
-    """The central quotient G/Z(G): its own GroupTable plus the projection
-    data, one read-only value memoised by :func:`central_quotient`.
+    """The central quotient G/Z(G) as projection data, one read-only value
+    memoised by :func:`central_quotient`; :func:`quotient_table` multiplies.
 
     ``projection[a]`` is the quotient id of the coset a*Z; ``coset_reps[q]``
     is the smallest parent element in coset q (so rep 0 is the identity).
     """
 
-    table: GroupTable
     projection: np.ndarray
     coset_reps: np.ndarray
 
@@ -561,11 +560,19 @@ def central_quotient(G: GroupTable) -> QuotientGroup:
         for lo in range(0, mem.size, _ROW_BLOCK):
             np.minimum(coset_min, G.mult[mem[lo:lo + _ROW_BLOCK]].min(axis=0), out=coset_min)
         reps = np.unique(coset_min)
-        proj = np.searchsorted(reps, coset_min).astype(ID_DTYPE)
-        qmult = _fill_rows((reps.size,) * 2, lambda r: proj[np.take(G.mult[reps[r]], reps, axis=1)])
-        label = f"{G.label}/{mem.size}" if G.label else f"G/{mem.size}"
-        return QuotientGroup(GroupTable(qmult, proj[G.inv[reps]], label=label), proj, reps)
+        return QuotientGroup(np.searchsorted(reps, coset_min).astype(ID_DTYPE), reps)
     return G._memo("central_quotient", compute)
+
+
+def quotient_table(G: GroupTable) -> GroupTable:
+    """G/Z(G) as its own GroupTable, memoised: the projected products of the
+    coset representatives.  Only the checks that multiply in G/Z build it."""
+    def compute():
+        proj, reps = central_quotient(G)
+        qmult = _fill_rows((reps.size,) * 2, lambda r: proj[np.take(G.mult[reps[r]], reps, axis=1)])
+        label = f"{G.label or 'G'}/{G.order // reps.size}"
+        return GroupTable(qmult, proj[G.inv[reps]], label=label)
+    return G._memo("quotient_table", compute)
 
 
 def commutator_pairing(G: GroupTable) -> np.ndarray:
@@ -589,12 +596,12 @@ def commutator_pairing(G: GroupTable) -> np.ndarray:
 
 
 def commutator_subgroup(G: GroupTable) -> SubgroupSet:
-    """G' = <[s, g] : sZ in S, g in G>, the pairing rows of S =
-    greedy_generating_sequence(G/Z), as [s, g] depends only on sZ and gZ:
+    """G' = <[s, g] : s in S, g in G>, the pairing rows at the cosets of S =
+    greedy_generating_sequence(G), as [s, g] depends only on sZ and gZ:
     that subgroup is normal, as [s, g]^h = [s, h]^-1 * [s, gh], and G is
-    generated by Z and one s per coset in S, all central modulo it."""
+    generated by S, all central modulo it."""
     def compute():
-        gens = greedy_generating_sequence(central_quotient(G).table)
+        gens = central_quotient(G).projection[greedy_generating_sequence(G)]
         return subgroup_generated(G, commutator_pairing(G)[gens].ravel())
     return G._memo("derived", compute)
 
@@ -614,23 +621,25 @@ def power_map(G: GroupTable, x, k: int) -> np.ndarray:
 
 
 def element_orders(G: GroupTable) -> np.ndarray:
-    """Vector of element orders.  For each prime power q^a exactly dividing
-    |G|, y = x^(|G|/q^a) has the q-part of ord(x) as its order, found by at
-    most a steps y -> y^q."""
-    def compute():
-        n = G.order
-        orders = np.ones(n, dtype=np.int64)
-        m = n
-        while m > 1:
-            q, qa = smallest_prime_factor(m), 1
-            while m % q == 0:
-                m, qa = m // q, qa * q
-            y = power_map(G, np.arange(n), n // qa)
-            while y.any():
-                orders[y != 0] *= q
-                y = power_map(G, y, q)
-        return orders
-    return G._memo("element_orders", compute)
+    """Vector of element orders, read off :func:`_orders_modulo`."""
+    return G._memo("element_orders", lambda: _orders_modulo(G, np.arange(G.order) == 0))
+
+
+def _orders_modulo(G: GroupTable, one: np.ndarray) -> np.ndarray:
+    """The order of xN for each x, N the normal subgroup of mask ``one``.  For
+    each prime power q^a exactly dividing |G|, y = x^(|G|/q^a) has the q-part
+    of ord(xN) as the order of yN, found by at most a steps y -> y^q."""
+    n = m = G.order
+    orders = np.ones(n, dtype=np.int64)
+    while m > 1:
+        q, qa = smallest_prime_factor(m), 1
+        while m % q == 0:
+            m, qa = m // q, qa * q
+        y = power_map(G, np.arange(n), n // qa)
+        while not (inside := one[y]).all():
+            orders[~inside] *= q
+            y = power_map(G, y, q)
+    return orders
 
 
 def is_elementary_abelian(G: GroupTable) -> int | None:

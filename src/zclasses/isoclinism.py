@@ -34,6 +34,7 @@ from .core import (
     element_orders,
     greedy_generating_sequence,
     prime_power,
+    quotient_table,
     smallest_prime_factor,
 )
 from .errors import NotAGroup, NotAnIsoclinism, QuotientExceedsCap
@@ -56,7 +57,7 @@ class IsoclinismWitness:
         """Exhaustively re-check that (phi, psi) is an isoclinism; raises
         :class:`NotAnIsoclinism` naming the first offending pair (a, b)."""
         G1, G2 = self.group1, self.group2
-        Q1, Q2 = central_quotient(G1).table, central_quotient(G2).table
+        Q1, Q2 = quotient_table(G1), quotient_table(G2)
         phi = self.phi
         if phi.shape != (Q1.order,) or not np.array_equal(np.sort(phi), np.arange(Q2.order)):
             raise NotAnIsoclinism("phi is not a bijection")
@@ -127,13 +128,13 @@ def are_isoclinic(G1: GroupTable, G2: GroupTable,
     forces it, and any clash prunes the branch.  Returned witnesses are
     validated exhaustively; ``None`` means the search space was exhausted.
     """
-    Q1, Q2 = central_quotient(G1).table, central_quotient(G2).table
     D1, D2 = commutator_subgroup(G1), commutator_subgroup(G2)
-    if Q1.order != Q2.order or D1.size != D2.size:
+    q1 = central_quotient(G1).coset_reps.size
+    if q1 != central_quotient(G2).coset_reps.size or D1.size != D2.size:
         return None
-    if Q1.order > cap:
-        raise QuotientExceedsCap(
-            f"|G/Z| = {Q1.order} exceeds the search cap {cap}")
+    if q1 > cap:
+        raise QuotientExceedsCap(f"|G/Z| = {q1} exceeds the search cap {cap}")
+    Q1, Q2 = quotient_table(G1), quotient_table(G2)
     oq1, oq2 = element_orders(Q1), element_orders(Q2)
     if sorted(oq1.tolist()) != sorted(oq2.tolist()):
         return None
@@ -148,8 +149,7 @@ def _search(G1: GroupTable, G2: GroupTable, gens: list[int], oq1: np.ndarray,
             oq2: np.ndarray, images: list[int]) -> IsoclinismWitness | None:
     """One node of the search of :func:`are_isoclinic`: ``images`` holds the
     images of the first generators, the rest of ``gens`` are still open."""
-    phi = _close(central_quotient(G1).table.mult, central_quotient(G2).table.mult,
-                 gens[:len(images)], images)
+    phi = _close(quotient_table(G1).mult, quotient_table(G2).mult, gens[:len(images)], images)
     if phi is None:
         return None
     dom = np.flatnonzero(phi >= 0)
@@ -241,7 +241,7 @@ def _extraspecial_witness(G: GroupTable, p: int, k: int) -> IsoclinismWitness:
     groups = (G, extraspecial(p, k // 2, "plus", cap=G.order))
     spans, powers = [], []
     for H in groups:
-        Q, c = central_quotient(H).table, int(commutator_subgroup(H).members()[1])
+        Q, c = quotient_table(H), int(commutator_subgroup(H).members()[1])
         powers.append([H.power(c, i) for i in range(p)])
         log = np.zeros(H.order, dtype=np.int32)
         log[powers[-1]] = np.arange(p)

@@ -20,15 +20,17 @@ from .core import (
     SubgroupSet,
     _first_conjugator,
     _ids,
+    _orders_modulo,
     center,
     central_quotient,
     centralizer,
     commutator_pairing,
-    element_orders,
+    greedy_generating_sequence,
     is_abelian,
-    is_elementary_abelian,
     normalizer,
+    power_map,
     prime_power,
+    quotient_table,
 )
 from .errors import BadParameter
 
@@ -157,7 +159,7 @@ def kulkarni_size_check(G: GroupTable, x: int) -> tuple[int, int]:
     """
     quo = central_quotient(G)
     row = SubgroupSet.of(commutator_pairing(G)[quo.projection[_ids(G, x)]] == 0)
-    predicted = normalizer(quo.table, row).index * int(strict_fixed_set(G, x).size)
+    predicted = normalizer(quotient_table(G), row).index * int(strict_fixed_set(G, x).size)
     actual = z_class_partition(G).class_of(x).size
     return predicted, actual
 
@@ -186,20 +188,25 @@ def max_zclass_bound(G: GroupTable) -> int | None:
 
 
 def condition_central_quotient_elementary(G: GroupTable) -> bool:
-    """Whether G/Z(G) is elementary abelian (non-abelian G intended)."""
-    return is_elementary_abelian(central_quotient(G).table) is not None
+    """Whether G/Z(G) is elementary abelian, false for G abelian: [G : Z] = p^k,
+    and the generators S of greedy_generating_sequence(G) commute modulo Z and
+    have p-th powers in Z, |S|^2 + |S| lookups, as S generates G/Z."""
+    Z, s = center(G), np.array(greedy_generating_sequence(G), dtype=np.intp)
+    pw, m, inv = prime_power(G.order // Z.size), G.mult, G.inv[s]
+    return pw is not None and bool(Z.mask[m[m[m[np.ix_(inv, inv)], s[:, None]], s]].all()
+                                   and Z.mask[power_map(G, s, pw[0])].all())
 
 
 def condition_local_center(G: GroupTable) -> tuple[bool, int | None]:
     """Check Z(C_G(x)) = <x, Z(G)> for every noncentral x.
 
     <x, Z(G)> always lies in Z(C_G(x)) and has order |Z(G)| * ord(xZ), so
-    the condition compares two orders; Z(C_G(x)) is the union of the cells
-    whose centralizer contains C_G(x), read off the cell table.
+    the condition compares two orders, ord(xZ) computed on G; Z(C_G(x)) is the
+    union of the cells whose centralizer contains C_G(x), read off the cell table.
     Returns (True, None), or (False, x) for the smallest offending x.
     """
-    quo, Z = central_quotient(G), center(G)
-    generated = Z.size * element_orders(quo.table)[quo.projection]
+    Z = center(G)
+    generated = Z.size * _orders_modulo(G, Z.mask)
     _, cell, _, local = _cells(G)
     bad = np.flatnonzero((local[cell] != generated) & ~Z.mask)
     return (False, int(bad[0])) if bad.size else (True, None)

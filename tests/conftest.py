@@ -32,6 +32,17 @@ def shuffled(spec, seed):
     return zc.from_multiplication_table(mult, label=spec)
 
 
+def heisenberg_mod(m):
+    """Upper unitriangular 3x3 matrices over Z/m: (a, b, c)(a', b', c') =
+    (a + a', b + b', c + c' + a*b') with id (a*m + b)*m + c.  Z is the c axis,
+    so for m = 4 or 9 G/Z = (Z/m)^2 is abelian but not elementary."""
+    x = np.arange(m ** 3)
+    a, b, c = x // m ** 2, x // m % m, x % m
+    A, B = (a[:, None] + a) % m, (b[:, None] + b) % m
+    C = (c[:, None] + c + a[:, None] * b) % m
+    return zc.from_multiplication_table((A * m + B) * m + C, label=f"Heis(Z/{m})")
+
+
 # Every permutation group the suite builds, by the generators it is built from
 PERMUTATION_GENERATORS = {
     "trivial": [],
@@ -45,6 +56,21 @@ PERMUTATION_GENERATORS = {
     # the generalized dihedral group of C3 x C3: two translations and -1
     "GD(3,3)": [[3, 4, 5, 6, 7, 8, 0, 1, 2], [1, 2, 0, 4, 5, 3, 7, 8, 6],
                 [3 * ((-(i // 3)) % 3) + ((-(i % 3)) % 3) for i in range(9)]],
+    # C3 wr C3, of order 81 and class 3: a 3-cycle of the first block and the
+    # turn of the three blocks, so G/Z is non-abelian of exponent 3
+    "C3wrC3": [[1, 2, 0, 3, 4, 5, 6, 7, 8], [3, 4, 5, 6, 7, 8, 0, 1, 2]],
+}
+
+# beside the catalog: relabelled groups, so G/Z's generators land anywhere, a
+# central product with |Z| = 4 and every permutation group of the suite
+EXTRASPECIAL_CASES = {
+    "shuffled-ES(2,2,-)": lambda: shuffled("extraspecial(2,2,minus)", 1),
+    "shuffled-ES(3,2,+)": lambda: shuffled("extraspecial(3,2,plus)", 2),
+    "shuffled-D8xQ8": lambda: shuffled("product(dihedral(8),quaternion(8))", 3),
+    "shuffled-Q16": lambda: shuffled("quaternion(16)", 4),
+    "D8oC4": lambda: zc.build_group("centralproduct(dihedral(8),cyclic(4))"),
+    **{f"perm-{name}": lambda gens=gens: zc.from_permutation_generators(gens)
+       for name, gens in PERMUTATION_GENERATORS.items()},
 }
 
 # labels of the extraspecial members of the catalog with their (count, bound)

@@ -79,7 +79,7 @@ def test_criterion_4_theorem_A_necessary_conditions(catalog):
             continue
         index = G.order // zc.center(G).size
         k = zc.core.prime_power(index)[1]
-        Q = zc.central_quotient(G).table
+        Q = zc.quotient_table(G)
         assert zc.is_elementary_abelian(Q) == p, name
         if k > 2:
             assert zc.has_abelian_subgroup_of_index_p(G, p) is None, name

@@ -4,7 +4,7 @@ import pytest
 import zclasses as zc
 from zclasses.errors import BadParameter, OrderExceedsCap
 
-from conftest import PERMUTATION_GENERATORS, shuffled
+from conftest import EXTRASPECIAL_CASES, PERMUTATION_GENERATORS
 from oracles import naive_element_order, naive_is_extraspecial
 
 CATALOG_ES_PARAMS = [(2, 1, "plus"), (2, 1, "minus"), (2, 2, "plus"), (2, 2, "minus"),
@@ -44,7 +44,7 @@ def test_dihedral_8():
 
 def test_dihedral_16_class_three():
     G = zc.dihedral(16)
-    quo = zc.central_quotient(G).table
+    quo = zc.quotient_table(G)
     assert not zc.is_abelian(quo)
 
 
@@ -134,7 +134,7 @@ def test_extraspecial_2_2_plus():
     G = zc.extraspecial(2, 2, "plus")
     assert G.order == 32
     assert zc.center(G).size == 2
-    quo = zc.central_quotient(G).table
+    quo = zc.quotient_table(G)
     assert quo.order == 16
     assert zc.is_elementary_abelian(quo) == 2
 
@@ -150,7 +150,7 @@ def test_extraspecial_family_invariants(p, n, variant):
     G = zc.extraspecial(p, n, variant)
     assert G.order == p ** (1 + 2 * n)
     assert zc.center(G).size == p
-    quo = zc.central_quotient(G).table
+    quo = zc.quotient_table(G)
     assert quo.order == p ** (2 * n)
     assert zc.is_elementary_abelian(quo) == p
     assert zc.is_extraspecial(G)
@@ -192,19 +192,6 @@ def test_is_extraspecial_positives():
     for G in (zc.dihedral(8), zc.quaternion(8), zc.heisenberg(3), zc.modular_p3(3),
               zc.extraspecial(2, 2, "plus"), zc.extraspecial(2, 2, "minus")):
         assert zc.is_extraspecial(G)
-
-
-# beside the catalog: relabelled groups, so G/Z's generators land anywhere, a
-# central product with |Z| = 4 and every permutation group of the suite
-EXTRASPECIAL_CASES = {
-    "shuffled-ES(2,2,-)": lambda: shuffled("extraspecial(2,2,minus)", 1),
-    "shuffled-ES(3,2,+)": lambda: shuffled("extraspecial(3,2,plus)", 2),
-    "shuffled-D8xQ8": lambda: shuffled("product(dihedral(8),quaternion(8))", 3),
-    "shuffled-Q16": lambda: shuffled("quaternion(16)", 4),
-    "D8oC4": lambda: zc.build_group("centralproduct(dihedral(8),cyclic(4))"),
-    **{f"perm-{name}": lambda gens=gens: zc.from_permutation_generators(gens)
-       for name, gens in PERMUTATION_GENERATORS.items()},
-}
 
 
 @pytest.mark.parametrize("name", [entry.label for entry in zc.builtin_catalog()]

@@ -5,11 +5,11 @@ import pytest
 
 import zclasses as zc
 from zclasses import core
-from zclasses.core import _conjugates, _first_conjugator, _greedy_walk
+from zclasses.core import _conjugates, _first_conjugator, _greedy_walk, _orders_modulo
 from zclasses.errors import BadParameter, NotAGroup, OrderExceedsCap
 from zclasses.zclass import _cells
 
-from conftest import PERMUTATION_GENERATORS, shuffled
+from conftest import EXTRASPECIAL_CASES, PERMUTATION_GENERATORS, heisenberg_mod, shuffled
 from oracles import (
     conj_subset,
     naive_center,
@@ -189,7 +189,7 @@ def test_element_order_examples():
     lambda: zc.from_permutation_generators(PERMUTATION_GENERATORS["S5"]),
     lambda: zc.cyclic(720),
     lambda: zc.build_group("product(dihedral(12),cyclic(9))"),
-    lambda: zc.central_quotient(zc.dihedral(2048)).table,
+    lambda: zc.quotient_table(zc.dihedral(2048)),
 ], ids=["S5", "C720", "D12xC9", "D2048/Z"])
 def test_element_orders_match_oracle(build):
     """Prime-power steps through the power map agree with iterated
@@ -537,21 +537,45 @@ def test_commutator_subgroup_matches_oracle(name, catalog):
 
 def test_quotient_heisenberg_center():
     H = zc.heisenberg(3)
-    quo = zc.central_quotient(H)
-    assert quo.table.order == 9
-    assert zc.is_elementary_abelian(quo.table) == 3
+    Q = zc.quotient_table(H)
+    assert Q.order == 9
+    assert zc.is_elementary_abelian(Q) == 3
 
 
 def test_quotient_invariants(catalog):
     for name in ("D8", "Q16", "Heis3", "M27"):
         G = catalog[name]
-        quo, Z = zc.central_quotient(G), zc.center(G)
-        pj, t = quo.projection, quo.table
+        pj, Z = zc.central_quotient(G).projection, zc.center(G)
+        t = zc.quotient_table(G)
         for a in G.elements():
             for b in G.elements():
                 assert pj[G.mult[a, b]] == t.mult[pj[a], pj[b]]
         assert set(np.flatnonzero(pj == 0).tolist()) == set(Z.members().tolist())
         assert t.order * Z.size == G.order
+
+
+QUOTIENT_CASES = {
+    **EXTRASPECIAL_CASES,
+    "D12": lambda: zc.dihedral(12),
+    "D36": lambda: zc.dihedral(36),
+    "Heis(Z/4)": lambda: heisenberg_mod(4),
+    "Heis(Z/9)": lambda: heisenberg_mod(9),
+}
+
+
+@pytest.mark.parametrize("name", [entry.label for entry in zc.builtin_catalog()]
+                         + list(QUOTIENT_CASES))
+def test_quotient_facts_read_on_g_match_the_quotient_table(name, catalog):
+    """Condition 1, the coset orders and G' are read on G through the
+    projection; each matches its reading on the table of G/Z: elementary
+    abelian, element orders, and G' from the pairing rows of G/Z's own
+    generators."""
+    G = catalog[name] if name in catalog else QUOTIENT_CASES[name]()
+    Q, proj = zc.quotient_table(G), zc.central_quotient(G).projection
+    assert zc.condition_central_quotient_elementary(G) == (zc.is_elementary_abelian(Q) is not None)
+    assert np.array_equal(_orders_modulo(G, zc.center(G).mask), zc.element_orders(Q)[proj])
+    rows = zc.commutator_pairing(G)[core.greedy_generating_sequence(Q)]
+    assert zc.commutator_subgroup(G) == zc.subgroup_generated(G, rows.ravel())
 
 
 def test_central_quotient_allocates_blocks_not_a_table():
@@ -564,7 +588,7 @@ def test_central_quotient_allocates_blocks_not_a_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert quo.table.order == 1 and not quo.projection.any()
+    assert zc.quotient_table(G).order == 1 and not quo.projection.any()
     assert peak < 16 * 2 ** 20
 
 
@@ -588,7 +612,7 @@ def test_nilpotency_class_two_characterization(catalog):
     for name in ("D8", "Heis3", "D16", "Q16", "S3", "ES(2,2,+)"):
         G = catalog[name]
         Z = zc.center(G)
-        quo_abelian = zc.is_abelian(zc.central_quotient(G).table)
+        quo_abelian = zc.is_abelian(zc.quotient_table(G))
         comm_central = all(
             G.commutator(a, b) in Z for a in G.elements() for b in G.elements())
         assert quo_abelian == comm_central

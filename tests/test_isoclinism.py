@@ -155,7 +155,7 @@ def test_not_isoclinic_exhaustive_search(pencil_pair):
     for G in pencil_pair:
         assert zc.center(G).size == 4
         assert zc.commutator_subgroup(G).size == 4
-        assert zc.is_elementary_abelian(zc.central_quotient(G).table) == 2
+        assert zc.is_elementary_abelian(zc.quotient_table(G)) == 2
     assert zc.are_isoclinic(Ga, Gb) is None    # defeats every prefilter
     assert zc.are_isoclinic(Ga, Ga) is not None
 
@@ -202,8 +202,10 @@ def test_search_matches_the_frozen_record(catalog):
 
 
 def test_quotient_cap(catalog):
+    G = catalog["ES(3,2,+)"].relabeled("ES(3,2,+)")
     with pytest.raises(QuotientExceedsCap):
-        zc.are_isoclinic(catalog["ES(3,2,+)"], catalog["ES(3,2,+)"], cap=64)
+        zc.are_isoclinic(G, G, cap=64)
+    assert "quotient_table" not in G._cache    # the refusal multiplies nothing in G/Z
 
 
 def _twisted_16(t, label):
@@ -251,7 +253,7 @@ def test_witness_serialization_round_trip():
 def loop_validate(w):
     """The pairwise loops that IsoclinismWitness.validate replaces, kept as
     its reference: the same checks in the same (a, b) order."""
-    Q1, Q2 = zc.central_quotient(w.group1).table, zc.central_quotient(w.group2).table
+    Q1, Q2 = zc.quotient_table(w.group1), zc.quotient_table(w.group2)
     if len(w.phi) != Q1.order or sorted(w.phi.tolist()) != list(range(Q2.order)):
         raise AssertionError("phi is not a bijection")
     for a in range(Q1.order):
@@ -483,8 +485,7 @@ def test_est_degenerate_pairing_raises():
     # projection of G/Z onto <g_1, g_2, g_3> along the last greedy generator:
     # still antisymmetric, trivial on the diagonal and valued in G', but degenerate
     G = zc.extraspecial(2, 2, "plus")
-    quo = zc.central_quotient(G)
-    Q = quo.table
+    Q = zc.quotient_table(G)
     gens = zc.core.greedy_generating_sequence(Q)
     ar = np.arange(Q.order)
     pi = np.where(zc.subgroup_generated(Q, gens[:-1]).mask, ar, Q.mult[ar, gens[-1]])

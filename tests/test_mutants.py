@@ -81,12 +81,23 @@ MUTANTS = {
         "tests/test_construct.py::test_is_extraspecial_needs_both_conditions"
         "[centralproduct(dihedral(8),cyclic(4))-4-True]",
     ]),
-    # ... and an elementary abelian central quotient
-    "extraspecial-any-quotient": (
-        "construct.py", "and is_elementary_abelian(central_quotient(G).table) is not None)", ")", [
-            "tests/test_construct.py::test_is_extraspecial_matches_definition[shuffled-Q16]",
-            "tests/test_construct.py::test_is_extraspecial_needs_both_conditions"
-            "[dihedral(16)-2-False]",
+    # ... and an elementary abelian central quotient: G's generators commute
+    # modulo Z, which C3 wr C3's do not, though their cubes lie in Z ...
+    "quotient-elementary-no-commutator-clause": (
+        "zclass.py", """Z.mask[m[m[m[np.ix_(inv, inv)], s[:, None]], s]].all()
+                                   and """, "", [
+            "tests/test_construct.py::test_is_extraspecial_matches_definition[perm-C3wrC3]",
+            "tests/test_core.py::test_quotient_facts_read_on_g_match_the_quotient_table"
+            "[perm-C3wrC3]",
+        ]),
+    # ... and have their p-th powers in Z, which those of Heisenberg over Z/p^2
+    # do not, though they commute modulo Z
+    "quotient-elementary-no-power-clause": (
+        "zclass.py", """
+                                   and Z.mask[power_map(G, s, pw[0])].all())""", ")", [
+            "tests/test_zclass.py::test_abelian_quotient_that_is_not_elementary[Heis(Z/4)]",
+            "tests/test_core.py::test_quotient_facts_read_on_g_match_the_quotient_table"
+            "[Heis(Z/9)]",
         ]),
     # a token cut by the end of a block is carried into the next block
     "loader-drops-partial-token": ("core.py", "data, carry = data[:cut], data[cut:]",

@@ -95,7 +95,7 @@ def test_each_memo_key_has_one_producer():
                 assert isinstance(key, ast.Constant) and isinstance(key.value, str), \
                     f"{path.name}:{node.lineno}: memo key is not a string literal"
                 sites.setdefault(key.value, []).append(f"{path.name}:{node.lineno}")
-    assert {"central_quotient", "derived", "commutator_pairing"} <= set(sites)
+    assert {"central_quotient", "quotient_table", "derived", "commutator_pairing"} <= set(sites)
     shared = {key: where for key, where in sites.items() if len(where) > 1}
     assert shared == {}, f"memo keys with more than one producer: {shared}"
 
@@ -121,8 +121,9 @@ def test_commutation_has_one_table():
     elements commute: no module calls `commuting_table`, its n x n view kept
     for outside readers, and no memo key is "commuting".  It is also the one
     commutator gather: the one flat read of a whole multiplication table is
-    inside `commutator_pairing`, and G' is read off the pairing, so
-    `is_extraspecial` computes neither G' nor Phi."""
+    inside `commutator_pairing`, and G' is read off the pairing.  Condition
+    1, which `is_extraspecial` shares, reads G/Z through G's generators, so
+    neither computes G' or the table of G/Z."""
     calls, keys, flat, where = [], [], [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -143,9 +144,24 @@ def test_commutation_has_one_table():
     assert len(flat) == 1 and where == ["core.py:commutator_pairing"], (flat, where)
     zc = importlib.import_module("zclasses")
     assert zc.commutator_pairing is zc.isoclinism.commutator_pairing is zc.core.commutator_pairing
-    body = ast.parse(inspect.getsource(zc.construct.is_extraspecial))
-    named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(body)}
-    assert not named & {"commutator_subgroup", "frattini_subgroup"}, named
+    for fn in (zc.construct.is_extraspecial, zc.zclass.condition_central_quotient_elementary):
+        body = ast.parse(inspect.getsource(fn))
+        named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(body)}
+        assert not named & {"commutator_subgroup", "quotient_table"}, (fn.__name__, named)
+
+
+def test_quotient_table_is_read_only_where_quotient_products_are():
+    """The table of G/Z is built only where products in G/Z are read: the
+    isoclinism checks and `kulkarni_size_check`'s normalizer in G/Z.  The
+    conditions, the cells and G' read G/Z through the projection."""
+    readers = {f"{path.name}:{top.name}" for path in SOURCES
+               for top in ast.parse(path.read_text(), filename=str(path)).body
+               if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+               for node in ast.walk(top)
+               if isinstance(node, ast.Name) and node.id == "quotient_table"}
+    others = {r for r in readers if not r.startswith("isoclinism.py:")}
+    assert others == {"zclass.py:kulkarni_size_check"}, readers
+    assert "isoclinism.py:IsoclinismWitness" in readers, readers
 
 
 def test_direct_product_is_a_central_product():

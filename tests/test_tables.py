@@ -292,9 +292,12 @@ def _memo_arrays(value, key=None):
 @pytest.mark.parametrize("spec", ["dihedral(4096)", "extraspecial(5,2,plus)"])
 def test_analysis_keeps_no_n_by_n_memo(spec):
     """The center comes from generators, and G', commutation, the type
-    vector, both conditions and the cells from the |G/Z|^2 pairing, G' from
-    its rows at G/Z's generators, so no memo holds n^2 entries after the
-    analysis, and it peaks below 32 MB (an n x n boolean table is 16.8 MB at
+    vector, the local-center condition and the cells from the |G/Z|^2
+    pairing, G' from its rows at the cosets of G's generators; condition 1
+    and is_extraspecial read those generators modulo Z.  So no memo holds n^2
+    entries after the analysis, none holds the table of G/Z, and it peaks
+    below 18 MB: 15.9 MB on dihedral(4096), where building G/Z's 2048 x 2048
+    table as well took it to 24.3 MB (an n x n boolean table is 16.8 MB at
     order 4096)."""
     G = zc.build_group(spec)
     tracemalloc.start()
@@ -306,13 +309,15 @@ def test_analysis_keeps_no_n_by_n_memo(spec):
         zc.condition_local_center(G)
         zc.commutator_pairing(G)
         _cells(G)
+        zc.is_extraspecial(G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     big = [(key, arr.dtype.name) for key, arr in _memo_arrays(G._cache)
            if arr.size >= G.order ** 2]
     assert big == []
-    assert peak < 32e6, f"{spec}: tracemalloc peak {peak / 1e6:.1f} MB"
+    assert "quotient_table" not in G._cache, sorted(G._cache)
+    assert peak < 18e6, f"{spec}: tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def test_memos_are_read_only():
@@ -323,6 +328,7 @@ def test_memos_are_read_only():
     G = zc.extraspecial(2, 2, "plus")
     quo, part = zc.central_quotient(G), zc.z_class_partition(G)
     assert zc.central_quotient(G) is quo
+    assert zc.quotient_table(G) is zc.quotient_table(G)
     assert zc.z_class_partition(G) is part
     with pytest.raises(AttributeError):
         part.members = ()
@@ -330,6 +336,7 @@ def test_memos_are_read_only():
         part.members[1] = part.members[0]
     handed_out = {"pairing": zc.commutator_pairing(G), "orders": zc.element_orders(G),
                   "projection": quo.projection, "coset_reps": quo.coset_reps,
+                  "G/Z mult": zc.quotient_table(G).mult,
                   "class members": part.classes[1].members, "lookup": part.lookup}
     for name, arr in handed_out.items():
         with pytest.raises(ValueError, match="read-only"):
@@ -653,11 +660,11 @@ def test_pairing_flat_index_past_int16():
 
 
 def _library_tables(G):
-    quo = zc.central_quotient(G)
+    quo, Q = zc.central_quotient(G), zc.quotient_table(G)
     yield "mult", G.mult
     yield "inv", G.inv
-    yield "G/Z mult", quo.table.mult
-    yield "G/Z inv", quo.table.inv
+    yield "G/Z mult", Q.mult
+    yield "G/Z inv", Q.inv
     yield "projection", quo.projection
     yield "coset reps", quo.coset_reps
     yield "pairing", zc.commutator_pairing(G)
@@ -671,7 +678,7 @@ def test_every_library_table_is_int16(tmp_path):
     zc.write_cayley_table(zc.dihedral(12), tmp_path / "d12.cayley")
     groups.append(zc.read_cayley_table(tmp_path / "d12.cayley"))
     D8 = zc.dihedral(8)
-    groups.append(zc.central_quotient(D8).table)    # D8/D8', as D8' = Z(D8)
+    groups.append(zc.quotient_table(D8))    # D8/D8', as D8' = Z(D8)
     wide = [(G.label, name, t.dtype.name) for G in groups
             for name, t in _library_tables(G) if t.dtype != np.int16]
     assert wide == []

@@ -9,7 +9,7 @@ from zclasses.core import _first_conjugator, prime_power
 from zclasses.errors import BadParameter
 from zclasses.zclass import _cells
 
-from conftest import CTV, PERMUTATION_GENERATORS, ZCLASS_COUNTS, shuffled
+from conftest import CTV, PERMUTATION_GENERATORS, ZCLASS_COUNTS, heisenberg_mod, shuffled
 from oracles import (naive_abelian_index_p, naive_fixed_set, naive_frattini,
                      naive_index_p_subgroups, naive_is_subgroup, naive_local_center,
                      naive_z_partition)
@@ -243,6 +243,23 @@ def test_condition_quotient_elementary(catalog):
     assert zc.condition_central_quotient_elementary(catalog["Heis3"])
     assert zc.condition_central_quotient_elementary(catalog["M27"])
     assert not zc.condition_central_quotient_elementary(catalog["D16"])
+
+
+@pytest.mark.parametrize("m, ctv, count", [(4, (4, 2, 1), 10), (9, (9, 3, 1), 17)],
+                         ids=["Heis(Z/4)", "Heis(Z/9)"])
+def test_abelian_quotient_that_is_not_elementary(m, ctv, count):
+    """Heisenberg over Z/m for m = p^2: G/Z = (Z/m)^2 is abelian of exponent
+    m, so condition 1 fails, and with three indices in its type vector mt is
+    vacuous.  The order-64 partition is the pairwise oracle's."""
+    G = heisenberg_mod(m)
+    assert zc.is_abelian(zc.quotient_table(G)) and zc.center(G).size == m
+    assert not zc.condition_central_quotient_elementary(G)
+    assert zc.conjugate_type_vector(G) == ctv
+    assert zc.z_class_count(G) == count
+    assert zc.verify_theorem_mt(G).verdict == "vacuous"
+    if G.order <= 64:
+        lib = {frozenset(c.members.tolist()) for c in zc.z_class_partition(G).classes}
+        assert lib == set(naive_z_partition(G))
 
 
 def test_condition_local_center(catalog):
