@@ -209,12 +209,9 @@ def run_theorem(G: GroupTable, theorem: str, *, iso_cap: int | None = None,
 
 def theorem_record(label: str, analysis: dict, report: TheoremReport) -> dict:
     """Merge the shared analysis columns with one check's outcome."""
-    record = {key: analysis[key] for key in
-              ("order", "p", "k", "ctv", "zclasses", "bound", "attains", "cond1", "cond2")}
-    record = {"group": label, **record,
-              "theorem": report.theorem, "verdict": report.verdict,
-              "witness": report.witness}
-    return record
+    merged = {**analysis, "group": label, "theorem": report.theorem,
+              "verdict": report.verdict, "witness": report.witness}
+    return {col: merged[col] for col in RECORD_COLUMNS}
 
 
 @dataclass

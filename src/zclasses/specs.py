@@ -7,6 +7,10 @@ Grammar (whitespace-insensitive; each parameter given once, by place or name)::
           | 'centralproduct(' spec ',' spec ')'
           | 'file:' path
 
+A spec's parameters are its constructor's own names, order and defaults
+(see ``help(zclasses.extraspecial)``).  ``cap`` is never a spec parameter:
+``build_group(cap=)`` bounds every build.
+
 Examples: ``extraspecial(p=3,n=2,variant=plus)``, ``heisenberg(5)``,
 ``dihedral(16)``, ``abelian(3,9)``, ``product(heisenberg(3),abelian(3))``.
 """
@@ -15,8 +19,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from inspect import BoundArguments, Parameter, signature
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import construct
 from .core import DEFAULT_ORDER_CAP, GroupTable, center, central_product, element_orders, \
@@ -24,20 +29,14 @@ from .core import DEFAULT_ORDER_CAP, GroupTable, center, central_product, elemen
 from .errors import BadParameter, SpecSyntaxError, UnknownConstructor
 
 
-class _Kind(NamedTuple):
-    build: Callable               # (*values, cap) -> GroupTable
-    params: tuple | None          # parameter names; None takes any number of integers
-    defaults: dict = {}
-
-
-_KINDS = {
-    "abelian": _Kind(lambda *orders, cap: construct.abelian(orders, cap=cap), None),
-    "cyclic": _Kind(construct.cyclic, ("n",)),
-    "dihedral": _Kind(construct.dihedral, ("order",)),
-    "quaternion": _Kind(construct.quaternion, ("order",)),
-    "heisenberg": _Kind(construct.heisenberg, ("p",)),
-    "modular_p3": _Kind(construct.modular_p3, ("p",)),
-    "extraspecial": _Kind(construct.extraspecial, ("p", "n", "variant"), {"variant": "plus"}),
+_KINDS = {    # abelian takes its orders one by one, as a spec gives them
+    "abelian": lambda *orders, cap=DEFAULT_ORDER_CAP: construct.abelian(orders, cap=cap),
+    "cyclic": construct.cyclic,
+    "dihedral": construct.dihedral,
+    "quaternion": construct.quaternion,
+    "heisenberg": construct.heisenberg,
+    "modular_p3": construct.modular_p3,
+    "extraspecial": construct.extraspecial,
 }
 _PRODUCT_KINDS = {"product": "direct_product", "centralproduct": "central_product"}
 _PRODUCT_NAMES = {kind: name for name, kind in _PRODUCT_KINDS.items()}
@@ -144,38 +143,25 @@ def _value(text: str, pos: int) -> tuple[int | str, int]:
     raise SpecSyntaxError(m.start("token"), "expected a number or identifier")
 
 
-def _bind(spec: GroupSpec, kind: _Kind) -> list:
-    """The spec's parameter values in the order of ``kind.params``."""
-    if kind.params is None:
-        if spec.kwargs:
-            raise BadParameter(f"{spec.kind}: parameters are positional orders")
-        if not all(isinstance(a, int) for a in spec.args):
-            raise BadParameter(f"{spec.kind}: orders must be integers")
-        return list(spec.args)
-    extra = set(spec.kwargs) - set(kind.params)
-    if extra:
-        raise BadParameter(f"{spec.kind}: unknown parameter(s) {sorted(extra)}")
-    if len(spec.args) > len(kind.params):
-        raise BadParameter(f"{spec.kind}: expected at most {len(kind.params)} parameters")
-    values = []
-    for position, name in enumerate(kind.params):
-        if name in spec.kwargs and position < len(spec.args):
-            raise BadParameter(f"{spec.kind}: parameter {name!r} given both by position "
-                               "and by name")
-        if name in spec.kwargs:
-            v = spec.kwargs[name]
-        elif position < len(spec.args):
-            v = spec.args[position]
-        elif name in kind.defaults:
-            v = kind.defaults[name]
-        else:
-            raise BadParameter(f"{spec.kind}: missing parameter {name!r}")
-        wanted = type(kind.defaults.get(name, 0))
-        if not isinstance(v, wanted):
-            raise BadParameter(f"{spec.kind}: parameter {name!r} must be "
-                               f"{'an integer' if wanted is int else 'a word'}, got {v!r}")
-        values.append(v)
-    return values
+def _bind(spec: GroupSpec, build: Callable) -> BoundArguments:
+    """The spec's values bound to the parameters of ``build``, its kind's
+    constructor, that a call may give by place or by name."""
+    sig = signature(build)
+    params = sig.parameters
+    for name in spec.kwargs:
+        if name not in params or params[name].kind is not Parameter.POSITIONAL_OR_KEYWORD:
+            raise BadParameter(f"{spec.kind}: unknown parameter {name!r}")
+    try:
+        bound = sig.bind(*spec.args, **spec.kwargs)
+    except TypeError as err:
+        raise BadParameter(f"{spec.kind}: {err}") from None
+    for name, value in bound.arguments.items():
+        word = isinstance(params[name].default, str)
+        for v in value if params[name].kind is Parameter.VAR_POSITIONAL else [value]:
+            if not isinstance(v, str if word else int):
+                raise BadParameter(f"{spec.kind}: parameter {name!r} must be "
+                                   f"{'a word' if word else 'an integer'}, got {v!r}")
+    return bound
 
 
 def build_group(spec: GroupSpec | str, *, cap: int = DEFAULT_ORDER_CAP,
@@ -201,10 +187,11 @@ def _build_from_spec(spec: GroupSpec, *, cap: int, base_dir) -> GroupTable:
         right = _build_from_spec(spec.children[1], cap=cap, base_dir=base_dir)
         pair = (0, 0) if spec.kind == "direct_product" else _amalgamation_pair(left, right)
         return central_product(left, right, *pair, cap=cap).relabeled(spec.text())
-    kind = _KINDS.get(spec.kind)
-    if kind is None:
+    build = _KINDS.get(spec.kind)
+    if build is None:
         raise UnknownConstructor(f"unknown construction kind {spec.kind!r}")
-    return kind.build(*_bind(spec, kind), cap=cap).relabeled(spec.text())
+    bound = _bind(spec, build)
+    return build(*bound.args, **bound.kwargs, cap=cap).relabeled(spec.text())
 
 
 def _amalgamation_pair(G: GroupTable, H: GroupTable) -> tuple[int, int]:

@@ -139,6 +139,14 @@ MUTANTS = {
         "tests/test_specs.py::test_parse_matches_golden_table[69]",
         "tests/test_specs.py::test_parse_matches_golden_table[71]",
     ]),
+    # a spec names only the parameters a call may give by place or by name,
+    # never the keyword-only cap
+    "spec-binds-keyword-only": (
+        "specs.py", "params[name].kind is not Parameter.POSITIONAL_OR_KEYWORD",
+        "params[name].kind not in (Parameter.POSITIONAL_OR_KEYWORD, Parameter.KEYWORD_ONLY)", [
+            "tests/test_specs.py::test_a_spec_never_sets_the_cap[dihedral(8192,cap=32767)]",
+            "tests/test_specs.py::test_a_spec_never_sets_the_cap[abelian(2,cap=9)]",
+        ]),
     # a dihedral or quaternion group is refused above the cap it is given, not
     # only above the int16 ceiling
     "dihedral-cap-unchecked": ("construct.py", '"dihedral", order, cap)', '"dihedral", order)', [

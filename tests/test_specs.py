@@ -8,6 +8,7 @@ import pytest
 import zclasses as zc
 from zclasses.errors import BadParameter, GroupError, OrderExceedsCap, SpecSyntaxError, \
     UnknownConstructor
+from zclasses.cli import main
 from zclasses.specs import build_group, parse_spec
 
 from oracles import naive_element_order
@@ -109,15 +110,23 @@ def test_build_labels_are_canonical_text():
         "product(dihedral(8),abelian(2))"
 
 
-def test_build_bad_parameters():
-    with pytest.raises(BadParameter):
-        build_group("dihedral(7)")
-    with pytest.raises(BadParameter):
-        build_group("dihedral(8,9)")
-    with pytest.raises(BadParameter):
-        build_group("dihedral(width=8)")
-    with pytest.raises(BadParameter):
-        build_group("extraspecial(2,2,7)")
+@pytest.mark.parametrize("text, name", [
+    ("dihedral()", "order"),                  # missing
+    ("dihedral(8,9)", None),                  # too many
+    ("dihedral(width=8)", "width"),           # unknown name
+    ("abelian(x=3)", "x"),
+    ("extraspecial(2,n=x)", "n"),             # a word for an integer
+    ("abelian(3,plus)", "orders"),
+    ("extraspecial(2,2,7)", "variant"),       # an integer for a word
+])
+def test_build_bad_parameters(text, name):
+    """The values of a spec bind to its constructor's signature, and each
+    refusal names the kind and the parameter at fault."""
+    with pytest.raises(BadParameter) as err:
+        build_group(text)
+    message = str(err.value)
+    assert message.startswith(f"{parse_spec(text).kind}: "), message
+    assert name is None or f"'{name}'" in message, message
 
 
 @pytest.mark.parametrize("text, name", [("dihedral(16, order=8)", "order"),
@@ -125,8 +134,29 @@ def test_build_bad_parameters():
                                         ("extraspecial(2,2,plus,variant=minus)", "variant")])
 def test_build_refuses_a_parameter_given_twice(text, name):
     # by position and again by name: neither value may win without a word
-    with pytest.raises(BadParameter, match=f"parameter '{name}' given both by position and by name"):
+    with pytest.raises(BadParameter, match=f"multiple values for argument '{name}'"):
         build_group(text)
+
+
+@pytest.mark.parametrize("text", ["dihedral(8192,cap=32767)", "abelian(2,cap=9)",
+                                  "extraspecial(2,6,cap=10000)",
+                                  "product(cyclic(2),dihedral(8192,cap=32767))"])
+def test_a_spec_never_sets_the_cap(text):
+    """cap is keyword-only in every constructor, so no spec can lift it: the
+    spec is refused by the name cap before any table is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParameter, match="'cap'"):
+            build_group(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_a_spec_never_sets_the_cap_on_the_command_line(capsys):
+    assert main(["analyze", "dihedral(8192,cap=32767)"]) == 3
+    assert "'cap'" in capsys.readouterr().err
 
 
 def test_build_central_product_canonical_amalgamation():
