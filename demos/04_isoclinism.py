@@ -38,7 +38,7 @@ for G in (D8, H3, zc.direct_product(H3, zc.abelian([3])), zc.abelian([4])):
     print(f"  {G.label or 'Heis3xC3':10s}", zc.is_stem_group(G))
 
 Q8 = zc.quaternion(8)
-rep = zc.verify_isoclinism_invariance(D8, Q8)
+rep = zc.verify_isoclinism_invariance(D8, Q8, zc.are_isoclinic(D8, Q8))
 print("\nclass counts agree across the D8 ~ Q8 isoclinism:", rep.verdict,
       zc.z_class_count(D8), zc.z_class_count(Q8))
 

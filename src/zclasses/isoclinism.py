@@ -10,7 +10,8 @@ their isoclinisms down: G and G x C_p by the natural map gZ -> (g, 1)Z, and
 a group with |G'| = p and [G : Z] = p^k onto ES(p, k/2, +) by matching
 symplectic bases of the pairing.  Only a pair a user supplies is searched:
 ``are_isoclinic`` runs a complete backtracking search, so a ``None`` answer
-is a proof of non-isoclinism at desk scale.  One helper, ``_close``, extends
+is a proof of non-isoclinism at desk scale, and no check calls it; a check
+of invariance is handed its isoclinism.  One helper, ``_close``, extends
 every map the search tries from generators to the subgroup they generate:
 the map of central quotients from the images chosen so far, and of
 commutator subgroups from the pairing values forced.
@@ -178,16 +179,13 @@ def is_stem_group(G: GroupTable) -> bool:
 
 
 def verify_isoclinism_invariance(G1: GroupTable, G2: GroupTable,
-                                 witness: IsoclinismWitness | None = None) -> TheoremReport:
-    """Given isoclinic groups, assert their class counts agree.
-
-    With no witness, one is searched for under are_isoclinic's default cap;
-    the report is vacuous when the search proves the groups not isoclinic.
-    """
-    if witness is not None:
-        witness.validate()
-    elif are_isoclinic(G1, G2) is None:    # a found witness is validated
+                                 witness: IsoclinismWitness | None) -> TheoremReport:
+    """Given an isoclinism of G1 onto G2, validate it and assert the class
+    counts agree.  The report is vacuous on ``None``, which are_isoclinic
+    returns when it proves the groups not isoclinic."""
+    if witness is None:
         return TheoremReport("isoclinism-invariance", None)
+    witness.validate()
     c1, c2 = z_class_count(G1), z_class_count(G2)
     return TheoremReport("isoclinism-invariance", c1 == c2,
                          None if c1 == c2 else f"counts differ: {c1} vs {c2}")

@@ -341,20 +341,32 @@ def test_stem_with_prime_derived_is_extraspecial(catalog):
 # ------------------------------------------------------------ invariance
 
 def test_invariance_d8_q8(catalog):
-    rep = zc.verify_isoclinism_invariance(catalog["D8"], catalog["Q8"])
+    G1, G2 = catalog["D8"], catalog["Q8"]
+    rep = zc.verify_isoclinism_invariance(G1, G2, zc.are_isoclinic(G1, G2))
     assert rep.verdict == "confirmed"
-    assert zc.z_class_count(catalog["D8"]) == zc.z_class_count(catalog["Q8"]) == 4
+    assert zc.z_class_count(G1) == zc.z_class_count(G2) == 4
 
 
 def test_invariance_heisenberg_modular(catalog):
-    rep = zc.verify_isoclinism_invariance(catalog["Heis3"], catalog["M27"])
+    G1, G2 = catalog["Heis3"], catalog["M27"]
+    rep = zc.verify_isoclinism_invariance(G1, G2, zc.are_isoclinic(G1, G2))
     assert rep.verdict == "confirmed"
-    assert zc.z_class_count(catalog["Heis3"]) == zc.z_class_count(catalog["M27"]) == 5
+    assert zc.z_class_count(G1) == zc.z_class_count(G2) == 5
 
 
 def test_invariance_requires_isoclinic(pencil_pair):
-    rep = zc.verify_isoclinism_invariance(*pencil_pair)
+    rep = zc.verify_isoclinism_invariance(*pencil_pair, zc.are_isoclinic(*pencil_pair))
     assert (rep.theorem, rep.verdict, rep.witness) == ("isoclinism-invariance", "vacuous", None)
+
+
+def test_invariance_refuses_a_corrupted_witness(catalog):
+    # the check validates the isoclinism it is handed before it compares counts,
+    # which D8 and Q8 share, so only validation can refuse this phi
+    G1, G2 = catalog["D8"], catalog["Q8"]
+    w = zc.are_isoclinic(G1, G2)
+    forged = zc.IsoclinismWitness(G1, G2, np.roll(w.phi, 1), w.psi)
+    with pytest.raises(NotAnIsoclinism):
+        zc.verify_isoclinism_invariance(G1, G2, forged)
 
 
 def test_direct_factor_invariance_catalog(catalog, monkeypatch):

@@ -75,6 +75,14 @@ MUTANTS = {
             "tests/test_isoclinism.py::test_est_witness_on_relabelled_groups"
             "[1-extraspecial(2,3,plus)]",
         ]),
+    # the invariance check validates the isoclinism it is handed
+    "invariance-skips-validation": (
+        "isoclinism.py", """    witness.validate()
+    c1, c2 = z_class_count(G1), z_class_count(G2)""",
+        "    c1, c2 = z_class_count(G1), z_class_count(G2)", [
+            "tests/test_isoclinism.py::test_invariance_refuses_a_corrupted_witness",
+            "tests/test_isoclinism.py::test_direct_factor_invariance_catalog",
+        ]),
     # an extraspecial group has a center of order p ...
     "extraspecial-any-center": ("construct.py", "center(G).size == pw[0] and ", "", [
         "tests/test_construct.py::test_is_extraspecial_matches_definition[D8xC2]",

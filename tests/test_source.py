@@ -164,6 +164,23 @@ def test_quotient_table_is_read_only_where_quotient_products_are():
     assert "isoclinism.py:IsoclinismWitness" in readers, readers
 
 
+def test_only_the_search_calls_the_search():
+    """No check searches for an isoclinism: it writes its isoclinism down or
+    is handed one.  Outside `are_isoclinic` and its node `_search`, nothing in
+    the library calls either, so the search runs only for a caller who asks."""
+    search = {"are_isoclinic", "_search"}
+    callers = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                    if name in search:
+                        callers.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert callers == {"isoclinism.py:are_isoclinic", "isoclinism.py:_search"}, callers
+
+
 def test_direct_product_is_a_central_product():
     """A direct product is the central product amalgamating nothing, and one
     code builds product tables: `direct_product` calls `central_product` once,

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import zclasses as zc
-from zclasses.core import _first_conjugator, prime_power
+from zclasses.core import prime_power
 from zclasses.errors import BadParameter
 from zclasses.zclass import _cells
 
-from conftest import CTV, PERMUTATION_GENERATORS, ZCLASS_COUNTS, heisenberg_mod, shuffled
+from conftest import (CTV, EXTRASPECIAL_CASES, PERMUTATION_GENERATORS, ZCLASS_COUNTS,
+                      heisenberg_mod, shuffled)
 from oracles import (naive_abelian_index_p, naive_fixed_set, naive_frattini,
                      naive_index_p_subgroups, naive_is_subgroup, naive_local_center,
                      naive_z_partition)
@@ -115,20 +116,24 @@ def test_partition_matches_pairwise_oracle(catalog):
 
 def test_partition_soundness_sampled_large(catalog):
     # orders above 128: re-verify conjugacy within / across classes on every
-    # pair of equal-centralizer cell representatives, which covers all pairs
+    # pair of equal-centralizer cell representatives, which covers all pairs.
+    # C_x and C_y are conjugate when their orders agree and C_y holds all of
+    # some C_x^g; one gather conjugates C_x by every g, as g^-1 (h g)
     for name in ("ES(3,2,+)", "Heis3xC9"):
         G = catalog[name]
         part = zc.z_class_partition(G)
         reps = np.unique(G.mult == G.mult.T, axis=0, return_index=True)[1].tolist()
+        cents = {x: zc.centralizer(G, x) for x in reps}
         for x, y in itertools.product(reps, repeat=2):
             same = part.class_index_of(x) == part.class_index_of(y)
-            Cx, Cy = zc.centralizer(G, x), zc.centralizer(G, y)
-            assert (_first_conjugator(G, [Cx.members()], Cy) is not None) == same
+            Cx, Cy = cents[x], cents[y]
+            conjugates = G.mult[G.inv, G.mult[Cx.members()]]     # [i, g] = h_i^g
+            assert (Cx.size == Cy.size and Cy.mask[conjugates].all(axis=0).any()) == same
 
 
 @pytest.mark.parametrize("spec, seed", [("dihedral(1024)", None), ("dihedral(4096)", None),
-                                        ("dihedral(1024)", 11)],
-                         ids=["D1024", "D4096", "shuffled-D1024"])
+                                        ("dihedral(1024)", 11), ("dihedral(2048)", 12)],
+                         ids=["D1024", "D4096", "shuffled-D1024", "shuffled-D2048"])
 def test_dihedral_partition_matches_closed_form(spec, seed):
     """D_N, 8 | N, has the z-classes Z = <r^(N/4)>, the other N/2 - 2
     rotations, and the reflections s*r^i in two classes of N/4 by the parity
@@ -144,6 +149,23 @@ def test_dihedral_partition_matches_closed_form(spec, seed):
         expected = [np.array([0, n // 2]), ids[ids % 4 == 1],
                     ids[(ids % 2 == 0) & (ids % (n // 2) != 0)], ids[ids % 4 == 3]]
         assert [c.members.tolist() for c in part.classes] == [e.tolist() for e in expected]
+
+
+def test_class_two_partition_is_the_cells(catalog):
+    """When G' lies in Z(G), every centralizer contains G' and so is normal:
+    it is conjugate only to itself, each z-class is one cell of equal
+    centralizers, and the partition's lookup is the cell index.  D16, Q16
+    and D4096, of class above 2, merge cells, so the identity is no
+    consequence of how the cells are numbered."""
+    groups = [*catalog.values(), *(build() for build in EXTRASPECIAL_CASES.values()),
+              heisenberg_mod(4), heisenberg_mod(9), zc.heisenberg(11)]
+    class_two = [G for G in groups if zc.commutator_subgroup(G).is_subset_of(zc.center(G))]
+    for G in class_two:
+        assert np.array_equal(zc.z_class_partition(G).lookup, _cells(G)[1]), G.label
+    assert len(class_two) > 20
+    for spec, cells in (("dihedral(16)", 6), ("quaternion(16)", 6), ("dihedral(4096)", 1026)):
+        G = zc.build_group(spec)
+        assert (_cells(G)[0].size, zc.z_class_count(G)) == (cells, 4), spec
 
 
 def test_partition_conjugation_invariance(catalog):
