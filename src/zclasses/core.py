@@ -234,15 +234,14 @@ class SubgroupSet:
 
 
 class QuotientGroup(NamedTuple):
-    """The central quotient G/Z(G) as projection data, one read-only value
-    memoised by :func:`central_quotient`; :func:`quotient_table` multiplies.
-
-    ``projection[a]`` is the quotient id of the coset a*Z; ``coset_reps[q]``
-    is the smallest parent element in coset q (so rep 0 is the identity).
-    """
+    """G/Z(G) without its table, memoised by :func:`central_quotient`:
+    ``projection[a]`` is the quotient id of a*Z, ``coset_reps[q]`` the
+    smallest member of coset q (rep 0 is the identity) and ``orders[q]`` its
+    order in G/Z.  :func:`quotient_table` multiplies."""
 
     projection: np.ndarray
     coset_reps: np.ndarray
+    orders: np.ndarray
 
 
 def validate_group_table(G: GroupTable) -> None:
@@ -553,14 +552,15 @@ def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
 def central_quotient(G: GroupTable) -> QuotientGroup:
     """G/Z(G), memoised and returned as is.  Each coset is labelled by its
     smallest member, the minimum of Z*g read along the rows z of the center,
-    _ROW_BLOCK rows at a time."""
+    _ROW_BLOCK rows at a time, and its order is its members' order modulo Z."""
     def compute():
         mem = center(G).members()
         coset_min = np.arange(G.order, dtype=ID_DTYPE)        # the row of the identity
         for lo in range(0, mem.size, _ROW_BLOCK):
             np.minimum(coset_min, G.mult[mem[lo:lo + _ROW_BLOCK]].min(axis=0), out=coset_min)
         reps = np.unique(coset_min)
-        return QuotientGroup(np.searchsorted(reps, coset_min).astype(ID_DTYPE), reps)
+        return QuotientGroup(np.searchsorted(reps, coset_min).astype(ID_DTYPE), reps,
+                             _orders_modulo(G, center(G).mask)[reps].astype(ID_DTYPE))
     return G._memo("central_quotient", compute)
 
 
@@ -568,7 +568,7 @@ def quotient_table(G: GroupTable) -> GroupTable:
     """G/Z(G) as its own GroupTable, memoised: the projected products of the
     coset representatives.  Only the checks that multiply in G/Z build it."""
     def compute():
-        proj, reps = central_quotient(G)
+        proj, reps, _ = central_quotient(G)
         qmult = _fill_rows((reps.size,) * 2, lambda r: proj[np.take(G.mult[reps[r]], reps, axis=1)])
         label = f"{G.label or 'G'}/{G.order // reps.size}"
         return GroupTable(qmult, proj[G.inv[reps]], label=label)

@@ -135,15 +135,14 @@ def are_isoclinic(G1: GroupTable, G2: GroupTable,
         return None
     if q1 > cap:
         raise QuotientExceedsCap(f"|G/Z| = {q1} exceeds the search cap {cap}")
-    Q1, Q2 = quotient_table(G1), quotient_table(G2)
-    oq1, oq2 = element_orders(Q1), element_orders(Q2)
+    oq1, oq2 = central_quotient(G1).orders, central_quotient(G2).orders
     if sorted(oq1.tolist()) != sorted(oq2.tolist()):
         return None
     od1 = np.sort(element_orders(G1)[D1.members()])
     od2 = np.sort(element_orders(G2)[D2.members()])
     if not np.array_equal(od1, od2):
         return None
-    return _search(G1, G2, greedy_generating_sequence(Q1), oq1, oq2, [])
+    return _search(G1, G2, greedy_generating_sequence(quotient_table(G1)), oq1, oq2, [])
 
 
 def _search(G1: GroupTable, G2: GroupTable, gens: list[int], oq1: np.ndarray,

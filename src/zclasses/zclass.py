@@ -20,7 +20,6 @@ from .core import (
     SubgroupSet,
     _first_conjugator,
     _ids,
-    _orders_modulo,
     center,
     central_quotient,
     centralizer,
@@ -28,7 +27,6 @@ from .core import (
     greedy_generating_sequence,
     is_abelian,
     normalizer,
-    power_map,
     prime_power,
     quotient_table,
 )
@@ -189,26 +187,26 @@ def max_zclass_bound(G: GroupTable) -> int | None:
 
 def condition_central_quotient_elementary(G: GroupTable) -> bool:
     """Whether G/Z(G) is elementary abelian, false for G abelian: [G : Z] = p^k,
-    and the generators S of greedy_generating_sequence(G) commute modulo Z and
-    have p-th powers in Z, |S|^2 + |S| lookups, as S generates G/Z."""
-    Z, s = center(G), np.array(greedy_generating_sequence(G), dtype=np.intp)
+    and the cosets of greedy_generating_sequence(G), which generate G/Z, commute
+    and have orders at most p."""
+    Z, quo = center(G), central_quotient(G)
+    s = np.array(greedy_generating_sequence(G), dtype=np.intp)
     pw, m, inv = prime_power(G.order // Z.size), G.mult, G.inv[s]
     return pw is not None and bool(Z.mask[m[m[m[np.ix_(inv, inv)], s[:, None]], s]].all()
-                                   and Z.mask[power_map(G, s, pw[0])].all())
+                                   and (quo.orders[quo.projection[s]] <= pw[0]).all())
 
 
 def condition_local_center(G: GroupTable) -> tuple[bool, int | None]:
     """Check Z(C_G(x)) = <x, Z(G)> for every noncentral x.
 
     <x, Z(G)> always lies in Z(C_G(x)) and has order |Z(G)| * ord(xZ), so
-    the condition compares two orders, ord(xZ) computed on G; Z(C_G(x)) is the
+    the condition compares two orders, ord(xZ) read off G/Z; Z(C_G(x)) is the
     union of the cells whose centralizer contains C_G(x), read off the cell table.
     Returns (True, None), or (False, x) for the smallest offending x.
     """
-    Z = center(G)
-    generated = Z.size * _orders_modulo(G, Z.mask)
+    Z, quo = center(G), central_quotient(G)
     _, cell, _, local = _cells(G)
-    bad = np.flatnonzero((local[cell] != generated) & ~Z.mask)
+    bad = np.flatnonzero((local[cell] != Z.size * quo.orders[quo.projection]) & ~Z.mask)
     return (False, int(bad[0])) if bad.size else (True, None)
 
 

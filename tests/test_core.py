@@ -569,11 +569,12 @@ def test_quotient_facts_read_on_g_match_the_quotient_table(name, catalog):
     """Condition 1, the coset orders and G' are read on G through the
     projection; each matches its reading on the table of G/Z: elementary
     abelian, element orders, and G' from the pairing rows of G/Z's own
-    generators."""
+    generators.  The orders `central_quotient` carries are those of G/Z."""
     G = catalog[name] if name in catalog else QUOTIENT_CASES[name]()
     Q, proj = zc.quotient_table(G), zc.central_quotient(G).projection
     assert zc.condition_central_quotient_elementary(G) == (zc.is_elementary_abelian(Q) is not None)
     assert np.array_equal(_orders_modulo(G, zc.center(G).mask), zc.element_orders(Q)[proj])
+    assert np.array_equal(zc.central_quotient(G).orders, zc.element_orders(Q))
     rows = zc.commutator_pairing(G)[core.greedy_generating_sequence(Q)]
     assert zc.commutator_subgroup(G) == zc.subgroup_generated(G, rows.ravel())
 

@@ -98,15 +98,22 @@ MUTANTS = {
             "tests/test_core.py::test_quotient_facts_read_on_g_match_the_quotient_table"
             "[perm-C3wrC3]",
         ]),
-    # ... and have their p-th powers in Z, which those of Heisenberg over Z/p^2
-    # do not, though they commute modulo Z
-    "quotient-elementary-no-power-clause": (
+    # ... and have cosets of order at most p, which those of Heisenberg over
+    # Z/p^2 do not, though they commute modulo Z
+    "quotient-elementary-no-orders-clause": (
         "zclass.py", """
-                                   and Z.mask[power_map(G, s, pw[0])].all())""", ")", [
+                                   and (quo.orders[quo.projection[s]] <= pw[0]).all())""", ")", [
             "tests/test_zclass.py::test_abelian_quotient_that_is_not_elementary[Heis(Z/4)]",
             "tests/test_core.py::test_quotient_facts_read_on_g_match_the_quotient_table"
             "[Heis(Z/9)]",
         ]),
+    # the coset orders are taken modulo the center, not modulo the identity
+    "coset-orders-modulo-nothing": ("core.py", "_orders_modulo(G, center(G).mask)",
+                                    "_orders_modulo(G, np.arange(G.order) == 0)", [
+        "tests/test_construct.py::test_is_extraspecial_needs_both_conditions"
+        "[product(dihedral(8),abelian(2))-4-True]",
+        "tests/test_refutation.py::test_check_refutes_under_one_fault[mt]",
+    ]),
     # a token cut by the end of a block is carried into the next block
     "loader-drops-partial-token": ("core.py", "data, carry = data[:cut], data[cut:]",
                                    'data, carry = data[:cut], b""', [

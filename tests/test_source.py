@@ -181,6 +181,20 @@ def test_only_the_search_calls_the_search():
     assert callers == {"isoclinism.py:are_isoclinic", "isoclinism.py:_search"}, callers
 
 
+def test_coset_orders_are_computed_in_one_place():
+    """G/Z's element orders are computed once, by `central_quotient`, which
+    carries them: the conditions and the isoclinism search read that vector.
+    Outside it, only `element_orders` (orders modulo the identity) calls
+    `_orders_modulo`."""
+    callers = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_orders_modulo":
+                    callers.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert callers == {"core.py:element_orders", "core.py:central_quotient"}, callers
+
+
 def test_direct_product_is_a_central_product():
     """A direct product is the central product amalgamating nothing, and one
     code builds product tables: `direct_product` calls `central_product` once,
