@@ -22,6 +22,7 @@ from .core import (
     ID_DTYPE,
     MAX_ORDER,
     GroupTable,
+    _amalgamation_pair,
     _fill_rows,
     center,
     central_product,
@@ -166,8 +167,7 @@ def extraspecial(p: int, n: int, variant: str = "plus", *,
     G = base = kinds[0](q, cap=cap) if variant == "minus" and n > 1 else last
     for i in range(1, n):
         F = last if i == n - 1 else base
-        G = central_product(G, F, int(center(G).members()[1]), int(center(F).members()[1]),
-                            cap=cap)
+        G = central_product(G, F, *_amalgamation_pair(G, F), cap=cap)
     return G.relabeled(f"ES({p},{n},{'+' if variant == 'plus' else '-'})")
 
 

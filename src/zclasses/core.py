@@ -23,6 +23,7 @@ Conventions used consistently throughout the package:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -661,6 +662,20 @@ def direct_product(G: GroupTable, H: GroupTable, *, cap: int = DEFAULT_ORDER_CAP
     gets id g*|H| + h."""
     label = f"{G.label}x{H.label}" if G.label and H.label else ""
     return central_product(G, H, 0, 0, cap=cap).relabeled(label)
+
+
+def _amalgamation_pair(G: GroupTable, H: GroupTable) -> tuple[int, int]:
+    """The smallest central elements of order p in G and in H, p the smallest
+    prime dividing gcd(|Z(G)|, |Z(H)|): by Cauchy's theorem those primes are
+    the prime orders that central elements of both groups have."""
+    shared = math.gcd(center(G).size, center(H).size)
+    if shared == 1:
+        raise BadParameter("centralproduct: factors share no central prime order")
+    p = smallest_prime_factor(shared)
+    def least_of_order_p(T: GroupTable) -> int:
+        Z = center(T).members()[1:]
+        return int(Z[np.flatnonzero(power_map(T, Z, p) == 0)[0]])
+    return least_of_order_p(G), least_of_order_p(H)
 
 
 def central_product(G: GroupTable, H: GroupTable, zg: int, zh: int, *,

@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Callable
 
 from . import construct
-from .core import DEFAULT_ORDER_CAP, GroupTable, center, central_product, element_orders, \
-    is_prime, read_cayley_table
+from .core import DEFAULT_ORDER_CAP, GroupTable, _amalgamation_pair, central_product, \
+    direct_product, read_cayley_table
 from .errors import BadParameter, SpecSyntaxError, UnknownConstructor
 
 
@@ -185,29 +185,12 @@ def _build_from_spec(spec: GroupSpec, *, cap: int, base_dir) -> GroupTable:
     if spec.kind in _PRODUCT_NAMES:
         left = _build_from_spec(spec.children[0], cap=cap, base_dir=base_dir)
         right = _build_from_spec(spec.children[1], cap=cap, base_dir=base_dir)
-        pair = (0, 0) if spec.kind == "direct_product" else _amalgamation_pair(left, right)
-        return central_product(left, right, *pair, cap=cap).relabeled(spec.text())
+        product = direct_product(left, right, cap=cap) if spec.kind == "direct_product" \
+            else central_product(left, right, *_amalgamation_pair(left, right), cap=cap)
+        return product.relabeled(spec.text())
     build = _KINDS.get(spec.kind)
     if build is None:
         raise UnknownConstructor(f"unknown construction kind {spec.kind!r}")
     bound = _bind(spec, build)
     return build(*bound.args, **bound.kwargs, cap=cap).relabeled(spec.text())
 
-
-def _amalgamation_pair(G: GroupTable, H: GroupTable) -> tuple[int, int]:
-    """Canonical central elements for the spec form of a central product:
-    the smallest central elements of the smallest shared prime order."""
-    def prime_central(T: GroupTable) -> dict[int, int]:
-        out: dict[int, int] = {}
-        orders = element_orders(T)
-        for z in center(T).members()[1:]:
-            if is_prime(int(orders[z])):
-                out.setdefault(int(orders[z]), int(z))
-        return out
-
-    cg, ch = prime_central(G), prime_central(H)
-    shared = sorted(set(cg) & set(ch))
-    if not shared:
-        raise BadParameter("centralproduct: factors share no central prime order")
-    p = shared[0]
-    return cg[p], ch[p]

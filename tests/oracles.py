@@ -278,6 +278,24 @@ def naive_central_product(G, H, zg: int, zh: int,
     return mult, [index[label(ginv[g], hinv[h])] for g, h in pairs]
 
 
+def naive_amalgamation_pair(G, H) -> tuple[int, int] | None:
+    """The pair the spec form of a central product amalgamates, by a scan of
+    both centers: the smallest central elements of the smallest prime order
+    that some central element of each group has, orders by repeated
+    multiplication.  None when the centers share no prime order."""
+    def prime_central(T) -> dict[int, int]:
+        m, out = table_of(T), {}
+        for z in sorted(naive_center(T)):
+            k = _order_in(m, z)
+            if k > 1 and all(k % d for d in range(2, k)):
+                out.setdefault(k, z)
+        return out
+
+    cg, ch = prime_central(G), prime_central(H)
+    shared = sorted(set(cg) & set(ch))
+    return (cg[shared[0]], ch[shared[0]]) if shared else None
+
+
 def naive_permutation_table(gens) -> tuple[list[list[int]], list[int]]:
     """The permutation group generated by ``gens`` by breadth-first closure and
     one composition per pair, ``(p*q)(i) = p[q[i]]``, with element ids in

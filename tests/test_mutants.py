@@ -183,6 +183,34 @@ MUTANTS = {
             "[heisenberg]",
             "tests/test_specs.py::test_build_refusal_matches_golden_table[heisenberg(18)]",
         ]),
+    # a central product amalgamates the smallest prime dividing both centers'
+    # orders, not the largest ...
+    "amalgamation-largest-prime": (
+        "core.py", "p = smallest_prime_factor(shared)",
+        "p = max(q for q in range(2, shared + 1) if shared % q == 0 and is_prime(q))", [
+            "tests/test_tables.py::test_central_product_spec_matches_oracle"
+            "[cyclic(6)-abelian(2,3)]",
+            "tests/test_tables.py::test_amalgamation_pair_matches_the_scan[cyclic(6)]",
+        ]),
+    # ... and the smallest central element of that order, not the largest
+    "amalgamation-largest-element": ("core.py", "power_map(T, Z, p) == 0)[0]",
+                                     "power_map(T, Z, p) == 0)[-1]", [
+        "tests/test_tables.py::test_central_product_spec_matches_oracle"
+        "[product(heisenberg(3),abelian(3))-heisenberg(3)]",
+        "tests/test_tables.py::test_amalgamation_pair_matches_the_scan[abelian(2,2)]",
+    ]),
+    # condition 1 reads every greedy generator of G, not only the last, which
+    # depends on the order of the ids: D16's natural ids end the sequence with
+    # a rotation, whose coset of order 4 fails it, so the catalog bytes hold;
+    # relabelled, a reflection can end it and pass
+    "cond1-last-generator-only": (
+        "zclass.py", "s = np.array(greedy_generating_sequence(G), dtype=np.intp)",
+        "s = np.array(greedy_generating_sequence(G)[-1:], dtype=np.intp)", [
+            "tests/test_relabelling.py::test_reports_are_invariant_under_relabelling"
+            "[catalog_builtin.jsonl-D16-1]",
+            "tests/test_relabelling.py::test_reports_are_invariant_under_relabelling"
+            "[catalog_builtin.jsonl-Q16-2]",
+        ]),
 }
 
 # prints the file of the package it imports, then runs pytest on its arguments

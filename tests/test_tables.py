@@ -24,13 +24,13 @@ import pytest
 
 import zclasses as zc
 from zclasses import catalog, cli, core
-from zclasses.errors import NotAGroup, OrderExceedsCap
+from zclasses.errors import BadParameter, NotAGroup, OrderExceedsCap
 from zclasses.core import _first_conjugator
-from zclasses.specs import _KINDS, _amalgamation_pair
+from zclasses.specs import _KINDS
 from zclasses.zclass import _cells
 
 from conftest import PERMUTATION_GENERATORS
-from oracles import naive_central_product
+from oracles import naive_amalgamation_pair, naive_central_product
 
 FROZEN_DIGESTS = {
     "extraspecial(2,4,plus)": (
@@ -124,10 +124,6 @@ def _es_factors(p, n, variant):
     return [base] * (n - 1) + [last]
 
 
-def _second_central(G):
-    return int(zc.center(G).members()[1])
-
-
 @pytest.mark.parametrize("p,n,variant", [(p, n, v) for p, n in ((2, 2), (2, 3), (3, 2))
                                          for v in ("plus", "minus")])
 def test_extraspecial_steps_match_oracle(p, n, variant):
@@ -136,7 +132,7 @@ def test_extraspecial_steps_match_oracle(p, n, variant):
     factors = _es_factors(p, n, variant)
     G = factors[0]
     for F in factors[1:]:
-        zg, zf = _second_central(G), _second_central(F)
+        zg, zf = naive_amalgamation_pair(G, F)
         mult, inv = naive_central_product(G, F, zg, zf)
         G = zc.central_product(G, F, zg, zf)
         assert G.mult.tolist() == mult
@@ -148,14 +144,42 @@ def test_extraspecial_steps_match_oracle(p, n, variant):
     ("dihedral(8)", "quaternion(8)"), ("dihedral(8)", "abelian(4)"),
     ("heisenberg(3)", "abelian(9)"), ("heisenberg(3)", "modular_p3(3)"),
     ("dihedral(16)", "quaternion(16)"), ("abelian(6)", "dihedral(12)"),
+    # centers sharing the primes 2 and 3, and a shared 3 that is not the
+    # smallest prime of the left center's order
+    ("cyclic(6)", "abelian(2,3)"), ("cyclic(6)", "cyclic(3)"),
+    # a center with four subgroups of order 3, which the least and the
+    # greatest central element of order 3 tell apart
+    ("product(heisenberg(3),abelian(3))", "heisenberg(3)"),
 ])
 def test_central_product_spec_matches_oracle(left, right):
     G, H = zc.build_group(left), zc.build_group(right)
-    zg, zh = _amalgamation_pair(G, H)
+    zg, zh = naive_amalgamation_pair(G, H)
     mult, inv = naive_central_product(G, H, zg, zh)
     P = zc.build_group(f"centralproduct({left},{right})")
     assert P.mult.tolist() == mult
     assert P.inv.tolist() == inv
+
+
+AMALGAMATED = ["cyclic(1)", "cyclic(2)", "cyclic(3)", "cyclic(6)", "abelian(2,3)", "abelian(2,2)",
+               "abelian(9)", "cyclic(10)", "dihedral(6)", "dihedral(8)", "dihedral(12)",
+               "quaternion(8)", "heisenberg(3)", "modular_p3(3)",
+               "product(heisenberg(3),abelian(2))", "product(dihedral(6),cyclic(5))"]
+
+
+@pytest.mark.parametrize("left", AMALGAMATED)
+def test_amalgamation_pair_matches_the_scan(left):
+    """The pair read off the centers' orders by Cauchy's theorem is the pair
+    the oracle's scan of every central element's order finds, refusals
+    included, against each group of the list as the right factor."""
+    G = zc.build_group(left)
+    for right in AMALGAMATED:
+        H = zc.build_group(right)
+        pair = naive_amalgamation_pair(G, H)
+        if pair is None:
+            with pytest.raises(BadParameter, match="share no central prime order"):
+                core._amalgamation_pair(G, H)
+        else:
+            assert core._amalgamation_pair(G, H) == pair, right
 
 
 @pytest.mark.parametrize("left,right", [
