@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .catalog import (
     ANALYZE_COLUMNS,
@@ -24,7 +23,7 @@ from .catalog import (
     run_theorem,
     theorem_record,
 )
-from .core import DEFAULT_ORDER_CAP, MAX_ORDER
+from .core import DEFAULT_ORDER_CAP, MAX_ORDER, _overwriting
 from .errors import CatalogSyntaxError, GroupError, SpecSyntaxError, UnknownConstructor
 from .specs import build_group
 
@@ -59,7 +58,8 @@ def _emit_records(records, columns, fmt: str, output: str | None) -> None:
     else:
         text = records_to_json_lines(records)
     if output:
-        Path(output).write_text(text)
+        with _overwriting(output) as out:
+            out.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 

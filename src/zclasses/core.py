@@ -24,7 +24,10 @@ Conventions used consistently throughout the package:
 from __future__ import annotations
 
 import math
+import os
 import re
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -433,12 +436,25 @@ def write_cayley_table(G: GroupTable, path) -> None:
     then one line per row of single-space-separated decimal ids, gathered 32
     rows at a time as names with their separators, NUL-padded to one width."""
     spaced, ended = (np.array([f"{v}{end}" for v in range(G.order)], dtype="S") for end in " \n")
-    with Path(path).open("wb") as out:
+    with _overwriting(path) as out:
         out.write(b"%d\n" % G.order)
         for lo in range(0, G.order, 32):
             block = spaced[rows := G.mult[lo:lo + 32]]
             block[:, -1] = ended[rows[:, -1]]
             out.write(block.tobytes().translate(None, b"\0"))
+
+
+@contextmanager
+def _overwriting(path):
+    """The library's one writer: ``path`` written over in place, not truncated
+    first (on ext4 that makes the next rewrite wait for the disk), so it keeps
+    its inode, then cut to what was written unless it is a device or a pipe."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        try:
+            yield out
+        finally:
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()
 
 
 def subgroup_generated(G: GroupTable, gens) -> SubgroupSet:

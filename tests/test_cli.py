@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,29 @@ def test_catalog_byte_identical(tmp_path):
     res = run_cli("catalog", "--output", str(out))
     assert res.returncode == 0, res.stderr
     assert out.read_bytes() == (DATA / "catalog_builtin.jsonl").read_bytes()
+
+
+def test_catalog_output_over_a_longer_file(tmp_path):
+    """``--output`` writes over an existing file and cuts it to the report."""
+    golden = (DATA / "catalog_builtin.jsonl").read_bytes()
+    out = tmp_path / "report.jsonl"
+    out.write_bytes(b"junk\n" * (len(golden) // 5 + 1000))
+    res = run_cli("catalog", "--output", str(out))
+    assert res.returncode == 0, res.stderr
+    assert out.read_bytes() == golden
+
+
+def test_catalog_output_to_dev_null():
+    """A device cannot be cut to length, so it is written as a stream."""
+    res = run_cli("catalog", "--output", os.devnull)
+    assert res.returncode == 0, res.stderr
+
+
+def test_catalog_output_to_a_pipe():
+    """``--output /dev/stdout`` on a pipe delivers the whole report."""
+    res = subprocess.run(CLI + ["catalog", "--output", "/dev/stdout"], capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (DATA / "catalog_builtin.jsonl").read_bytes()
 
 
 def test_catalog_empty_file(tmp_path):

@@ -1,3 +1,5 @@
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,13 @@ import pytest
 
 import zclasses as zc
 from zclasses import core
-from zclasses.core import _conjugates, _first_conjugator, _greedy_walk, _orders_modulo
+from zclasses.core import (
+    _conjugates,
+    _first_conjugator,
+    _greedy_walk,
+    _orders_modulo,
+    _overwriting,
+)
 from zclasses.errors import BadParameter, NotAGroup, OrderExceedsCap
 from zclasses.zclass import _cells
 
@@ -1042,3 +1050,49 @@ def test_cayley_write_bytes_above_256(tmp_path):
     rows = [" ".join(str(int(v)) for v in row) for row in G.mult]   # reference writer
     assert path.read_bytes() == ("\n".join([str(G.order)] + rows) + "\n").encode()
     assert np.array_equal(zc.read_cayley_table(path).mult, G.mult)
+
+
+def _reference_bytes(G) -> bytes:
+    rows = [" ".join(str(int(v)) for v in row) for row in G.mult]   # reference writer
+    return ("\n".join([str(G.order)] + rows) + "\n").encode()
+
+
+def test_cayley_rewrite_leaves_no_stale_tail(tmp_path):
+    """A file is written over in place, then cut to what was written: C3
+    over a D1024 file reads back as C3 alone."""
+    path = tmp_path / "g.cayley"
+    zc.write_cayley_table(zc.dihedral(1024), path)
+    zc.write_cayley_table(zc.cyclic(3), path)
+    assert path.read_bytes() == _reference_bytes(zc.cyclic(3))
+
+
+def test_cayley_rewrite_keeps_the_inode_and_mode(tmp_path):
+    path = tmp_path / "g.cayley"
+    zc.write_cayley_table(zc.dihedral(16), path)
+    path.chmod(0o600)
+    before = path.stat()
+    zc.write_cayley_table(zc.cyclic(3), path)
+    after = path.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o600
+    assert path.read_bytes() == _reference_bytes(zc.cyclic(3))
+
+
+def test_cayley_rewrite_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.cayley", tmp_path / "link.cayley"
+    zc.write_cayley_table(zc.dihedral(16), target)
+    os.symlink(target, link)
+    zc.write_cayley_table(zc.cyclic(3), link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _reference_bytes(zc.cyclic(3))
+
+
+def test_overwriting_leaves_the_prefix_on_error(tmp_path):
+    """A write that raises still cuts the file to what it wrote."""
+    path = tmp_path / "f"
+    path.write_bytes(b"a longer file than the prefix")
+    with pytest.raises(RuntimeError, match="stop"):
+        with _overwriting(path) as out:
+            out.write(b"abc")
+            raise RuntimeError("stop")
+    assert path.read_bytes() == b"abc"

@@ -211,6 +211,19 @@ MUTANTS = {
             "tests/test_relabelling.py::test_reports_are_invariant_under_relabelling"
             "[catalog_builtin.jsonl-Q16-2]",
         ]),
+    # the writer cuts a regular file to what it wrote ...
+    "overwrite-keeps-stale-tail": ("core.py", "                out.truncate()",
+                                   "                pass", [
+        "tests/test_core.py::test_cayley_rewrite_leaves_no_stale_tail",
+        "tests/test_core.py::test_overwriting_leaves_the_prefix_on_error",
+        "tests/test_cli.py::test_catalog_output_over_a_longer_file",
+    ]),
+    # ... and only a regular file: a device or a pipe cannot be cut
+    "overwrite-truncates-streams": ("core.py", "if stat.S_ISREG(os.fstat(out.fileno()).st_mode):",
+                                    "if True:", [
+        "tests/test_cli.py::test_catalog_output_to_dev_null",
+        "tests/test_cli.py::test_catalog_output_to_a_pipe",
+    ]),
 }
 
 # prints the file of the package it imports, then runs pytest on its arguments

@@ -195,6 +195,33 @@ def test_coset_orders_are_computed_in_one_place():
     assert callers == {"core.py:element_orders", "core.py:central_quotient"}, callers
 
 
+def _writes(call: ast.Call) -> bool:
+    """Whether ``call`` writes a file: ``write_text``, ``write_bytes``,
+    ``os.open``, or an ``open`` whose mode (a literal argument or ``mode=``)
+    writes, appends, creates or updates."""
+    fn = call.func
+    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+    if name in {"write_text", "write_bytes"}:
+        return True
+    if name != "open":
+        return False
+    if isinstance(fn, ast.Attribute) and getattr(fn.value, "id", None) == "os":
+        return True
+    modes = [arg.value for arg in call.args + [kw.value for kw in call.keywords if kw.arg == "mode"]
+             if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+             and re.fullmatch(r"[rwxabt+]{1,3}", arg.value)]
+    return any(set(mode) & set("wax+") for mode in modes)
+
+
+def test_the_library_has_one_writer():
+    """Every file the library writes goes through `core._overwriting`, which
+    writes over a file in place: no other function opens a file to write it."""
+    writers = {f"{path.name}:{getattr(top, 'name', top.lineno)}" for path in SOURCES
+               for top in ast.parse(path.read_text(), filename=str(path)).body
+               for node in ast.walk(top) if isinstance(node, ast.Call) and _writes(node)}
+    assert writers == {"core.py:_overwriting"}, writers
+
+
 def test_direct_product_is_a_central_product():
     """A direct product is the central product amalgamating nothing, and one
     code builds product tables: `direct_product` calls `central_product` once,
